@@ -15,23 +15,20 @@ import numpy as np
 from . import bounds as B
 from . import experiments as X
 from . import io as dio
-from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
-                        select_diffusion_time, select_eps_prime)
-from .geometry import (PointCloud, s2_oracle_embedding, s2_oracle_tangent,
-                       sample_sphere)
+from .embedding import embed_points
+from .geometry import PointCloud
 from .graph import system_from_cloud
 from .spectral import eigensolve_smallest
-from .tangent import estimate_tangents, subspace_angle, tangent_bandwidth
 
 
-def _common(p, n_default=None, seed_default=1):
+def _common(p):
     p.add_argument("--config", metavar="PATH",
                    help="key=value experiment config file")
     p.add_argument("--out", metavar="DIR",
                    help="directory for CSV artifacts (default: config "
                         "output_dir)")
-    p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--n", type=int, default=n_default)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--n", type=int)
 
 
 def _load_cfg(args):
@@ -40,6 +37,14 @@ def _load_cfg(args):
     out = args.out if args.out else cfg.output_dir
     os.makedirs(out, exist_ok=True)
     return cfg, out
+
+
+def _dense_system(args):
+    """Config, artifact directory, n and graph system of a fresh sample of
+    at most 20000 points."""
+    cfg, out = _load_cfg(args)
+    n = args.n or 500
+    return cfg, out, n, system_from_cloud(X._dense_sample(cfg, n, args.seed))
 
 
 def _path(out, name):
@@ -60,10 +65,7 @@ def cmd_sample(args):
 
 
 def cmd_laplacian(args):
-    cfg, out = _load_cfg(args)
-    n = args.n or 500
-    cloud = X._sample(cfg, n, args.seed)
-    system = system_from_cloud(cloud)
+    cfg, out, n, system = _dense_system(args)
     dio.save_matrix_coo(system.W, _path(out, "affinity.csv"),
                         drop_tol=1e-12)
     ones = np.ones(n)
@@ -77,10 +79,7 @@ def cmd_laplacian(args):
 
 
 def cmd_eigen(args):
-    cfg, out = _load_cfg(args)
-    n = args.n or 500
-    cloud = X._sample(cfg, n, args.seed)
-    system = system_from_cloud(cloud)
+    cfg, out, n, system = _dense_system(args)
     spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
     dio.save_eigen(spec, _path(out, "eigen.csv"))
     print("smallest %d eigenvalues of -L at n=%d:" % (cfg.m + 1, n))
@@ -91,22 +90,16 @@ def cmd_eigen(args):
 
 
 def cmd_embed(args):
-    cfg, out = _load_cfg(args)
-    n = args.n or 500
-    cloud = X._sample(cfg, n, args.seed)
-    system = system_from_cloud(cloud)
+    cfg, out, n, system = _dense_system(args)
     spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                             eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
-                             d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
+    params = X._embedding_params(cfg)
     emb = embed_points(spec, params, provenance=(n, system.h, args.seed))
     carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
                          seed=args.seed)
     dio.save_cloud(carrier, _path(out, "embedding.csv"))
     norms = np.linalg.norm(emb.points, axis=1)
     print("embedded %d points into R^%d at t=%.6g (eps'=%.6g)"
-          % (n, cfg.m, t, params.eps_prime))
+          % (n, cfg.m, params.t, params.eps_prime))
     print("coordinate-vector norms in [%.6f, %.6f]"
           % (norms.min(), norms.max()))
     print("wrote %s" % _path(out, "embedding.csv"))
@@ -117,19 +110,8 @@ def cmd_tangent(args):
     """Tangent fits on a clean oracle-embedded sphere sample."""
     cfg, out = _load_cfg(args)
     n = args.n or 500
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    cloud = sample_sphere(n, 2, args.seed)
-    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                             eps_prime=select_eps_prime(t, 2, 0.0),
-                             d=2, kappa=0.0, iota=np.pi)
-    emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
-                        params)
     tcfg = cfg.tangent_config()
-    h_tilde = tangent_bandwidth(n, 2, tcfg)
-    batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
-    angles = {i: subspace_angle(fit.basis,
-                                s2_oracle_tangent(cloud.points[i], t).basis)
-              for i, fit in batch.fits.items()}
+    batch, angles, h_tilde = X._oracle_tangents(cfg, n, args.seed, tcfg)
     fits = [batch.fits[i] for i in sorted(batch.fits)]
     dio.save_tangents(fits, _path(out, "tangents.csv"), angles)
     vals = np.array(list(angles.values()))
@@ -248,14 +230,10 @@ def cmd_pipeline(args):
         return 0 if rec.status == "ok" else 1
     result = X.convergence_study(cfg)
     dio.emit_csv(result.records, _path(out, "runs.csv"))
-    dio.save_table(_path(out, "study.csv"),
-                   ("n", "runs", "eigenvalue_error",
-                    "eigenvector_sup_error", "embedding_error",
-                    "tangent_angle", "first_cluster_mean"),
-                   [(r["n"], r["runs"], r["eigenvalue_error"],
-                     r["eigenvector_sup_error"], r["embedding_error"],
-                     r["tangent_angle"], r["first_cluster_mean"])
-                    for r in result.rows])
+    header = ("n", "runs", "eigenvalue_error", "eigenvector_sup_error",
+              "embedding_error", "tangent_angle", "first_cluster_mean")
+    dio.save_table(_path(out, "study.csv"), header,
+                   [[r[k] for k in header] for r in result.rows])
     print(X.format_convergence(result))
     print("wrote %s and %s"
           % (_path(out, "runs.csv"), _path(out, "study.csv")))
@@ -298,10 +276,9 @@ def cmd_verify_s2(args):
 def cmd_tangent_study(args):
     cfg, out = _load_cfg(args)
     result = X.tangent_study(cfg)
-    dio.save_table(_path(out, "tangent_study.csv"),
-                   ("ntilde", "h_tilde", "median_angle", "max_angle"),
-                   [(r["ntilde"], r["h_tilde"], r["median_angle"],
-                     r["max_angle"]) for r in result.rows])
+    header = ("ntilde", "h_tilde", "median_angle", "max_angle")
+    dio.save_table(_path(out, "tangent_study.csv"), header,
+                   [[r[k] for k in header] for r in result.rows])
     print(X.format_tangent_study(result))
     print("wrote %s" % _path(out, "tangent_study.csv"))
     return 0

@@ -8,6 +8,7 @@ import numpy as np
 
 from .bounds import eps_cap
 from .geometry import embedding_scale
+from .spectral import _procrustes
 
 
 @dataclass
@@ -104,7 +105,5 @@ def embedding_error(est, oracle, clusters):
     A = np.empty_like(E)
     for g in clusters:
         g = list(g)
-        M = E[:, g].T @ T[:, g]
-        U, _, Vt = np.linalg.svd(M)
-        A[:, g] = E[:, g] @ (U @ Vt)
+        A[:, g] = E[:, g] @ _procrustes(E[:, g], T[:, g])[0]
     return float(np.max(np.linalg.norm(A - T, axis=1)))

@@ -2,7 +2,7 @@
 closed-form sphere verification battery."""
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -11,13 +11,14 @@ from .bounds import (BoundConstants, heat_lower_diag, rate_exponents,
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .geometry import (local_reach_numeric, s2_embedding_norm_sq,
-                       s2_harmonics, s2_heat_kernel, s2_oracle_embedding,
-                       s2_oracle_tangent, s2_tail_sum, sample_sphere,
-                       sample_torus)
+from .geometry import (_sphere_chart, local_reach_numeric,
+                       s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
+                       s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
+                       sample_sphere, sample_torus)
 from .graph import system_from_cloud
 from .io import RUN_FIELDS, read_kv
-from .spectral import eigen_errors, eigensolve_smallest, subspace_align
+from .spectral import (_EXACT_REPEAT_TOL, cluster_eigenvalues, eigen_errors,
+                       eigensolve_smallest, subspace_align)
 from .tangent import (TangentConfig, estimate_tangents, subsample_size,
                       subspace_angle, tangent_bandwidth)
 
@@ -66,37 +67,6 @@ class ExperimentConfig:
             tol=self.tangent_tol)
 
 
-# key -> (type tag, attribute); lists are comma separated in config files
-_CONFIG_KEYS = {
-    "manifold": ("str", "manifold"),
-    "d": ("int", "d"),
-    "k": ("int", "k"),
-    "t0": ("float", "t0"),
-    "m": ("int", "m"),
-    "eps": ("float", "eps"),
-    "gap_tol": ("float", "gap_tol"),
-    "kappa": ("float", "kappa"),
-    "iota": ("float", "iota"),
-    "n_grid": ("int_list", "n_grid"),
-    "seeds": ("int_list", "seeds"),
-    "ntilde_grid": ("int_list", "ntilde_grid"),
-    "torus_R": ("float", "torus_R"),
-    "torus_r": ("float", "torus_r"),
-    "min_subsample": ("int", "min_subsample"),
-    "tangent_bandwidth_const": ("float", "tangent_bandwidth_const"),
-    "tangent_t_cap": ("opt_float", "tangent_t_cap"),
-    "tangent_max_iter": ("int", "tangent_max_iter"),
-    "study_max_iter": ("int", "study_max_iter"),
-    "tangent_tol": ("float", "tangent_tol"),
-    "output_dir": ("str", "output_dir"),
-    "C1": ("opt_float", None),
-    "C2": ("opt_float", None),
-    "C_alpha2": ("opt_float", None),
-    "C_d_diam": ("opt_float", None),
-    "C1_eigen": ("opt_float", None),
-}
-
-
 def _parse_value(kind, raw, path, lineno):
     try:
         if kind == "int":
@@ -115,20 +85,29 @@ def _parse_value(kind, raw, path, lineno):
 
 
 def load_config(path):
-    """Build an ExperimentConfig from a key=value file; unknown keys are
+    """Build an ExperimentConfig from a key=value file whose keys are the
+    field names of ExperimentConfig and BoundConstants; unknown keys are
     rejected with their line number."""
+    const_names = {f.name for f in fields(BoundConstants)}
+    kinds = dict.fromkeys(const_names, "opt_float")
+    for f in fields(ExperimentConfig):
+        if f.type is tuple:
+            kinds[f.name] = "int_list"
+        elif f.type is float and f.default is None:
+            kinds[f.name] = "opt_float"
+        elif f.type in (int, float, str):
+            kinds[f.name] = f.type.__name__
     kwargs = {}
     consts = {}
     for lineno, key, raw in read_kv(path):
-        if key not in _CONFIG_KEYS:
+        if key not in kinds:
             raise ValueError("%s line %d: unknown config key %r"
                              % (path, lineno, key))
-        kind, attr = _CONFIG_KEYS[key]
-        val = _parse_value(kind, raw, path, lineno)
-        if attr is None:
+        val = _parse_value(kinds[key], raw, path, lineno)
+        if key in const_names:
             consts[key] = val
         else:
-            kwargs[attr] = val
+            kwargs[key] = val
     if consts:
         kwargs["constants"] = replace(BoundConstants(), **consts)
     return ExperimentConfig(**kwargs)
@@ -172,19 +151,49 @@ def sphere_truth(points, m=8):
 def truth_clusters(lam):
     """Coordinate clusters of the embedding (constant mode dropped) from
     the exact eigenvalue pattern."""
-    groups = []
-    for i, v in enumerate(lam[1:]):
-        if groups and abs(v - lam[groups[-1][-1] + 1]) <= 1e-9:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+    return cluster_eigenvalues(lam[1:], _EXACT_REPEAT_TOL)
 
 
 def _sample(cfg, n, seed):
     if cfg.manifold == "sphere":
         return sample_sphere(n, cfg.d, seed)
     return sample_torus(n, cfg.torus_R, cfg.torus_r, seed)
+
+
+def _dense_sample(cfg, n, seed):
+    """A sample for the dense graph pipeline, refused before sampling when
+    n is too large for the n x n matrices that pipeline builds."""
+    if n > 2 * 10 ** 4:
+        raise ValueError("dense pipeline is capped at n = 20000")
+    return _sample(cfg, n, seed)
+
+
+def _embedding_params(cfg):
+    """Diffusion time and truncation slack for embedding a sample of the
+    configured manifold."""
+    t = select_diffusion_time(cfg.t0, cfg.iota)
+    return EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
+                           eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
+                           d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
+
+
+def _oracle_tangents(cfg, n, seed, tcfg):
+    """Tangent fits at every point of an oracle-embedded S^2 sample, then
+    each fit's angle to the analytic tangent in index order: (batch, angles
+    by base index, h_tilde)."""
+    t = select_diffusion_time(cfg.t0, cfg.iota)
+    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
+                             eps_prime=select_eps_prime(t, 2, 0.0),
+                             d=2, kappa=0.0, iota=np.pi)
+    cloud = sample_sphere(n, 2, seed)
+    emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
+                        params)
+    h_tilde = tangent_bandwidth(n, 2, tcfg)
+    batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
+    angles = {i: subspace_angle(fit.basis,
+                                s2_oracle_tangent(cloud.points[i], t).basis)
+              for i, fit in batch.fits.items()}
+    return batch, angles, h_tilde
 
 
 def run_pipeline(cfg, n, seed):
@@ -198,9 +207,7 @@ def run_pipeline(cfg, n, seed):
     start = time.perf_counter()
     stage = "sample"
     try:
-        if n > 2 * 10 ** 4:
-            raise ValueError("dense pipeline is capped at n = 20000")
-        cloud = _sample(cfg, n, seed)
+        cloud = _dense_sample(cfg, n, seed)
 
         stage = "laplacian"
         system = system_from_cloud(cloud)
@@ -221,18 +228,14 @@ def run_pipeline(cfg, n, seed):
             rec.pattern_matched = report.pattern_matched
 
         stage = "embed"
-        t = select_diffusion_time(cfg.t0, cfg.iota)
-        rec.t = t
-        params = EmbeddingParams(
-            t=t, m=cfg.m, eps=cfg.eps,
-            eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
-            d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
+        # t is recorded even when the embedding parameters are rejected
+        t = rec.t = select_diffusion_time(cfg.t0, cfg.iota)
+        params = _embedding_params(cfg)
         est = embed_points(spec, params, provenance=(n, system.h, seed))
 
         rotations = None
         if oracle:
             stage = "embed-errors"
-            lam, _ = sphere_truth(cloud.points, cfg.m)
             clusters = truth_clusters(lam)
             target = s2_oracle_embedding(cloud.points, t)[:, :cfg.m]
             rec.embedding_error = embedding_error(est.points, target,
@@ -393,7 +396,8 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
     if t0 == 0.25:
         # the image of the heat-time-t0 map is this family member at 2 t0
         reach = local_reach_numeric(
-            lambda u: s2_oracle_embedding(_chart(u), 2.0 * t0), grid=200)
+            lambda u: s2_oracle_embedding(_sphere_chart(u), 2.0 * t0),
+            grid=200)
         checks.append(CheckResult(
             "sweep-radius", reach, "%.6f within 1%%" % REACH_S2,
             bool(abs(reach - REACH_S2) <= 0.01 * REACH_S2)))
@@ -414,14 +418,6 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
         "|trunc - %.9g| <= eps'" % flat,
         bool(abs(diag - flat) <= eps_prime)))
     return VerifyReport(t0=t0, m=m, eps=eps, checks=checks)
-
-
-def _chart(u):
-    u = np.asarray(u, dtype=float)
-    theta, phi = u[..., 0], u[..., 1]
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
-                    axis=-1)
 
 
 def format_verify(report):
@@ -447,32 +443,22 @@ def tangent_study(cfg):
     """Tangent-fit accuracy against subsample size on oracle-embedded
     spheres: medians over seeds of the per-run median and max largest
     principal angle."""
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                             eps_prime=select_eps_prime(t, 2, 0.0),
-                             d=2, kappa=0.0, iota=np.pi)
     tcfg = cfg.tangent_config(max_iter=cfg.study_max_iter)
     rows = []
     for nt in cfg.ntilde_grid:
         med, mx = [], []
         for seed in cfg.seeds:
-            cloud = sample_sphere(nt, 2, 1_000_003 * seed + nt)
-            emb = EmbeddedCloud(
-                s2_oracle_embedding(cloud.points, t)[:, :cfg.m], params)
-            h_tilde = tangent_bandwidth(nt, 2, tcfg)
-            batch = estimate_tangents(emb, range(nt), tcfg, h_tilde)
+            batch, angles, h_tilde = _oracle_tangents(
+                cfg, nt, 1_000_003 * seed + nt, tcfg)
             if batch.errors:
                 k0 = min(batch.errors)
                 raise RuntimeError("fit failed at ntilde=%d seed=%d: %s"
                                    % (nt, seed, batch.errors[k0]))
-            angles = [subspace_angle(
-                batch.fits[i].basis,
-                s2_oracle_tangent(cloud.points[i], t).basis)
-                for i in range(nt)]
-            med.append(np.median(angles))
-            mx.append(np.max(angles))
+            vals = list(angles.values())
+            med.append(np.median(vals))
+            mx.append(np.max(vals))
         rows.append({"ntilde": nt,
-                     "h_tilde": tangent_bandwidth(nt, 2, tcfg),
+                     "h_tilde": h_tilde,
                      "median_angle": float(np.median(med)),
                      "max_angle": float(np.median(mx))})
     ex = rate_exponents(cfg.d, cfg.k)

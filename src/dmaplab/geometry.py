@@ -351,6 +351,15 @@ def s2_oracle_embedding(p, t, d=2):
     return s2_harmonics(p) * damp
 
 
+def _sphere_chart(u):
+    # spherical (theta, phi) coordinates -> unit vectors, over the last axis
+    u = np.asarray(u, dtype=float)
+    theta, phi = u[..., 0], u[..., 1]
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+
+
 def _sphere_frame(p):
     # orthonormal tangent pair at p, rotating away from the degenerate axis
     a = np.array([1.0, 0.0, 0.0])
@@ -387,11 +396,7 @@ def s2_oracle_tangent(p, t, method="analytic"):
         h = 1e-5
 
         def chart(u):
-            th, ph = u
-            q = np.array([np.sin(th) * np.cos(ph),
-                          np.sin(th) * np.sin(ph),
-                          np.cos(th)])
-            return s2_oracle_embedding(Q @ q, t)
+            return s2_oracle_embedding(Q @ _sphere_chart(u), t)
 
         u0 = np.array([np.pi / 2.0, 0.0])
         cols = []
@@ -408,16 +413,15 @@ def s2_oracle_tangent(p, t, method="analytic"):
 
 
 def _eval_chart(embed, U):
-    """Evaluate a chart map on an (N, 2) batch, tolerating scalar-only maps."""
-    try:
-        out = np.asarray(embed(U), dtype=float)
-        if out.ndim == 2 and out.shape[0] == U.shape[0]:
-            return out
-    except Exception:
-        pass
-    return np.asarray([embed(u) for u in U], dtype=float)
+    """Evaluate a vectorized chart map on an (N, 2) batch of points."""
+    out = np.asarray(embed(U), dtype=float)
+    if out.ndim != 2 or out.shape[0] != U.shape[0]:
+        raise ValueError("chart must map an (N, 2) batch to an (N, m) "
+                         "array, got shape %s" % (out.shape,))
+    return out
 
 
+# directions over a half circle at which 2-d operator norms are maximized
 _ALPHA = np.linspace(0.0, np.pi, 720, endpoint=False)
 
 

@@ -6,6 +6,8 @@ not know.  Floats are written with 17 significant digits so that write ->
 read round-trips are bit exact.
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .geometry import PointCloud
@@ -34,14 +36,19 @@ def _fmt_list(xs):
     return ";".join(_F % float(x) for x in xs)
 
 
-def save_cloud(cloud, path):
+def _write(path, tag, header, lines):
+    """The one artifact layout: version tag, comma-joined header names, then
+    the newline-terminated data lines."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(CLOUD_TAG + "\n")
-        fh.write("dim_ambient,d,n,seed\n")
-        fh.write("%d,%d,%d,%d\n" % (cloud.ambient_dim, cloud.d, cloud.n,
-                                    cloud.seed))
-        for row in cloud.points:
-            fh.write(",".join(_F % v for v in row) + "\n")
+        fh.write("%s\n%s\n" % (tag, ",".join(header)))
+        fh.writelines(lines)
+
+
+def save_cloud(cloud, path):
+    meta = "%d,%d,%d,%d\n" % (cloud.ambient_dim, cloud.d, cloud.n, cloud.seed)
+    _write(path, CLOUD_TAG, ("dim_ambient", "d", "n", "seed"),
+           chain([meta], (",".join(_F % v for v in row) + "\n"
+                          for row in cloud.points)))
 
 
 def load_cloud(path):
@@ -84,38 +91,31 @@ def save_eigen(spec, path):
     for cid, grp in enumerate(spec.clusters):
         for i in grp:
             cluster_of[i] = cid
-    n = V.shape[0]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(EIGEN_TAG + "\n")
-        fh.write("index,mu,cluster_id," +
-                 ",".join("v%d" % (j + 1) for j in range(n)) + "\n")
-        for i in range(len(spec.mu)):
-            fh.write("%d,%s,%d," % (i, _fmt(spec.mu[i]), cluster_of[i]) +
-                     ",".join(_F % v for v in V[:, i]) + "\n")
+    header = ["index", "mu", "cluster_id"]
+    header += ["v%d" % (j + 1) for j in range(V.shape[0])]
+    _write(path, EIGEN_TAG, header,
+           ("%d,%s,%d," % (i, _fmt(spec.mu[i]), cluster_of[i])
+            + ",".join(_F % v for v in V[:, i]) + "\n"
+            for i in range(len(spec.mu))))
 
 
 def save_tangents(estimates, path, angles=None):
     """Tangent fit table; angles maps base_index -> angle to a reference
     basis (written as nan when absent)."""
     angles = angles or {}
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(TANGENT_TAG + "\n")
-        fh.write("base_index,angle_to_truth,neighbor_count,iterations,"
-                 "basis\n")
-        for est in estimates:
-            ang = angles.get(est.base_index, float("nan"))
-            fh.write("%d,%s,%d,%d,%s\n"
-                     % (est.base_index, _fmt(ang), est.neighbor_count,
-                        est.iterations, _fmt_list(est.basis.ravel())))
+    _write(path, TANGENT_TAG, ("base_index", "angle_to_truth",
+                               "neighbor_count", "iterations", "basis"),
+           ("%d,%s,%d,%d,%s\n"
+            % (est.base_index, _fmt(angles.get(est.base_index, np.nan)),
+               est.neighbor_count, est.iterations,
+               _fmt_list(est.basis.ravel()))
+            for est in estimates))
 
 
 def emit_csv(records, path):
     """Write run records; an empty list produces a header-only file."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(RUNS_TAG + "\n")
-        fh.write(",".join(RUN_FIELDS) + "\n")
-        for r in records:
-            fh.write(record_row(r) + "\n")
+    _write(path, RUNS_TAG, RUN_FIELDS,
+           (record_row(r) + "\n" for r in records))
 
 
 def record_row(r):
@@ -133,23 +133,19 @@ def record_row(r):
 def save_matrix_coo(M, path, drop_tol=0.0):
     """Coordinate-format text dump row,col,value of a dense matrix."""
     M = np.asarray(M)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(COO_TAG + "\n")
-        fh.write("row,col,value\n")
-        for i in range(M.shape[0]):
-            for j in range(M.shape[1]):
-                if abs(M[i, j]) > drop_tol or i == j:
-                    fh.write("%d,%d,%s\n" % (i, j, _fmt(M[i, j])))
+    _write(path, COO_TAG, ("row", "col", "value"),
+           ("%d,%d,%s\n" % (i, j, _fmt(v))
+            for i, row in enumerate(M) for j, v in enumerate(row.tolist())
+            if abs(v) > drop_tol or i == j))
 
 
 def save_bounds_table(rows, path):
     """Bound-evaluator table: (name, inputs-dict, value) triples."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(BOUNDS_TAG + "\n")
-        fh.write("name,inputs,value\n")
-        for name, inputs, value in rows:
-            ins = ";".join("%s=%s" % (k, v) for k, v in inputs.items())
-            fh.write("%s,%s,%s\n" % (name, ins, _fmt(value)))
+    _write(path, BOUNDS_TAG, ("name", "inputs", "value"),
+           ("%s,%s,%s\n"
+            % (name, ";".join("%s=%s" % kv for kv in inputs.items()),
+               _fmt(value))
+            for name, inputs, value in rows))
 
 
 def save_table(path, header, rows):
@@ -163,11 +159,8 @@ def save_table(path, header, rows):
         if isinstance(v, (int, np.integer)):
             return "%d" % v
         return _fmt(v)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(TABLE_TAG + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
+    _write(path, TABLE_TAG, header,
+           (",".join(cell(v) for v in row) + "\n" for row in rows))
 
 
 def read_kv(path):

@@ -11,6 +11,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 from .geometry import sphere_area
 
 _DENSE_LIMIT = 2000
+_EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
 
 
 @dataclass
@@ -53,9 +54,9 @@ def cluster_eigenvalues(mu, gap_tol):
     """Group ascending eigenvalues into contiguous clusters, splitting where
     the gap to the next value is >= gap_tol * max(1, next value)."""
     mu = np.asarray(mu, dtype=float)
-    clusters = [[0]]
-    for i in range(1, len(mu)):
-        if mu[i] - mu[i - 1] < gap_tol * max(1.0, abs(mu[i])):
+    clusters = []
+    for i in range(len(mu)):
+        if i and mu[i] - mu[i - 1] < gap_tol * max(1.0, abs(mu[i])):
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -88,8 +89,10 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
         C = sla.cho_factor(S - sigma * np.eye(n))
         op = LinearOperator((n, n), matvec=lambda v: sla.cho_solve(C, v))
         try:
+            # a fixed start vector makes repeated solves bit-identical
             mu, U = eigsh(S, k=m + 1, sigma=sigma, OPinv=op,
-                          which="LM", tol=1e-10)
+                          which="LM", tol=1e-10,
+                          v0=np.random.default_rng(0).standard_normal(n))
         except ArpackNoConvergence as err:
             raise RuntimeError(
                 "Lanczos did not converge: %d of %d pairs found"
@@ -141,6 +144,13 @@ def sign_align(est, truth):
     return (1, float(plus)) if plus <= minus else (-1, float(minus))
 
 
+def _procrustes(E, T):
+    """Orthogonal Q minimizing the Frobenius misfit of E Q - T, with the
+    singular values of the cross-product E^T T."""
+    U, s, Vt = np.linalg.svd(E.T @ T)
+    return U @ Vt, s
+
+
 def subspace_align(est_block, truth_block):
     """Orthogonal Procrustes alignment of an estimated eigenvector block to
     a reference block: Q minimizing the Frobenius misfit of est Q - truth,
@@ -149,23 +159,11 @@ def subspace_align(est_block, truth_block):
     T = np.asarray(truth_block, dtype=float)
     if E.shape != T.shape:
         raise ValueError("shape mismatch")
-    M = E.T @ T
-    U, s, Vt = np.linalg.svd(M)
+    Q, s = _procrustes(E, T)
     if s[-1] <= 1e-12 * max(1.0, s[0]):
         raise ValueError("rank collapse in cross-product; blocks nearly "
                          "orthogonal, alignment undetermined")
-    Q = U @ Vt
     return Q, float(np.max(np.abs(E @ Q - T)))
-
-
-def _group_equal(values, tol=1e-9):
-    groups = [[0]]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[i - 1]) <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
 
 
 def eigen_errors(spec, truth_values, truth_fns):
@@ -186,7 +184,7 @@ def eigen_errors(spec, truth_values, truth_fns):
     if spec.vec_norm is None:
         raise ValueError("spectral set lacks vec_norm; solve with ball "
                          "counts and intrinsic dimension attached")
-    truth_groups = _group_equal(truth_values)
+    truth_groups = cluster_eigenvalues(truth_values, _EXACT_REPEAT_TOL)
     matched = [len(c) for c in spec.clusters[:len(truth_groups)]] == \
               [len(g) for g in truth_groups] and \
               sum(len(c) for c in spec.clusters) == mcount

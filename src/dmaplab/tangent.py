@@ -9,6 +9,8 @@ from math import floor
 
 import numpy as np
 
+from .geometry import _ALPHA
+
 
 @dataclass
 class TangentConfig:
@@ -83,7 +85,6 @@ def _features(xi, expos):
     return np.stack(cols, axis=1)
 
 
-_ALPHA = np.linspace(0.0, np.pi, 720, endpoint=False)
 _UGRID = np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1)
 
 

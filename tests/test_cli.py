@@ -1,7 +1,13 @@
 import numpy as np
+import pytest
 
 from dmaplab.cli import main
+from dmaplab.embedding import (EmbeddingParams, embed_points,
+                               select_diffusion_time, select_eps_prime)
+from dmaplab.experiments import ExperimentConfig
+from dmaplab.graph import system_from_cloud
 from dmaplab.io import TABLE_TAG, load_cloud
+from dmaplab.spectral import eigensolve_smallest
 
 
 def test_rates_writes_table(tmp_path, capsys):
@@ -95,3 +101,31 @@ def test_config_grid_reaches_study(tmp_path, capsys):
     assert (tmp_path / "study.csv").exists()
     runs = (tmp_path / "runs.csv").read_text().splitlines()
     assert len(runs) == 2 + 6                 # 3 sizes x 2 seeds
+
+
+@pytest.mark.parametrize("command", ["laplacian", "eigen", "embed"])
+def test_dense_commands_refuse_oversized_n(tmp_path, capsys, command):
+    # refused before sampling, so nothing n x n is ever allocated
+    assert main([command, "--n", "20001", "--out", str(tmp_path)]) == 2
+    assert "dense pipeline is capped at n = 20000" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eigen_and_embed_match_library_chain(tmp_path):
+    out = ["--n", "150", "--seed", "2", "--out", str(tmp_path)]
+    for command in ("sample", "eigen", "embed"):
+        assert main([command] + out) == 0
+    cfg = ExperimentConfig()
+    cloud = load_cloud(tmp_path / "cloud.csv")
+    spec = eigensolve_smallest(system_from_cloud(cloud), cfg.m,
+                               gap_tol=cfg.gap_tol)
+    rows = (tmp_path / "eigen.csv").read_text().splitlines()[2:]
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(table[:, 1], spec.mu)
+    assert np.array_equal(table[:, 3:].T, spec.vec_norm)
+    t = select_diffusion_time(cfg.t0, cfg.iota)
+    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
+                             eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
+                             d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
+    emb = load_cloud(tmp_path / "embedding.csv")
+    assert np.array_equal(emb.points, embed_points(spec, params).points)

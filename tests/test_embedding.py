@@ -115,3 +115,13 @@ def test_embedding_error_cluster_cover():
         embedding_error(T, T, [[0, 1]])            # misses coordinate 2
     with pytest.raises(ValueError):
         embedding_error(T, np.zeros((5, 3)), [[0, 1, 2]])
+
+
+def test_embedding_error_orthogonal_blocks_do_not_raise():
+    # subspace_align refuses these blocks; embedding_error still answers
+    E = np.eye(6)[:, :2]
+    T = np.eye(6)[:, 2:4]
+    err = embedding_error(E, T, [[0, 1]])
+    assert np.isfinite(err)
+    # E Q and T live on disjoint rows, each of unit length
+    assert err == pytest.approx(1.0, rel=1e-12)

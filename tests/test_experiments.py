@@ -39,7 +39,8 @@ def test_load_config_full(tmp_path):
         "tangent_bandwidth_const = 2.0\ntangent_t_cap = auto\n"
         "tangent_max_iter = 30\nstudy_max_iter = 60\n"
         "tangent_tol = 1e-6\noutput_dir = /tmp/somewhere\n"
-        "C2 = 1.25\n")
+        "C1 = 0.5\nC2 = 1.25\nC_alpha2 = 3.0\nC_d_diam = 4.5\n"
+        "C1_eigen = 0.75\n")
     cfg = load_config(path)
     assert cfg.manifold == "torus"
     assert cfg.k == 4 and cfg.m == 3
@@ -48,8 +49,32 @@ def test_load_config_full(tmp_path):
     assert cfg.ntilde_grid == (50, 100)
     assert cfg.tangent_t_cap is None
     assert cfg.tangent_tol == 1e-6
+    assert cfg.constants.C1 == 0.5
     assert cfg.constants.C2 == 1.25
+    assert cfg.constants.C_alpha2 == 3.0
+    assert cfg.constants.C_d_diam == 4.5
+    assert cfg.constants.C1_eigen == 0.75
+
+
+def test_load_config_keeps_unset_constants(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("C2 = 1.25\nC_d_diam = unknown\n")
+    cfg = load_config(path)
+    assert cfg.constants.C2 == 1.25
+    assert cfg.constants.C_d_diam is None
     assert cfg.constants.C1 == pytest.approx(0.408912)   # untouched
+
+
+@pytest.mark.parametrize("line, tag", [
+    ("t0 = fast", "float"), ("m = 2.5", "int"), ("seeds = 1,x", "int_list"),
+    ("tangent_t_cap = wide", "opt_float"), ("C1_eigen = big", "opt_float"),
+])
+def test_load_config_parse_error_names_type(tmp_path, line, tag):
+    path = tmp_path / "exp.cfg"
+    path.write_text("# header\n" + line + "\n")
+    with pytest.raises(ValueError, match="line 2: cannot parse .* as %s$"
+                       % tag):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

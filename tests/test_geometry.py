@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
@@ -279,6 +281,24 @@ def test_local_reach_unit_sphere():
 def test_local_reach_rejects_coarse_grid():
     with pytest.raises(ValueError):
         local_reach_numeric(lambda u: u, grid=8)
+
+
+def test_local_reach_rejects_wrong_chart_shape():
+    with pytest.raises(ValueError, match="chart must map"):
+        local_reach_numeric(lambda u: u[:, 0], grid=32)
+    with pytest.raises(ValueError, match="chart must map"):
+        local_reach_numeric(lambda u: u[1:], grid=32)
+
+
+def test_local_reach_propagates_chart_errors():
+    # a chart that only takes one point at a time fails on the batch
+    def scalar_chart(u):
+        th, ph = u[0], u[1]
+        return [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+                math.cos(th)]
+
+    with pytest.raises(TypeError):
+        local_reach_numeric(scalar_chart, grid=32)
 
 
 def test_pushforward_density():

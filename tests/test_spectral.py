@@ -54,6 +54,19 @@ def test_eigensolve_dense_vs_iterative():
     assert np.max(np.abs(dense.mu - it.mu)) <= 1e-8
 
 
+def test_eigensolve_iterative_repeats_bit_for_bit():
+    system = _sphere_system(500, 1)
+    limit = sp._DENSE_LIMIT
+    sp._DENSE_LIMIT = 10          # force the shift-invert path
+    try:
+        a = eigensolve_smallest(system, 8)
+        b = eigensolve_smallest(system, 8)
+    finally:
+        sp._DENSE_LIMIT = limit
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.vec_raw, b.vec_raw)
+
+
 def test_eigensolve_normalized_vectors_attached():
     system = _sphere_system(220, 5)
     spec = eigensolve_smallest(system, 4)
@@ -72,6 +85,13 @@ def test_cluster_eigenvalues_grouping():
     # huge tolerance merges everything
     assert cluster_eigenvalues(mu, 100.0) == [[0, 1, 2, 3]]
     assert cluster_eigenvalues(np.array([0.0]), 0.25) == [[0]]
+    assert cluster_eigenvalues(np.array([]), 0.25) == []
+    # the exact-repeat grouping that eigen_errors and truth_clusters use
+    lam = np.array([0.0, 2, 2, 2, 6, 6, 6, 6, 6])
+    assert cluster_eigenvalues(lam, sp._EXACT_REPEAT_TOL) == \
+        [[0], [1, 2, 3], [4, 5, 6, 7, 8]]
+    assert cluster_eigenvalues(np.array([2.0, 2.0 + 1e-6]),
+                               sp._EXACT_REPEAT_TOL) == [[0], [1]]
 
 
 def test_l2_invdensity_norm_closed_form():
