@@ -21,6 +21,12 @@ from .graph import system_from_cloud
 from .spectral import eigensolve_smallest
 
 
+def _positive_int(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("%s is not a positive integer" % text)
+    return int(text)
+
+
 def _common(p):
     p.add_argument("--config", metavar="PATH",
                    help="key=value experiment config file")
@@ -28,7 +34,7 @@ def _common(p):
                    help="directory for CSV artifacts (default: config "
                         "output_dir)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
 
 
 def _load_cfg(args):

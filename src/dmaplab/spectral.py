@@ -65,38 +65,37 @@ def cluster_eigenvalues(mu, gap_tol):
 
 def eigensolve_smallest(system, m, gap_tol=0.25):
     """Smallest m+1 eigenpairs of -L via the symmetric conjugate form
-    S = (I - D^-1/2 W D^-1/2)/h^2.
+    S = (I - A)/h^2 with A = D^-1/2 W D^-1/2.
 
-    Dense solve up to n = 2000, shifted Lanczos with a Cholesky-factored
-    inner solve above.  Eigenvectors are mapped back by u -> D^-1/2 u,
-    l2-normalized, sign-fixed (first significant entry positive), checked
-    against the residual contract |(-L)v - mu v| <= 1e-8 max(1, mu), and
-    additionally normalized in l2(1/p-hat) when the system carries ball
-    counts and an intrinsic dimension.
+    Dense solve up to n = 2000; above, Lanczos finds the largest m+1
+    eigenvalues lambda of A from products with W alone (mu = (1-lambda)/h^2).
+    Eigenvectors are mapped back by u -> D^-1/2 u, l2-normalized, sign-fixed
+    (first significant entry positive), checked against the residual
+    contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
+    when the system carries ball counts and an intrinsic dimension.
     """
     n = system.n
     if m + 1 > n:
         raise ValueError("asked for %d pairs from an n=%d system" % (m + 1, n))
     h = system.h
     dm = 1.0 / np.sqrt(system.degree)
-    S = (np.eye(n) - dm[:, None] * system.W * dm[None, :]) / (h * h)
-    S = 0.5 * (S + S.T)
 
     if n <= _DENSE_LIMIT:
+        S = (np.eye(n) - dm[:, None] * system.W * dm[None, :]) / (h * h)
+        S = 0.5 * (S + S.T)
         mu, U = sla.eigh(S, subset_by_index=[0, m])
     else:
-        sigma = -1e-3 / (h * h)
-        C = sla.cho_factor(S - sigma * np.eye(n))
-        op = LinearOperator((n, n), matvec=lambda v: sla.cho_solve(C, v))
+        A = LinearOperator((n, n), dtype=float,
+                           matvec=lambda v: dm * (system.W @ (dm * v)))
         try:
             # a fixed start vector makes repeated solves bit-identical
-            mu, U = eigsh(S, k=m + 1, sigma=sigma, OPinv=op,
-                          which="LM", tol=1e-10,
-                          v0=np.random.default_rng(0).standard_normal(n))
+            lam, U = eigsh(A, k=m + 1, which="LA", tol=1e-10,
+                           v0=np.random.default_rng(0).standard_normal(n))
         except ArpackNoConvergence as err:
             raise RuntimeError(
                 "Lanczos did not converge: %d of %d pairs found"
                 % (len(err.eigenvalues), m + 1)) from err
+        mu = (1.0 - lam) / (h * h)
         order = np.argsort(mu)
         mu, U = mu[order], U[:, order]
 
@@ -113,20 +112,16 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
         if col[idx] < 0:
             V[:, i] = -col
 
-    nL = -system.L
-    resid = nL @ V - V * mu[None, :]
-    bad = np.linalg.norm(resid, axis=0) > 1e-8 * np.maximum(1.0, mu)
+    rnorm = np.linalg.norm(-(system.L @ V) - V * mu[None, :], axis=0)
+    bad = rnorm > 1e-8 * np.maximum(1.0, mu)
     if np.any(bad):
         raise RuntimeError("residual contract violated at indices %s, norms %s"
-                           % (np.where(bad)[0].tolist(),
-                              np.linalg.norm(resid, axis=0)[bad]))
+                           % (np.where(bad)[0].tolist(), rnorm[bad]))
 
     vec_norm = None
     if system.ball_counts is not None and system.d is not None:
-        vec_norm = np.empty_like(V)
-        for i in range(V.shape[1]):
-            nrm = l2_invdensity_norm(V[:, i], system.ball_counts, h, system.d)
-            vec_norm[:, i] = V[:, i] / nrm
+        vec_norm = V / [l2_invdensity_norm(v, system.ball_counts, h, system.d)
+                        for v in V.T]
 
     return SpectralSet(mu=mu, vec_raw=V, vec_norm=vec_norm,
                        clusters=cluster_eigenvalues(mu, gap_tol))
@@ -189,18 +184,16 @@ def eigen_errors(spec, truth_values, truth_fns):
               [len(g) for g in truth_groups] and \
               sum(len(c) for c in spec.clusters) == mcount
     value_errors, sup_errors, alignment = [], [], []
-    for g in truth_groups:
-        idx = g
+    for idx in truth_groups:
         value_errors.append(float(np.mean(np.abs(spec.mu[idx]
                                                  - truth_values[idx]))))
         E = spec.vec_norm[:, idx]
         T = truth_fns[:, idx]
         if len(idx) == 1:
             a, err = sign_align(E[:, 0], T[:, 0])
-            alignment.append(a)
         else:
             a, err = subspace_align(E, T)
-            alignment.append(a)
+        alignment.append(a)
         sup_errors.append(err)
     return EigenErrorReport(value_errors=value_errors,
                             vector_sup_errors=sup_errors,

@@ -91,6 +91,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "laplacian"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_nonpositive_n_exits_2(tmp_path, capsys, command, n):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", n, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --n: %s is not a positive integer" % n \
+        in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_grid_reaches_study(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("n_grid = 150,250,400\nseeds = 1,2\n")

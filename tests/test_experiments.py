@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import dmaplab.spectral as sp
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
                                  convergence_study, format_verify,
                                  load_config, run_pipeline, sphere_truth,
@@ -136,6 +138,17 @@ def test_run_pipeline_deterministic():
 def test_run_pipeline_dense_cap():
     rec = run_pipeline(ExperimentConfig(), 30001, 1)
     assert rec.status.startswith("sample:")
+    assert np.isnan(rec.embedding_error)
+
+
+def test_run_pipeline_reports_lanczos_failure(force_iterative, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((300, 0)))
+    monkeypatch.setattr(sp, "eigsh", fail)
+    rec = run_pipeline(ExperimentConfig(), 300, 1)
+    assert rec.n > sp._DENSE_LIMIT
+    assert rec.status.startswith("eigen: Lanczos did not converge")
     assert np.isnan(rec.embedding_error)
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.spectral as sp
 from dmaplab.geometry import sample_sphere, sphere_area
@@ -42,29 +45,54 @@ def test_eigensolve_sign_convention():
         assert v[nz[0]] > 0
 
 
-def test_eigensolve_dense_vs_iterative():
+def _cluster_projectors(spec):
+    """Orthogonal projector onto the span of each cluster's eigenvectors."""
+    out = []
+    for c in spec.clusters:
+        Q, _ = np.linalg.qr(spec.vec_raw[:, c])
+        out.append(Q @ Q.T)
+    return out
+
+
+def test_eigensolve_dense_vs_iterative(monkeypatch):
     system = _sphere_system(300, 4)
     dense = eigensolve_smallest(system, 6)
-    limit = sp._DENSE_LIMIT
-    sp._DENSE_LIMIT = 10          # force the shift-invert path
-    try:
-        it = eigensolve_smallest(system, 6)
-    finally:
-        sp._DENSE_LIMIT = limit
+    monkeypatch.setattr(sp, "_DENSE_LIMIT", 10)
+    it = eigensolve_smallest(system, 6)
     assert np.max(np.abs(dense.mu - it.mu)) <= 1e-8
+    assert it.clusters == dense.clusters
+    for Pd, Pi in zip(_cluster_projectors(dense), _cluster_projectors(it)):
+        assert np.max(np.abs(Pd - Pi)) <= 1e-8
 
 
-def test_eigensolve_iterative_repeats_bit_for_bit():
+def test_eigensolve_iterative_repeats_bit_for_bit(force_iterative):
     system = _sphere_system(500, 1)
-    limit = sp._DENSE_LIMIT
-    sp._DENSE_LIMIT = 10          # force the shift-invert path
-    try:
-        a = eigensolve_smallest(system, 8)
-        b = eigensolve_smallest(system, 8)
-    finally:
-        sp._DENSE_LIMIT = limit
+    a = eigensolve_smallest(system, 8)
+    b = eigensolve_smallest(system, 8)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.vec_raw, b.vec_raw)
+
+
+def test_eigensolve_iterative_allocates_no_square_array(force_iterative):
+    n = 1500
+    system = _sphere_system(n, 2)
+    tracemalloc.start()
+    try:
+        eigensolve_smallest(system, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+
+
+def test_eigensolve_reports_lanczos_failure(force_iterative, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(2),
+                                  np.zeros((300, 2)))
+    monkeypatch.setattr(sp, "eigsh", fail)
+    with pytest.raises(RuntimeError,
+                       match="^Lanczos did not converge: 2 of 9 pairs found"):
+        eigensolve_smallest(_sphere_system(300, 1), 8)
 
 
 def test_eigensolve_normalized_vectors_attached():
