@@ -88,6 +88,8 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
     the nonnegative-curvature bound (d+4) d^(1-2/d) ((m+1) omega(d-1)/V)^(2/d),
     otherwise the parity-split sinh bounds, which need the diameter.
     """
+    if d < 1 or m < 0:
+        raise ValueError("need d >= 1 and m >= 0")
     if V <= 0:
         raise ValueError("volume must be positive")
     if kappa_neg < 0:

@@ -27,14 +27,18 @@ def _positive_int(text):
     return int(text)
 
 
-def _common(p):
+def _common(sub, name, fn, summary):
+    """Subcommand parser with the flags every command takes."""
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(fn=fn)
     p.add_argument("--config", metavar="PATH",
                    help="key=value experiment config file")
     p.add_argument("--out", metavar="DIR",
                    help="directory for CSV artifacts (default: config "
                         "output_dir)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--n", type=_positive_int, default=500)
+    return p
 
 
 def _load_cfg(args):
@@ -45,12 +49,18 @@ def _load_cfg(args):
     return cfg, out
 
 
+def _setting(args, cfg, name):
+    """The command-line flag when given, else the config field."""
+    value = getattr(args, name)
+    return getattr(cfg, name) if value is None else value
+
+
 def _dense_system(args):
     """Config, artifact directory, n and graph system of a fresh sample of
     at most 20000 points."""
     cfg, out = _load_cfg(args)
-    n = args.n or 500
-    return cfg, out, n, system_from_cloud(X._dense_sample(cfg, n, args.seed))
+    return cfg, out, args.n, system_from_cloud(
+        X._dense_sample(cfg, args.n, args.seed))
 
 
 def _path(out, name):
@@ -59,8 +69,7 @@ def _path(out, name):
 
 def cmd_sample(args):
     cfg, out = _load_cfg(args)
-    n = args.n or 500
-    cloud = X._sample(cfg, n, args.seed)
+    cloud = X._sample(cfg, args.n, args.seed)
     dio.save_cloud(cloud, _path(out, "cloud.csv"))
     radii = np.linalg.norm(cloud.points, axis=1)
     print("sampled %d %s points in R^%d (seed %d)"
@@ -115,14 +124,13 @@ def cmd_embed(args):
 def cmd_tangent(args):
     """Tangent fits on a clean oracle-embedded sphere sample."""
     cfg, out = _load_cfg(args)
-    n = args.n or 500
     tcfg = cfg.tangent_config()
-    batch, angles, h_tilde = X._oracle_tangents(cfg, n, args.seed, tcfg)
+    batch, angles, h_tilde = X._oracle_tangents(cfg, args.n, args.seed, tcfg)
     fits = [batch.fits[i] for i in sorted(batch.fits)]
     dio.save_tangents(fits, _path(out, "tangents.csv"), angles)
     vals = np.array(list(angles.values()))
     print("tangent fits at %d of %d points (h_tilde=%.6f, k=%d)"
-          % (len(fits), n, h_tilde, tcfg.k))
+          % (len(fits), args.n, h_tilde, tcfg.k))
     if batch.errors:
         k0 = min(batch.errors)
         print("failed fits: %d, first at index %d: %s"
@@ -142,6 +150,9 @@ _BOUND_EVALS = {
                  False),
     "s1_min": (B.s1_min, (("t0", float), ("d", int), ("kappa", float)),
                True),
+    "star_check": (B.star_check, (("tau_l", float), ("t0", float),
+                                  ("eps", float), ("d", float),
+                                  ("kappa", float)), True),
     "heat_upper": (B.heat_upper, (("t", float), ("dist", float), ("d", int),
                                   ("kappa", float)), True),
     "heat_lower_diag": (B.heat_lower_diag,
@@ -154,7 +165,27 @@ _BOUND_EVALS = {
                       ("kappa_neg", float)), False),
     "weyl_estimate": (B.weyl_estimate,
                       (("lam", float), ("d", int), ("V", float)), False),
+    "geodesic_euclid_bounds": (B.geodesic_euclid_bounds,
+                               (("s", float), ("r0", float)), False),
 }
+
+# evaluators returning a record: the fields written as name.field rows
+_RESULT_FIELDS = {
+    "star_check": ("lhs", "rhs", "holds"),
+    "geodesic_euclid_bounds": ("lo", "hi"),
+}
+
+
+def _bound_arg(name, key, text, typ):
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError("%s: argument %s=%s is not a number"
+                         % (name, key, text)) from None
+    if typ is int and not v.is_integer():
+        raise ValueError("%s: argument %s=%s is not a whole number"
+                         % (name, key, text))
+    return typ(v)
 
 
 def _eval_bound(expr, consts):
@@ -165,19 +196,6 @@ def _eval_bound(expr, consts):
             raise ValueError("bad bound argument %r (want key=value)" % tok)
         k, _, v = tok.partition("=")
         raw[k.strip()] = v.strip()
-    if name == "star_check":
-        inputs = {k: float(raw[k])
-                  for k in ("tau_l", "t0", "eps", "d", "kappa")}
-        res = B.star_check(inputs["tau_l"], inputs["t0"], inputs["eps"],
-                           int(inputs["d"]), inputs["kappa"], consts)
-        return [("star_check.lhs", inputs, res.lhs),
-                ("star_check.rhs", inputs, res.rhs),
-                ("star_check.holds", inputs, float(res.holds))]
-    if name == "geodesic_euclid_bounds":
-        inputs = {k: float(raw[k]) for k in ("s", "r0")}
-        res = B.geodesic_euclid_bounds(inputs["s"], inputs["r0"])
-        return [("geodesic_euclid_bounds.lo", inputs, res.lo),
-                ("geodesic_euclid_bounds.hi", inputs, res.hi)]
     if name not in _BOUND_EVALS:
         raise ValueError("unknown bound evaluator %r" % name)
     fn, sig, wants_consts = _BOUND_EVALS[name]
@@ -189,9 +207,16 @@ def _eval_bound(expr, consts):
     if extra:
         raise ValueError("%s: unknown argument(s) %s"
                          % (name, ", ".join(sorted(extra))))
-    vals = [typ(float(raw[k])) for k, typ in sig]
-    args = vals + [consts] if wants_consts else list(vals)
-    return [(name, dict(zip((k for k, _ in sig), vals)), fn(*args))]
+    inputs = {k: _bound_arg(name, k, raw[k], typ) for k, typ in sig}
+    args = list(inputs.values()) + ([consts] if wants_consts else [])
+    try:
+        res = fn(*args)
+    except ArithmeticError as err:
+        raise ArithmeticError("%s: %s" % (expr, err)) from None
+    if name not in _RESULT_FIELDS:
+        return [(name, inputs, res)]
+    return [("%s.%s" % (name, f), inputs, float(getattr(res, f)))
+            for f in _RESULT_FIELDS[name]]
 
 
 _DEFAULT_BOUND_EXPRS = (
@@ -248,8 +273,7 @@ def cmd_pipeline(args):
 
 def cmd_rates(args):
     cfg, out = _load_cfg(args)
-    d = args.d if args.d is not None else cfg.d
-    k = args.k if args.k is not None else cfg.k
+    d, k = _setting(args, cfg, "d"), _setting(args, cfg, "k")
     ex = B.rate_exponents(d, k)
     rows = [("eigenvalue_rate", ex.eigenvalue_rate),
             ("eigenvector_rate", ex.eigenvector_rate),
@@ -268,7 +292,8 @@ def cmd_rates(args):
 
 def cmd_verify_s2(args):
     cfg, out = _load_cfg(args)
-    report = X.verify_s2(t0=args.t0, m=args.m, eps=args.eps)
+    report = X.verify_s2(**{k: _setting(args, cfg, k)
+                            for k in ("t0", "m", "eps")})
     dio.save_table(_path(out, "verify.csv"),
                    ("check", "value", "target", "passed"),
                    [(c.name, c.value, c.target.replace(",", ";"),
@@ -298,60 +323,31 @@ def build_parser():
                     "closed-form sphere test bed.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample a manifold point cloud")
-    _common(p)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("laplacian",
-                       help="build the graph Laplacian of a fresh sample")
-    _common(p)
-    p.set_defaults(fn=cmd_laplacian)
-
-    p = sub.add_parser("eigen", help="smallest eigenpairs of -L")
-    _common(p)
-    p.set_defaults(fn=cmd_eigen)
-
-    p = sub.add_parser("embed", help="spectral embedding coordinates")
-    _common(p)
-    p.set_defaults(fn=cmd_embed)
-
-    p = sub.add_parser("tangent",
-                       help="tangent-plane fits on an oracle-embedded "
-                            "sphere sample")
-    _common(p)
-    p.set_defaults(fn=cmd_tangent)
-
-    p = sub.add_parser("bounds", help="evaluate geometric bounds")
-    _common(p)
+    _common(sub, "sample", cmd_sample, "sample a manifold point cloud")
+    _common(sub, "laplacian", cmd_laplacian,
+            "build the graph Laplacian of a fresh sample")
+    _common(sub, "eigen", cmd_eigen, "smallest eigenpairs of -L")
+    _common(sub, "embed", cmd_embed, "spectral embedding coordinates")
+    _common(sub, "tangent", cmd_tangent,
+            "tangent-plane fits on an oracle-embedded sphere sample")
+    p = _common(sub, "bounds", cmd_bounds, "evaluate geometric bounds")
     p.add_argument("expr", nargs="*",
                    help="evaluator spec name:key=value,...  (default: a "
                         "sphere showcase table)")
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("pipeline",
-                       help="full run at --n, or the convergence study "
-                            "over the configured grid without --n")
-    _common(p)
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("rates", help="theoretical convergence exponents")
-    _common(p)
+    p = _common(sub, "pipeline", cmd_pipeline,
+                "full run at --n, or the convergence study over the "
+                "configured grid without --n")
+    p.set_defaults(n=None)
+    p = _common(sub, "rates", cmd_rates, "theoretical convergence exponents")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(fn=cmd_rates)
-
-    p = sub.add_parser("verify-s2",
-                       help="closed-form sphere verification battery")
-    _common(p)
-    p.add_argument("--t0", type=float, default=0.25)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.set_defaults(fn=cmd_verify_s2)
-
-    p = sub.add_parser("tangent-study",
-                       help="tangent accuracy against subsample size")
-    _common(p)
-    p.set_defaults(fn=cmd_tangent_study)
+    p = _common(sub, "verify-s2", cmd_verify_s2,
+                "closed-form sphere verification battery")
+    p.add_argument("--t0", type=float, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--eps", type=float, default=None)
+    _common(sub, "tangent-study", cmd_tangent_study,
+            "tangent accuracy against subsample size")
     return ap
 
 
@@ -359,7 +355,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as err:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

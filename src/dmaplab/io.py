@@ -32,8 +32,19 @@ def _fmt(x):
     return _F % float(x)
 
 
-def _fmt_list(xs):
-    return ";".join(_F % float(x) for x in xs)
+def _cell(v):
+    """One CSV cell: strings pass through, bools and ints stay integral,
+    lists and tuples join their cells with ';', anything else is a
+    17-digit float."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "%d" % int(v)
+    if isinstance(v, (int, np.integer)):
+        return "%d" % v
+    if isinstance(v, (list, tuple)):
+        return ";".join(_cell(x) for x in v)
+    return _fmt(v)
 
 
 def _write(path, tag, header, lines):
@@ -61,7 +72,7 @@ def load_cloud(path):
         raise ValueError("%s line 2: expected cloud metadata header" % path)
     try:
         amb, d, n, seed = (int(v) for v in lines[2].split(","))
-    except Exception:
+    except ValueError:
         raise ValueError("%s line 3: malformed metadata row %r"
                          % (path, lines[2]))
     rows = []
@@ -70,7 +81,7 @@ def load_cloud(path):
             continue
         try:
             row = [float(v) for v in line.split(",")]
-        except Exception:
+        except ValueError:
             raise ValueError("%s line %d: malformed coordinate row" % (path, i))
         if len(row) != amb:
             raise ValueError("%s line %d: expected %d coordinates, got %d"
@@ -108,7 +119,7 @@ def save_tangents(estimates, path, angles=None):
            ("%d,%s,%d,%d,%s\n"
             % (est.base_index, _fmt(angles.get(est.base_index, np.nan)),
                est.neighbor_count, est.iterations,
-               _fmt_list(est.basis.ravel()))
+               _cell(est.basis.ravel().tolist()))
             for est in estimates))
 
 
@@ -121,13 +132,7 @@ def emit_csv(records, path):
 def record_row(r):
     """Stable CSV encoding of one run record (wall_time is the last field
     so the deterministic prefix is directly comparable)."""
-    return ",".join([
-        "%d" % r.n, "%d" % r.seed, _fmt(r.h), _fmt(r.t), "%d" % r.m,
-        _fmt_list(r.eigenvalue_errors), _fmt_list(r.eigenvector_sup_errors),
-        _fmt(r.embedding_error), _fmt(r.tangent_angle_median),
-        _fmt(r.tangent_angle_max), _fmt(r.first_cluster_mean),
-        "%d" % int(r.pattern_matched), r.status, _fmt(r.wall_time),
-    ])
+    return ",".join(_cell(getattr(r, f)) for f in RUN_FIELDS)
 
 
 def save_matrix_coo(M, path, drop_tol=0.0):
@@ -149,18 +154,10 @@ def save_bounds_table(rows, path):
 
 
 def save_table(path, header, rows):
-    """Generic versioned table: header names plus rows of cells.  Floats
-    get the 17-digit format, ints stay integral, strings pass through."""
-    def cell(v):
-        if isinstance(v, str):
-            return v
-        if isinstance(v, (bool, np.bool_)):
-            return "%d" % int(v)
-        if isinstance(v, (int, np.integer)):
-            return "%d" % v
-        return _fmt(v)
+    """Generic versioned table: header names plus rows of cells, each
+    written by `_cell`."""
     _write(path, TABLE_TAG, header,
-           (",".join(cell(v) for v in row) + "\n" for row in rows))
+           (",".join(_cell(v) for v in row) + "\n" for row in rows))
 
 
 def read_kv(path):

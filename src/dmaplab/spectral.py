@@ -34,7 +34,6 @@ class SpectralSet:
 class EigenErrorReport:
     value_errors: list
     vector_sup_errors: list
-    alignment: list
     pattern_matched: bool
 
 
@@ -183,19 +182,17 @@ def eigen_errors(spec, truth_values, truth_fns):
     matched = [len(c) for c in spec.clusters[:len(truth_groups)]] == \
               [len(g) for g in truth_groups] and \
               sum(len(c) for c in spec.clusters) == mcount
-    value_errors, sup_errors, alignment = [], [], []
+    value_errors, sup_errors = [], []
     for idx in truth_groups:
         value_errors.append(float(np.mean(np.abs(spec.mu[idx]
                                                  - truth_values[idx]))))
         E = spec.vec_norm[:, idx]
         T = truth_fns[:, idx]
         if len(idx) == 1:
-            a, err = sign_align(E[:, 0], T[:, 0])
+            _, err = sign_align(E[:, 0], T[:, 0])
         else:
-            a, err = subspace_align(E, T)
-        alignment.append(a)
+            _, err = subspace_align(E, T)
         sup_errors.append(err)
     return EigenErrorReport(value_errors=value_errors,
                             vector_sup_errors=sup_errors,
-                            alignment=alignment,
                             pattern_matched=bool(matched))

@@ -5,6 +5,7 @@ metric and the sample-size / bandwidth rules for the estimator."""
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import floor
 
 import numpy as np
@@ -67,16 +68,9 @@ def tangent_bandwidth(n_eff, d, cfg):
 def monomial_exponents(d, degrees):
     """Multi-indices over d variables for each degree in degrees, as a list
     of (degree, exponent-tuple)."""
-    out = []
-    for l in degrees:
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append((l, tuple(prefix + [remaining])))
-                return
-            for a in range(remaining, -1, -1):
-                rec(prefix + [a], remaining - a, slots - 1)
-        rec([], l, d)
-    return out
+    return [(l, tuple(c.count(j) for j in range(d)))
+            for l in degrees
+            for c in combinations_with_replacement(range(d), l)]
 
 
 def _features(xi, expos):

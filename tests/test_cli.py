@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dmaplab.cli import main
+from dmaplab.cli import _BOUND_EVALS, main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                select_diffusion_time, select_eps_prime)
 from dmaplab.experiments import ExperimentConfig
@@ -56,6 +58,8 @@ def test_bounds_expressions(tmp_path, capsys):
     assert "star_check.holds" in out
     text = (tmp_path / "bounds.csv").read_text()
     assert "croke_constant,d=2,0.31830988618379" in text
+    assert ("star_check.lhs,tau_l=0.646924;t0=0.25;eps=0.05;d=2.0;kappa=0.0,"
+            "3.3480852942080004\n") in text
 
 
 def test_bounds_rejects_unknown_evaluator(tmp_path, capsys):
@@ -66,6 +70,54 @@ def test_bounds_rejects_unknown_evaluator(tmp_path, capsys):
 def test_bounds_rejects_missing_argument(tmp_path, capsys):
     assert main(["bounds", "--out", str(tmp_path), "croke_constant:"]) == 2
     assert "missing argument" in capsys.readouterr().err
+
+
+_BAD_EXPRS = [
+    ("star_check:tau_l=1", "star_check: missing argument(s) t0, eps, d, kappa"),
+    ("geodesic_euclid_bounds:s=1,r0=1,bogus=3",
+     "geodesic_euclid_bounds: unknown argument(s) bogus"),
+    ("croke_constant:d=2.7", "croke_constant: argument d=2.7 is not a whole"),
+    ("croke_constant:d=2000", "croke_constant:d=2000: "),
+    ("croke_constant:d=inf", "croke_constant: argument d=inf is not a whole"),
+    ("croke_constant:d=abc", "croke_constant: argument d=abc is not a number"),
+    ("li_yau_upper:m=-3,d=3,V=1,kappa_neg=0", "need d >= 1 and m >= 0"),
+]
+
+
+@pytest.mark.parametrize("expr, message", _BAD_EXPRS,
+                         ids=[expr for expr, _ in _BAD_EXPRS])
+def test_bounds_rejects_bad_expression(tmp_path, capsys, expr, message):
+    assert main(["bounds", "--out", str(tmp_path), expr]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert list(tmp_path.iterdir()) == []
+
+
+_ARG_NAMES = sorted({k for _, sig, _ in _BOUND_EVALS.values() for k, _ in sig})
+_VALUES = st.one_of(
+    st.integers(-4, 4).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1e308", "1e400", "inf", "-inf", "nan",
+                     "2000"]),
+    st.text(alphabet="abcxyz+-.eE_ 0123456789", max_size=6))
+
+
+@st.composite
+def _bound_exprs(draw):
+    name = draw(st.sampled_from(sorted(_BOUND_EVALS) + ["nonsense"]))
+    own = [k for k, _ in _BOUND_EVALS.get(name, (None, (), False))[1]]
+    keys = draw(st.permutations(own)
+                | st.lists(st.sampled_from(own + _ARG_NAMES + ["bogus"]),
+                           unique=True, max_size=len(own) + 1))
+    return "%s:%s" % (name, ",".join("%s=%s" % (k, draw(_VALUES))
+                                     for k in keys))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=_bound_exprs())
+def test_bounds_exit_0_or_2_never_raise(tmp_path, expr):
+    assert len(_BOUND_EVALS) == 11
+    assert main(["bounds", "--out", str(tmp_path), expr]) in (0, 2)
 
 
 def test_pipeline_single_run(tmp_path, capsys):
@@ -100,6 +152,18 @@ def test_nonpositive_n_exits_2(tmp_path, capsys, command, n):
     assert "argument --n: %s is not a positive integer" % n \
         in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_s2_reads_config(tmp_path):
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("t0 = 0.5\n")
+    tables = {}
+    for label, extra in (("default", []), ("config", ["--config", str(cfg)]),
+                         ("flag", ["--t0", "0.5"])):
+        out = tmp_path / label
+        assert main(["verify-s2", "--out", str(out)] + extra) in (0, 1)
+        tables[label] = (out / "verify.csv").read_text()
+    assert tables["config"] == tables["flag"] != tables["default"]
 
 
 def test_config_grid_reaches_study(tmp_path, capsys):

@@ -27,10 +27,11 @@ def test_load_cloud_rejects_unknown_version(tmp_path):
 
 def test_load_cloud_reports_bad_row(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(CLOUD_TAG + "\ndim_ambient,d,n,seed\n2,1,2,0\n"
-                    "0.0,0.0\n0.0,oops\n")
-    with pytest.raises(ValueError, match="line 5"):
-        load_cloud(path)
+    for rows, line in (("2,1,2,0\n0.0,0.0\n0.0,oops\n", "line 5"),
+                       ("3,2,x,1\n", "line 3: malformed metadata row")):
+        path.write_text(CLOUD_TAG + "\ndim_ambient,d,n,seed\n" + rows)
+        with pytest.raises(ValueError, match=line):
+            load_cloud(path)
 
 
 def test_load_cloud_row_count_mismatch(tmp_path):
