@@ -208,6 +208,8 @@ def _eval_bound(expr, consts):
         raise ValueError("%s: unknown argument(s) %s"
                          % (name, ", ".join(sorted(extra))))
     inputs = {k: _bound_arg(name, k, raw[k], typ) for k, typ in sig}
+    if "d" in inputs and not inputs["d"] >= 1:
+        raise ValueError("%s: dimension d=%s must be >= 1" % (name, raw["d"]))
     args = list(inputs.values()) + ([consts] if wants_consts else [])
     try:
         res = fn(*args)

@@ -22,16 +22,15 @@ class KernelConfig:
 
 @dataclass
 class LaplacianSystem:
-    """Density-normalized affinity W, degrees, and L = (D^-1 W - I)/h^2.
+    """Density-normalized affinity W (the only n x n array kept), degrees,
+    and L = (D^-1 W - I)/h^2, derived from W and the degrees on each access.
 
-    ball_counts and d are carried along when known (they are needed later
-    for the l2(1/p-hat) eigenvector normalization); pipelines built through
-    system_from_cloud always fill them.
+    ball_counts and d, when known, serve the l2(1/p-hat) eigenvector
+    normalization; system_from_cloud always fills them.
     """
 
     W: np.ndarray
     degree: np.ndarray
-    L: np.ndarray
     h: float
     ball_counts: np.ndarray = None
     d: int = None
@@ -39,6 +38,12 @@ class LaplacianSystem:
     @property
     def n(self):
         return self.W.shape[0]
+
+    @property
+    def L(self):
+        L = self.W / self.degree[:, None]
+        L[np.diag_indices_from(L)] -= 1.0
+        return np.divide(L, self.h * self.h, out=L)
 
 
 def bandwidth(n, d):
@@ -64,46 +69,49 @@ def build_affinity(cloud, h):
     """Density-normalized affinity of a cloud.
 
     Returns (W, q) with q_i = sum_j k_h(x_i, x_j) (self term included) and
-    W_ij = k_h(x_i, x_j) / (q_i q_j).
+    W_ij = k_h(x_i, x_j) / (q_i q_j), built in place (peak: two n x n arrays).
     """
     x = cloud.points
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         raise ValueError("need at least two points")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    K = np.exp(-d2 / (4.0 * h * h))
-    q = K.sum(axis=1)
-    W = K / np.outer(q, q)
+    W = sq[:, None] + sq[None, :]
+    W -= 2.0 * (x @ x.T)
+    np.maximum(W, 0.0, out=W)
+    W /= -4.0 * h * h
+    np.exp(W, out=W)
+    q = W.sum(axis=1)
+    W /= np.outer(q, q)
     return W, q
 
 
 def laplacian(W, h, ball_counts=None, d=None):
-    """Assemble the normalized graph Laplacian L = (D^-1 W - I) / h^2.
+    """Checked system of W and its degrees; the normalized graph Laplacian
+    L = (D^-1 W - I) / h^2 is derived from them on access.
 
-    W must be symmetric with positive diagonal; rows of L sum to zero and
-    -L is positive semidefinite (it is conjugate to a symmetric PSD form).
+    W must be finite and symmetric with positive diagonal; rows of L sum to
+    zero and -L is PSD (it is conjugate to a symmetric PSD form).
     """
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     W = np.asarray(W, dtype=float)
-    n = W.shape[0]
-    if W.shape != (n, n):
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
-    if np.max(np.abs(W - W.T)) > 1e-12 * max(1.0, np.max(np.abs(W))):
+    deg = W.sum(axis=1)
+    if not np.isfinite(deg).all():
+        raise ValueError("W must be finite")
+    asym = W - W.T
+    if max(asym.max(), -asym.min()) > 1e-12 * max(1.0, W.max(), -W.min()):
         raise ValueError("W must be symmetric")
     if np.any(np.diag(W) <= 0):
         raise ValueError("W needs a positive diagonal")
-    deg = W.sum(axis=1)
     if np.any(deg <= 0):
         raise ValueError("zero-degree row in W")
-    L = (W / deg[:, None] - np.eye(n)) / (h * h)
     if ball_counts is not None:
         ball_counts = np.asarray(ball_counts)
         if np.any(ball_counts < 1):
             raise ValueError("ball counts must be >= 1")
-    return LaplacianSystem(W=W, degree=deg, L=L, h=h,
+    return LaplacianSystem(W=W, degree=deg, h=h,
                            ball_counts=ball_counts, d=d)
 
 
@@ -120,7 +128,7 @@ def ball_counts(cloud, h):
 
 def system_from_cloud(cloud, h=None):
     """Full Laplacian assembly for a cloud: bandwidth rule (unless h is
-    given), affinity, degrees, L, and ball counts."""
+    given), affinity, degrees, and ball counts."""
     if h is None:
         h = bandwidth(cloud.n, cloud.d)
     W, _ = build_affinity(cloud, h)

@@ -62,6 +62,11 @@ def cluster_eigenvalues(mu, gap_tol):
     return clusters
 
 
+def _residuals(system, V, mu):
+    """-L V - V diag(mu) from products with W: -L V = (V - (W V)/deg)/h^2."""
+    return (V - (system.W @ V) / system.degree[:, None]) / system.h**2 - V * mu
+
+
 def eigensolve_smallest(system, m, gap_tol=0.25):
     """Smallest m+1 eigenpairs of -L via the symmetric conjugate form
     S = (I - A)/h^2 with A = D^-1/2 W D^-1/2.
@@ -111,7 +116,7 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
         if col[idx] < 0:
             V[:, i] = -col
 
-    rnorm = np.linalg.norm(-(system.L @ V) - V * mu[None, :], axis=0)
+    rnorm = np.linalg.norm(_residuals(system, V, mu), axis=0)
     bad = rnorm > 1e-8 * np.maximum(1.0, mu)
     if np.any(bad):
         raise RuntimeError("residual contract violated at indices %s, norms %s"

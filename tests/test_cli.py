@@ -81,6 +81,11 @@ _BAD_EXPRS = [
     ("croke_constant:d=inf", "croke_constant: argument d=inf is not a whole"),
     ("croke_constant:d=abc", "croke_constant: argument d=abc is not a number"),
     ("li_yau_upper:m=-3,d=3,V=1,kappa_neg=0", "need d >= 1 and m >= 0"),
+    ("r1_value:t0=0.25,d=-3,kappa=1", "r1_value: dimension d=-3 must be >= 1"),
+    ("weyl_estimate:lam=1,d=-2,V=1",
+     "weyl_estimate: dimension d=-2 must be >= 1"),
+    ("heat_lower_diag:t=0.25,d=0,kappa=0",
+     "heat_lower_diag: dimension d=0 must be >= 1"),
 ]
 
 

@@ -1,10 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmaplab.geometry import PointCloud, sample_sphere
-from dmaplab.graph import (KernelConfig, ball_counts, bandwidth,
-                           build_affinity, gaussian_kernel, laplacian,
-                           system_from_cloud)
+from dmaplab.graph import (KernelConfig, LaplacianSystem, ball_counts,
+                           bandwidth, build_affinity, gaussian_kernel,
+                           laplacian, system_from_cloud)
+from dmaplab.spectral import eigensolve_smallest
 
 
 def test_bandwidth_frozen_values():
@@ -83,6 +88,11 @@ def test_laplacian_rejects_bad_affinity():
         laplacian(bad, 0.5)                            # dead diagonal
     with pytest.raises(ValueError):
         laplacian(np.ones((3, 3)), 0.0)                # zero bandwidth
+    for value in (np.nan, np.inf):
+        bad = np.ones((3, 3))
+        bad[0, 1] = bad[1, 0] = value
+        with pytest.raises(ValueError, match="W must be finite"):
+            laplacian(bad, 0.5)                        # non-finite entry
 
 
 def test_ball_counts_strict_inequality():
@@ -121,3 +131,70 @@ def test_system_deterministic():
     b = system_from_cloud(sample_sphere(60, 2, 9))
     assert np.array_equal(a.L, b.L)
     assert np.array_equal(a.ball_counts, b.ball_counts)
+
+
+@pytest.mark.parametrize("n", [300, 2001])
+def test_in_place_build_matches_old_expressions(n):
+    """W, q, the degrees and the derived L equal, bit for bit, the
+    temporaries-based expressions the graph layer used before it built W in
+    place.  Those expressions are the reference, so this cannot fail on the
+    code that used them; it pins that the rewrite kept every bit."""
+    cloud = sample_sphere(n, 2, 7)
+    h = bandwidth(n, 2)
+    x = cloud.points
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.maximum(d2, 0.0, out=d2)
+    K = np.exp(-d2 / (4.0 * h * h))
+    q_old = K.sum(axis=1)
+    W_old = K / np.outer(q_old, q_old)
+    deg_old = W_old.sum(axis=1)
+    L_old = (W_old / deg_old[:, None] - np.eye(n)) / (h * h)
+    W, q = build_affinity(cloud, h)
+    assert np.array_equal(W, W_old) and np.array_equal(q, q_old)
+    system = system_from_cloud(cloud)
+    assert np.array_equal(system.W, W_old)
+    assert np.array_equal(system.degree, deg_old)
+    assert np.array_equal(system.L, L_old)
+
+
+def test_system_stores_w_as_its_only_square_array():
+    assert "L" not in {f.name for f in fields(LaplacianSystem)}
+    system = system_from_cloud(sample_sphere(50, 2, 1))
+    square = [f.name for f in fields(system)
+              if np.ndim(getattr(system, f.name)) == 2]
+    assert square == ["W"]
+
+
+def test_system_from_cloud_holds_two_square_arrays_at_most(peak_bytes):
+    n = 1500
+    cloud = sample_sphere(n, 2, 2)
+    assert peak_bytes(lambda: system_from_cloud(cloud)) < 2.5 * 8 * n * n
+
+
+def _rotation(seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.integers(20, 200), seed=st.integers(0, 2 ** 16),
+       rot_seed=st.integers(0, 2 ** 16))
+def test_sphere_system_invariances(n, seed, rot_seed):
+    """A rotated cloud gives the same W and mu; the derived L annihilates
+    constants and -L has a symmetric PSD form.  These hold for any correct
+    graph layer, so this cannot fail at a correct parent; it guards the
+    in-place build and the derived L against regressions."""
+    cloud = sample_sphere(n, 2, seed)
+    turned = PointCloud(points=cloud.points @ _rotation(rot_seed).T, d=2,
+                        ambient_dim=3, seed=seed)
+    a, b = system_from_cloud(cloud), system_from_cloud(turned)
+    assert np.max(np.abs(a.W - b.W)) <= 1e-10 * np.max(a.W)
+    mu_a = eigensolve_smallest(a, 8).mu
+    mu_b = eigensolve_smallest(b, 8).mu
+    assert np.max(np.abs(mu_a - mu_b)) <= 1e-10
+    L = a.L
+    assert np.max(np.abs(L @ np.ones(n))) <= 1e-12
+    r = np.sqrt(a.degree)
+    S = -(r[:, None] * L / r[None, :])
+    assert np.max(np.abs(S - S.T)) <= 1e-12
+    assert np.linalg.eigvalsh(0.5 * (S + S.T))[0] >= -1e-10

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -73,16 +71,19 @@ def test_eigensolve_iterative_repeats_bit_for_bit(force_iterative):
     assert np.array_equal(a.vec_raw, b.vec_raw)
 
 
-def test_eigensolve_iterative_allocates_no_square_array(force_iterative):
+def test_eigensolve_iterative_allocates_no_square_array(force_iterative,
+                                                        peak_bytes):
     n = 1500
     system = _sphere_system(n, 2)
-    tracemalloc.start()
-    try:
-        eigensolve_smallest(system, 8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n
+    assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 8 * n * n
+
+
+def test_residuals_from_w_match_derived_l(force_iterative):
+    system = _sphere_system(600, 3)
+    spec = eigensolve_smallest(system, 8)
+    V, mu = spec.vec_raw, spec.mu
+    via_L = -(system.L @ V) - V * mu
+    assert np.max(np.abs(sp._residuals(system, V, mu) - via_L)) <= 1e-12
 
 
 def test_eigensolve_reports_lanczos_failure(force_iterative, monkeypatch):
