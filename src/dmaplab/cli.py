@@ -210,6 +210,9 @@ def _eval_bound(expr, consts):
     inputs = {k: _bound_arg(name, k, raw[k], typ) for k, typ in sig}
     if "d" in inputs and not inputs["d"] >= 1:
         raise ValueError("%s: dimension d=%s must be >= 1" % (name, raw["d"]))
+    if "kappa" in inputs and not inputs["kappa"] >= 0:
+        raise ValueError("%s: curvature kappa=%s must be >= 0"
+                         % (name, raw["kappa"]))
     args = list(inputs.values()) + ([consts] if wants_consts else [])
     try:
         res = fn(*args)

@@ -5,6 +5,7 @@ metric and the sample-size / bandwidth rules for the estimator."""
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import floor
 
@@ -73,40 +74,65 @@ def monomial_exponents(d, degrees):
             for c in combinations_with_replacement(range(d), l)]
 
 
-def _features(xi, expos):
-    cols = [np.prod(xi ** np.asarray(e, dtype=float), axis=1)
-            for _, e in expos]
-    return np.stack(cols, axis=1)
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
-_UGRID = np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1)
+_UGRID = _frozen(np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1))
+
+_FitPlan = namedtuple("FitPlan", "expos E dirs blocks")
 
 
-def _poly_opnorm(b_rows, expos_l, d):
-    """sup over unit u of |sum_a b_a u^a| for one homogeneous degree block.
+@lru_cache(maxsize=None)
+def _fit_plan(d, k):
+    """Constants shared by every fit at input dimension d and order k.
 
-    Exact for d=1; a 720-direction grid for d=2; symmetric power iteration
-    (50 rounds) for higher input dimension.
+    expos lists the (degree, exponent) pairs of degrees 2..k-1 and E holds
+    them as a float array; blocks gives, per degree l, its row slice of E
+    and the monomials of the fixed unit directions dirs (the 720-angle grid
+    at d = 2, 2000 seeded normals otherwise).  Arrays are read-only.
     """
+    expos = tuple(monomial_exponents(d, range(2, k)))
+    E = _frozen(np.array([e for _, e in expos], dtype=float).reshape(-1, d))
+    u = np.random.default_rng(0).standard_normal((2000, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    dirs = _UGRID if d == 2 else _frozen(u)
+    blocks, start = [], 0
+    for l in range(2, k):
+        rows = slice(start, start + sum(ll == l for ll, _ in expos))
+        blocks.append((l, rows, _frozen(_features(dirs, E[rows]))))
+        start = rows.stop
+    return _FitPlan(expos, E, dirs, tuple(blocks))
+
+
+def _features(xi, E):
+    return np.prod(xi[:, None, :] ** E, axis=2)
+
+
+def _poly_opnorm(b_rows, E, dirs, M):
+    """sup over unit u of |sum_a b_a u^a| for one homogeneous degree block
+    with exponent rows E, given the monomials M of the unit directions dirs.
+
+    Exact for d=1; the max over the 720-direction grid for d=2.  For higher
+    input dimension, symmetric power iteration (50 rounds) climbs from the
+    best 3 of the 2000 directions, and the largest value seen is returned.
+    """
+    d = E.shape[1]
     if d == 1:
         return float(np.linalg.norm(b_rows.sum(axis=0)))
+    V = M @ b_rows
+    sq = np.sum(V * V, axis=1)
+    best = float(np.sqrt(np.max(sq)))
     if d == 2:
-        M = np.stack([np.prod(_UGRID ** np.asarray(e, dtype=float), axis=1)
-                      for _, e in expos_l], axis=1)
-        V = M @ b_rows
-        return float(np.sqrt(np.max(np.sum(V * V, axis=1))))
+        return best
     # higher-order power method on the symmetric form <w, A(u,...,u)>
-    rng = np.random.default_rng(0)
-    l = expos_l[0][0]
-    E = np.asarray([e for _, e in expos_l], dtype=float)
-    best = 0.0
-    for _ in range(3):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
+    for u in dirs[np.argsort(sq)[-3:]]:
         for _ in range(50):
             mono = np.prod(u ** E, axis=1)
             w = mono @ b_rows
             nw = np.linalg.norm(w)
+            best = max(best, float(nw))
             if nw == 0:
                 break
             w /= nw
@@ -180,10 +206,7 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
                          "radius %g of point %d, found %d"
                          % (d + 1, h_tilde, base_index, Z.shape[0]))
     t_cap = cfg.t_cap if cfg.t_cap is not None else 1.0 / h_tilde
-    degrees = list(range(2, cfg.k))
-    expos = monomial_exponents(d, degrees) if degrees else []
-    by_deg = {l: [i for i, (ll, _) in enumerate(expos) if ll == l]
-              for l in degrees}
+    plan = _fit_plan(d, cfg.k)
 
     B = _top_d_basis(Z.T @ Z, d)
     prev_obj = np.inf
@@ -193,12 +216,11 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
         iters = it + 1
         xi = Z @ B
         rho = Z - xi @ B.T
-        if expos:
-            Phi = _features(xi, expos)
+        if plan.expos:
+            Phi = _features(xi, plan.E)
             b_new, *_ = np.linalg.lstsq(Phi, rho, rcond=None)
-            for l in degrees:
-                rows = by_deg[l]
-                nrm = _poly_opnorm(b_new[rows], [expos[i] for i in rows], d)
+            for _, rows, M in plan.blocks:
+                nrm = _poly_opnorm(b_new[rows], plan.E[rows], plan.dirs, M)
                 if nrm > t_cap:
                     b_new[rows] *= t_cap / nrm
             pred = Phi @ b_new
@@ -213,15 +235,16 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
         b = b_new
         Y = Z - pred
         B_new = _top_d_basis(Y.T @ Y, d)
-        delta = np.linalg.norm(B_new @ B_new.T - B @ B.T, 2)
+        delta = np.linalg.svd(B_new @ B_new.T - B @ B.T,
+                              compute_uv=False)[0]
         B = B_new
         if delta < cfg.tol:
             break
 
     tensors = {}
     if b is not None:
-        for l in degrees:
-            tensors[l] = b[by_deg[l]]
+        for l, rows, _ in plan.blocks:
+            tensors[l] = b[rows]
     return TangentEstimate(base_index=int(base_index),
                            projector=B @ B.T,
                            basis=B,

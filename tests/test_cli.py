@@ -86,6 +86,9 @@ _BAD_EXPRS = [
      "weyl_estimate: dimension d=-2 must be >= 1"),
     ("heat_lower_diag:t=0.25,d=0,kappa=0",
      "heat_lower_diag: dimension d=0 must be >= 1"),
+    ("r1_value:t0=0.25,d=2,kappa=-1",
+     "r1_value: curvature kappa=-1 must be >= 0"),
+    ("s1_min:t0=0.25,d=2,kappa=-1", "s1_min: curvature kappa=-1 must be >= 0"),
 ]
 
 

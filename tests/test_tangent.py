@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dmaplab.geometry import (PointCloud, s2_oracle_embedding,
+from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
                               s2_oracle_tangent, sample_sphere)
-from dmaplab.tangent import (TangentConfig, estimate_tangents,
+from dmaplab.tangent import (TangentConfig, _features, _fit_plan,
+                             _poly_opnorm, estimate_tangents,
                              fit_local_polynomial, monomial_exponents,
                              subsample_size, subspace_angle,
                              tangent_bandwidth)
@@ -129,3 +132,76 @@ def test_subspace_angle_range_random():
         a = subspace_angle(U, V)
         assert 0.0 <= a <= 1.0
         assert a == pytest.approx(subspace_angle(V, U), abs=1e-10)
+
+
+def test_fit_plan_is_cached_and_read_only():
+    plan = _fit_plan(2, 3)
+    assert _fit_plan(2, 3) is plan
+    assert plan.expos == tuple(monomial_exponents(2, [2]))
+    for d, k in ((2, 3), (3, 4)):
+        plan = _fit_plan(d, k)
+        arrays = [plan.E, plan.dirs] + [M for _, _, M in plan.blocks]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_features_and_grid_opnorm_match_old_expressions():
+    """The cached plan gives the same bits as the per-call expressions it
+    replaced, written out here: column-by-column features, and at d = 2
+    the 720-direction grid rebuilt from the angles on each call."""
+    rng = np.random.default_rng(7)
+    for d, k in ((1, 4), (2, 3), (2, 5), (3, 4)):
+        plan = _fit_plan(d, k)
+        xi = rng.standard_normal((40, d))
+        old = np.stack([np.prod(xi ** np.asarray(e, dtype=float), axis=1)
+                        for _, e in plan.expos], axis=1)
+        assert np.array_equal(_features(xi, plan.E), old)
+    plan = _fit_plan(2, 5)
+    grid = np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1)
+    for _, rows, M in plan.blocks:
+        b = rng.standard_normal((rows.stop - rows.start, 8))
+        M_old = np.stack([np.prod(grid ** np.asarray(e, dtype=float), axis=1)
+                          for _, e in plan.expos[rows]], axis=1)
+        V = M_old @ b
+        old = float(np.sqrt(np.max(np.sum(V * V, axis=1))))
+        assert _poly_opnorm(b, plan.E[rows], plan.dirs, M) == old
+
+
+@pytest.mark.parametrize("d, l", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_poly_opnorm_reaches_dense_reference(d, l):
+    """Above d = 2 the operator norm is at least the max over 10^5 seeded
+    unit directions, on 50 random degree-l blocks with 5 columns."""
+    plan = _fit_plan(d, l + 1)
+    _, rows, M = plan.blocks[-1]
+    E = plan.E[rows]
+    rng = np.random.default_rng(10 * d + l)
+    u = rng.standard_normal((100_000, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    dense = np.prod(u[:, None, :] ** E, axis=2)
+    for _ in range(50):
+        b = rng.standard_normal((E.shape[0], 5))
+        V = dense @ b
+        ref = np.sqrt(np.max(np.sum(V * V, axis=1)))
+        assert _poly_opnorm(b, E, plan.dirs, M) >= (1 - 1e-9) * ref
+
+
+def test_sphere_fits_pinned_bit_for_bit():
+    """sha256 over every fit's basis, tensors and iteration count on an
+    oracle-embedded S^2 sample.  The digest was recorded before the fit
+    plan cached the exponent arrays and the direction grid, so it held
+    there by construction; it pins every bit of the d = 2 fits."""
+    n = 400
+    cloud = sample_sphere(n, 2, 3)
+    carrier = PointCloud(points=s2_oracle_embedding(cloud.points, 0.25),
+                         d=2, ambient_dim=8, seed=3)
+    batch = estimate_tangents(carrier, range(n),
+                              TangentConfig(k=3, max_iter=100))
+    assert not batch.errors
+    h = hashlib.sha256()
+    for i in sorted(batch.fits):
+        fit = batch.fits[i]
+        h.update(fit.basis.tobytes())
+        for l in sorted(fit.tensors):
+            h.update(fit.tensors[l].tobytes())
+        h.update(np.int64(fit.iterations).tobytes())
+    assert h.hexdigest() == ("335625c7113f14d26272d6bb0c1e4778"
+                             "8c12f7a03f9e744ea0507681bc821466")
