@@ -50,6 +50,10 @@ class EmbeddedCloud:
     def n(self):
         return self.points.shape[0]
 
+    @property
+    def d(self):
+        return self.params.d
+
 
 def select_diffusion_time(t0, iota):
     """t = min(t0, 4, iota^2/4)."""

@@ -58,6 +58,9 @@ class ExperimentConfig:
             raise ValueError("n_grid and seeds must be nonempty")
         if self.manifold == "torus" and not 0 < self.torus_r < self.torus_R:
             raise ValueError("torus radii must satisfy 0 < r < R")
+        if self.manifold == "torus" and self.d != 2:
+            raise ValueError("the torus is a surface: need d = 2, got d = %d"
+                             % self.d)
 
     def tangent_config(self, max_iter=None):
         return TangentConfig(
@@ -177,21 +180,26 @@ def _embedding_params(cfg):
                            d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
 
 
+def _oracle_tangent(p, t, m):
+    """Orthonormal tangent basis at p of the first m <= 8 coordinates of
+    the S^2 oracle embedding at time t."""
+    basis = s2_oracle_tangent(p, t).basis
+    return np.linalg.qr(basis[:m])[0] if m < 8 else basis
+
+
 def _oracle_tangents(cfg, n, seed, tcfg):
     """Tangent fits at every point of an oracle-embedded S^2 sample, then
     each fit's angle to the analytic tangent in index order: (batch, angles
     by base index, h_tilde)."""
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                             eps_prime=select_eps_prime(t, 2, 0.0),
-                             d=2, kappa=0.0, iota=np.pi)
+    params = _embedding_params(replace(cfg, d=2, kappa=0.0))
+    t = params.t
     cloud = sample_sphere(n, 2, seed)
     emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
                         params)
     h_tilde = tangent_bandwidth(n, 2, tcfg)
     batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
     angles = {i: subspace_angle(fit.basis,
-                                s2_oracle_tangent(cloud.points[i], t).basis)
+                                _oracle_tangent(cloud.points[i], t, cfg.m))
               for i, fit in batch.fits.items()}
     return batch, angles, h_tilde
 
@@ -262,7 +270,7 @@ def run_pipeline(cfg, n, seed):
             # the per-cluster rotations found during embedding alignment
             angles = []
             for j, idx in enumerate(pick):
-                truth = s2_oracle_tangent(cloud.points[idx], t).basis
+                truth = _oracle_tangent(cloud.points[idx], t, cfg.m)
                 mapped = np.empty_like(truth)
                 for g, Q in rotations:
                     mapped[g] = Q @ truth[g]

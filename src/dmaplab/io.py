@@ -136,12 +136,22 @@ def record_row(r):
 
 
 def save_matrix_coo(M, path, drop_tol=0.0):
-    """Coordinate-format text dump row,col,value of a dense matrix."""
+    """Coordinate-format text dump row,col,value of a dense matrix: every
+    entry with |value| > drop_tol, and the diagonal always.  Each column's
+    line template is built once; a row joins the templates of its kept
+    columns and fills them with one % call."""
     M = np.asarray(M)
-    _write(path, COO_TAG, ("row", "col", "value"),
-           ("%d,%d,%s\n" % (i, j, _fmt(v))
-            for i, row in enumerate(M) for j, v in enumerate(row.tolist())
-            if abs(v) > drop_tol or i == j))
+    cols = np.arange(M.shape[1])
+    line = ["%%d,%d,%s\n" % (j, _F) for j in cols]
+
+    def rows():
+        for i, row in enumerate(M):
+            keep = np.flatnonzero((np.abs(row) > drop_tol) | (cols == i))
+            args = [i] * (2 * len(keep))
+            args[1::2] = row[keep].tolist()
+            yield "".join([line[j] for j in keep]) % tuple(args)
+
+    _write(path, COO_TAG, ("row", "col", "value"), rows())
 
 
 def save_bounds_table(rows, path):

@@ -88,16 +88,17 @@ _FitPlan = namedtuple("FitPlan", "expos E dirs blocks")
 def _fit_plan(d, k):
     """Constants shared by every fit at input dimension d and order k.
 
-    expos lists the (degree, exponent) pairs of degrees 2..k-1 and E holds
-    them as a float array; blocks gives, per degree l, its row slice of E
-    and the monomials of the fixed unit directions dirs (the 720-angle grid
-    at d = 2, 2000 seeded normals otherwise).  Arrays are read-only.
+    expos lists the (degree, exponent) pairs of degrees 2..k-1 (none at
+    k = 2) and E holds them as a float array; blocks gives, per degree l,
+    its row slice of E and the monomials of the fixed unit directions dirs
+    (the single direction 1 at d = 1, the 720-angle grid at d = 2, 2000
+    seeded normals otherwise).  Arrays are read-only.
     """
     expos = tuple(monomial_exponents(d, range(2, k)))
     E = _frozen(np.array([e for _, e in expos], dtype=float).reshape(-1, d))
     u = np.random.default_rng(0).standard_normal((2000, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    dirs = _UGRID if d == 2 else _frozen(u)
+    dirs = {1: _frozen(np.ones((1, 1))), 2: _UGRID}.get(d, _frozen(u))
     blocks, start = [], 0
     for l in range(2, k):
         rows = slice(start, start + sum(ll == l for ll, _ in expos))
@@ -114,61 +115,40 @@ def _poly_opnorm(b_rows, E, dirs, M):
     """sup over unit u of |sum_a b_a u^a| for one homogeneous degree block
     with exponent rows E, given the monomials M of the unit directions dirs.
 
-    Exact for d=1; the max over the 720-direction grid for d=2.  For higher
-    input dimension, symmetric power iteration (50 rounds) climbs from the
-    best 3 of the 2000 directions, and the largest value seen is returned.
+    The value is first the max over dirs: exact at d = 1, where the block
+    is homogeneous and +-1 are the only unit directions, and the max over
+    the 720-direction grid at d = 2.  Above d = 2, symmetric power
+    iteration climbs from the best 3 of the 2000 directions until u moves
+    by less than 1e-10 (at most 50 rounds), and the largest value seen is
+    returned.
     """
-    d = E.shape[1]
-    if d == 1:
-        return float(np.linalg.norm(b_rows.sum(axis=0)))
     V = M @ b_rows
     sq = np.sum(V * V, axis=1)
     best = float(np.sqrt(np.max(sq)))
-    if d == 2:
+    d = E.shape[1]
+    if d <= 2:
         return best
-    # higher-order power method on the symmetric form <w, A(u,...,u)>
+    # gradient of <w, p(u)> in u: d/du_j u^a = a_j u^(a - e_j)
+    Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
     for u in dirs[np.argsort(sq)[-3:]]:
         for _ in range(50):
-            mono = np.prod(u ** E, axis=1)
-            w = mono @ b_rows
+            w = np.prod(u ** E, axis=1) @ b_rows
             nw = np.linalg.norm(w)
             best = max(best, float(nw))
             if nw == 0:
                 break
-            w /= nw
-            # gradient of <w, p(u)> in u
-            g = np.zeros(d)
-            coef = b_rows @ w
-            for j in range(d):
-                ej = E[:, j]
-                mask = ej > 0
-                if not np.any(mask):
-                    continue
-                Ed = E[mask].copy()
-                Ed[:, j] -= 1.0
-                g[j] = np.sum(coef[mask] * ej[mask]
-                              * np.prod(u ** Ed, axis=1))
+            g = (E.T * np.prod(u ** Ed, axis=2)) @ (b_rows @ (w / nw))
             ng = np.linalg.norm(g)
             if ng == 0:
                 break
-            u = g / ng
-        mono = np.prod(u ** E, axis=1)
-        best = max(best, float(np.linalg.norm(mono @ b_rows)))
+            g /= ng
+            moved = np.linalg.norm(g - u)
+            u = g
+            if moved < 1e-10:
+                break
+        best = max(best, float(np.linalg.norm(np.prod(u ** E, axis=1)
+                                              @ b_rows)))
     return best
-
-
-def _cloud_points(cloud):
-    return np.asarray(getattr(cloud, "points", cloud), dtype=float)
-
-
-def _cloud_dim(cloud):
-    d = getattr(cloud, "d", None)
-    if d is None:
-        params = getattr(cloud, "params", None)
-        d = getattr(params, "d", None)
-    if d is None:
-        raise ValueError("cloud does not carry an intrinsic dimension")
-    return d
 
 
 def _top_d_basis(M, d):
@@ -181,7 +161,8 @@ def _top_d_basis(M, d):
 
 
 def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
-    """Tangent estimate at one base point.
+    """Tangent estimate at one base point of a PointCloud or EmbeddedCloud
+    (any cloud with points, n and the intrinsic dimension d).
 
     Neighbors are the points at distance strictly between 0 and h_tilde
     from the base.  Starting from the local PCA plane, alternate between
@@ -191,13 +172,12 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
     (b) re-extraction of the plane from the corrected points.  Iteration
     stops when the projector moves less than cfg.tol in operator norm,
     when the objective would increase (the step is rejected), or at
-    cfg.max_iter.
+    cfg.max_iter.  At k = 2 there are no monomials, the correction is
+    zero, and the fit is local PCA, done after one iteration.
     """
-    pts = _cloud_points(cloud)
-    d = _cloud_dim(cloud)
-    m = pts.shape[1]
-    base = pts[base_index]
-    diff = pts - base
+    d = cloud.d
+    base = cloud.points[base_index]
+    diff = cloud.points - base
     dist = np.linalg.norm(diff, axis=1)
     sel = (dist > 0) & (dist < h_tilde)
     Z = diff[sel]
@@ -210,23 +190,18 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
 
     B = _top_d_basis(Z.T @ Z, d)
     prev_obj = np.inf
-    b = None
     iters = 0
     for it in range(cfg.max_iter):
         iters = it + 1
         xi = Z @ B
         rho = Z - xi @ B.T
-        if plan.expos:
-            Phi = _features(xi, plan.E)
-            b_new, *_ = np.linalg.lstsq(Phi, rho, rcond=None)
-            for _, rows, M in plan.blocks:
-                nrm = _poly_opnorm(b_new[rows], plan.E[rows], plan.dirs, M)
-                if nrm > t_cap:
-                    b_new[rows] *= t_cap / nrm
-            pred = Phi @ b_new
-        else:
-            b_new = None
-            pred = 0.0
+        Phi = _features(xi, plan.E)
+        b_new, *_ = np.linalg.lstsq(Phi, rho, rcond=None)
+        for _, rows, M in plan.blocks:
+            nrm = _poly_opnorm(b_new[rows], plan.E[rows], plan.dirs, M)
+            if nrm > t_cap:
+                b_new[rows] *= t_cap / nrm
+        pred = Phi @ b_new
         obj = float(np.mean(np.sum((rho - pred) ** 2, axis=1)))
         if obj > prev_obj + 1e-12:
             iters -= 1
@@ -241,14 +216,11 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
         if delta < cfg.tol:
             break
 
-    tensors = {}
-    if b is not None:
-        for l, rows, _ in plan.blocks:
-            tensors[l] = b[rows]
+    # the first step is always accepted, so b is set
     return TangentEstimate(base_index=int(base_index),
                            projector=B @ B.T,
                            basis=B,
-                           tensors=tensors,
+                           tensors={l: b[rows] for l, rows, _ in plan.blocks},
                            neighbor_count=int(Z.shape[0]),
                            iterations=iters)
 
@@ -264,8 +236,7 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     the errors dict.
     """
     if h_tilde is None:
-        h_tilde = tangent_bandwidth(_cloud_points(cloud).shape[0],
-                                    _cloud_dim(cloud), cfg)
+        h_tilde = tangent_bandwidth(cloud.n, cloud.d, cfg)
     fits, errors = {}, {}
     for idx in base_indices:
         try:

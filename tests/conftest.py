@@ -1,5 +1,7 @@
+import hashlib
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import dmaplab.spectral as sp
@@ -22,3 +24,19 @@ def peak_bytes():
         finally:
             tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def fits_digest():
+    """fits_digest(batch): sha256 hex digest over every fit's basis,
+    tensors (by degree) and iteration count, in base-index order."""
+    def digest(batch):
+        h = hashlib.sha256()
+        for i in sorted(batch.fits):
+            fit = batch.fits[i]
+            h.update(fit.basis.tobytes())
+            for l in sorted(fit.tensors):
+                h.update(fit.tensors[l].tobytes())
+            h.update(np.int64(fit.iterations).tobytes())
+        return h.hexdigest()
+    return digest

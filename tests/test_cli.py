@@ -144,6 +144,22 @@ def test_tangent_command(tmp_path, capsys):
     assert (tmp_path / "tangents.csv").exists()
 
 
+def test_tangent_command_with_three_coordinates(tmp_path, capsys):
+    cfg = tmp_path / "m3.cfg"
+    cfg.write_text("m = 3\n")
+    assert main(["tangent", "--config", str(cfg), "--n", "250",
+                 "--out", str(tmp_path)]) == 0
+    assert "median" in capsys.readouterr().out
+
+
+def test_torus_config_with_d_3_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "torus.cfg"
+    cfg.write_text("manifold = torus\nd = 3\n")
+    assert main(["sample", "--config", str(cfg), "--n", "10",
+                 "--out", str(tmp_path)]) == 2
+    assert "torus is a surface" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("who_knows = 1\n")

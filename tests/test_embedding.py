@@ -59,6 +59,13 @@ def test_embedded_cloud_rejects_nonfinite():
         EmbeddedCloud(points=np.array([[np.inf, 0.0]]), params=_params(m=2))
 
 
+def test_embedded_cloud_dimension_is_read_only():
+    cloud = EmbeddedCloud(points=np.zeros((4, 3)), params=_params(m=3))
+    assert cloud.d == 2 and cloud.n == 4
+    with pytest.raises(AttributeError):
+        cloud.d = 3
+
+
 def test_embed_points_formula():
     rng = np.random.default_rng(0)
     n, m = 30, 3

@@ -4,10 +4,11 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.spectral as sp
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
+                                 _oracle_tangent, _oracle_tangents,
                                  convergence_study, format_verify,
                                  load_config, run_pipeline, sphere_truth,
                                  truth_clusters, verify_s2)
-from dmaplab.geometry import sample_sphere
+from dmaplab.geometry import s2_oracle_tangent, sample_sphere
 from dmaplab.io import RUN_FIELDS, record_row
 
 
@@ -159,6 +160,27 @@ def test_run_pipeline_torus_skips_oracle():
     assert rec.eigenvalue_errors == []
     assert np.isnan(rec.embedding_error)
     assert np.isnan(rec.tangent_angle_median)
+
+
+def test_torus_config_needs_d_2():
+    with pytest.raises(ValueError, match="torus is a surface"):
+        ExperimentConfig(manifold="torus", d=3)
+
+
+def test_oracle_tangent_comparison_below_eight_coordinates():
+    """With m < 8 the fits live in R^m and are compared with the tangent
+    of the m-coordinate map; at m = 8 the truth is the analytic basis."""
+    p = sample_sphere(1, 2, 4).points[0]
+    assert np.array_equal(_oracle_tangent(p, 0.25, 8),
+                          s2_oracle_tangent(p, 0.25).basis)
+    cfg = ExperimentConfig(m=3)
+    batch, angles, _ = _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
+    assert not batch.errors
+    assert np.median(list(angles.values())) < 0.01
+    for m in (3, 5):
+        rec = run_pipeline(ExperimentConfig(m=m), 400, 1)
+        assert rec.status == "ok"
+        assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
 
 
 def test_convergence_study_needs_three_sizes():

@@ -92,6 +92,19 @@ def test_save_matrix_coo(tmp_path):
     # diagonal always kept, tiny off-diagonal dropped
     assert len(lines) == 2 + 2
     assert lines[2] == "0,0,1"
+    # a zero diagonal entry, dropped entries and both non-square shapes,
+    # line for line against the per-entry rule
+    M = np.array([[0.0, 0.5, 1e-13, -2.0],
+                  [1e-13, 0.0, 3.0, 0.0],
+                  [0.25, -1e-13, 1.0 / 3.0, 7.0]])
+    for A in (M, M.T):
+        for drop_tol in (0.0, 1e-12):
+            save_matrix_coo(A, path, drop_tol=drop_tol)
+            expect = ["%d,%d,%s" % (i, j, "%.17g" % v)
+                      for i, row in enumerate(A.tolist())
+                      for j, v in enumerate(row)
+                      if abs(v) > drop_tol or i == j]
+            assert path.read_text().splitlines()[2:] == expect
 
 
 def test_save_bounds_table(tmp_path):

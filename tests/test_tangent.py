@@ -1,8 +1,7 @@
-import hashlib
-
 import numpy as np
 import pytest
 
+from dmaplab.embedding import EmbeddedCloud, EmbeddingParams
 from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
                               s2_oracle_tangent, sample_sphere)
 from dmaplab.tangent import (TangentConfig, _features, _fit_plan,
@@ -184,7 +183,45 @@ def test_poly_opnorm_reaches_dense_reference(d, l):
         assert _poly_opnorm(b, E, plan.dirs, M) >= (1 - 1e-9) * ref
 
 
-def test_sphere_fits_pinned_bit_for_bit():
+def _loop_climb(b_rows, E, dirs, M):
+    """The climb as a per-coordinate gradient loop with all 50 rounds."""
+    d = E.shape[1]
+    V = M @ b_rows
+    sq = np.sum(V * V, axis=1)
+    best = float(np.sqrt(np.max(sq)))
+    for u in dirs[np.argsort(sq)[-3:]]:
+        for _ in range(50):
+            w = np.prod(u ** E, axis=1) @ b_rows
+            best = max(best, float(np.linalg.norm(w)))
+            coef = b_rows @ (w / np.linalg.norm(w))
+            g = np.zeros(d)
+            for j in range(d):
+                mask = E[:, j] > 0
+                Ed = E[mask].copy()
+                Ed[:, j] -= 1.0
+                g[j] = np.sum(coef[mask] * E[mask, j]
+                              * np.prod(u ** Ed, axis=1))
+            u = g / np.linalg.norm(g)
+        best = max(best, float(np.linalg.norm(np.prod(u ** E, axis=1)
+                                              @ b_rows)))
+    return best
+
+
+@pytest.mark.parametrize("d, l", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_poly_opnorm_climb_matches_gradient_loop(d, l):
+    """The broadcast gradient with the 1e-10 stop reaches the value of the
+    loop that always runs 50 rounds, to 1e-12 relative."""
+    plan = _fit_plan(d, l + 1)
+    _, rows, M = plan.blocks[-1]
+    E = plan.E[rows]
+    rng = np.random.default_rng(20 * d + l)
+    for _ in range(10):
+        b = rng.standard_normal((E.shape[0], 5))
+        assert _poly_opnorm(b, E, plan.dirs, M) == pytest.approx(
+            _loop_climb(b, E, plan.dirs, M), rel=1e-12, abs=0)
+
+
+def test_sphere_fits_pinned_bit_for_bit(fits_digest):
     """sha256 over every fit's basis, tensors and iteration count on an
     oracle-embedded S^2 sample.  The digest was recorded before the fit
     plan cached the exponent arrays and the direction grid, so it held
@@ -196,12 +233,76 @@ def test_sphere_fits_pinned_bit_for_bit():
     batch = estimate_tangents(carrier, range(n),
                               TangentConfig(k=3, max_iter=100))
     assert not batch.errors
-    h = hashlib.sha256()
-    for i in sorted(batch.fits):
-        fit = batch.fits[i]
-        h.update(fit.basis.tobytes())
-        for l in sorted(fit.tensors):
-            h.update(fit.tensors[l].tobytes())
-        h.update(np.int64(fit.iterations).tobytes())
-    assert h.hexdigest() == ("335625c7113f14d26272d6bb0c1e4778"
-                             "8c12f7a03f9e744ea0507681bc821466")
+    assert fits_digest(batch) == ("335625c7113f14d26272d6bb0c1e4778"
+                                  "8c12f7a03f9e744ea0507681bc821466")
+
+
+_PINS = {
+    (1, 2): "73c75e89381c19411523a611346d9f014d061c4d77a3cd3dd44bab18677192b6",
+    (1, 3): "6a23bf91f801bcdcb2e6ed67344955e5fb0af36ed492db9679818706ae644fbf",
+    (1, 4): "bf4e376ae25355a7dff2fa4b4cc8103b09df86b79dfac8fb42ce81fb12da7ec2",
+    (2, 2): "29ae9a38a6a7bd586834742d2ef203db4dda718a7d63900ef556625b5c5d784f",
+    (2, 3): "e6219c44ded903e120e4047e1105a4cd0ef7a7b47dca5753852ea999ee59c285",
+    (2, 4): "b8642064dae8310a91c3cc320c73f65a6598cad686cc701acf60997209547411",
+}
+
+
+def _pin_cloud(d, n=300):
+    if d == 1:
+        s = np.random.default_rng(5).uniform(0.0, 2 * np.pi, n)
+        return PointCloud(points=np.stack([np.cos(s), np.sin(s)], axis=1),
+                          d=1, ambient_dim=2, seed=5)
+    params = EmbeddingParams(t=0.25, m=8, eps=0.05, eps_prime=0.0125, d=2,
+                             kappa=0.0, iota=np.pi)
+    return EmbeddedCloud(s2_oracle_embedding(sample_sphere(n, 2, 5).points,
+                                             0.25), params)
+
+
+@pytest.mark.parametrize("d, k", sorted(_PINS))
+def test_fits_pinned_bit_for_bit_at_every_order(fits_digest, d, k):
+    """sha256 of the fits at every point of a unit circle (d = 1) and of
+    an oracle-embedded S^2 sample (d = 2) at the default bandwidth rule.
+    The digests were recorded while d = 1 and k = 2 still had their own
+    branches, so they held there by construction.  On this circle the
+    operator-norm cap does not bind (see test_poly_opnorm_d1_is_row_norm
+    for where it does)."""
+    cloud = _pin_cloud(d)
+    batch = estimate_tangents(cloud, range(cloud.n), TangentConfig(k=k))
+    assert not batch.errors
+    assert fits_digest(batch) == _PINS[d, k]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_k2_fit_is_local_pca(d):
+    """At k = 2 there is no correction: the basis is the top-d
+    eigenvectors of Z^T Z for the neighbour offsets Z, after one
+    iteration, with no tensors."""
+    cloud = _pin_cloud(d)
+    h = 0.5
+    for i in (0, 7, 123):
+        Z = cloud.points - cloud.points[i]
+        dist = np.linalg.norm(Z, axis=1)
+        Z = Z[(dist > 0) & (dist < h)]
+        vecs = np.linalg.eigh(Z.T @ Z)[1]
+        fit = fit_local_polynomial(cloud, i, h, TangentConfig(k=2))
+        assert np.array_equal(fit.basis, vecs[:, -d:][:, ::-1])
+        assert fit.iterations == 1
+        assert fit.tensors == {}
+
+
+def test_poly_opnorm_d1_is_row_norm():
+    """At d = 1 a degree block is one row b and the operator norm is |b|.
+    The max over the single direction 1 sums the squares pairwise, as the
+    d = 2 grid does, while norm(b) uses a BLAS dot.  The two differ only
+    in summation order, by at most 2 ulp on these rows, which moves the
+    last bits of a d = 1 fit only where the cap binds."""
+    rng = np.random.default_rng(11)
+    for k in (3, 4, 5):
+        plan = _fit_plan(1, k)
+        assert plan.dirs.tolist() == [[1.0]]
+        for _, rows, M in plan.blocks:
+            for m in (1, 2, 3, 8, 20):
+                b = rng.standard_normal((1, m)) * rng.uniform(0.01, 100.0)
+                ref = float(np.linalg.norm(b.sum(axis=0)))
+                got = _poly_opnorm(b, plan.E[rows], plan.dirs, M)
+                assert abs(got - ref) <= 2 * np.spacing(ref)
