@@ -9,6 +9,7 @@ exactly when all checks requested by the command pass.
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -280,12 +281,7 @@ def cmd_rates(args):
     cfg, out = _load_cfg(args)
     d, k = _setting(args, cfg, "d"), _setting(args, cfg, "k")
     ex = B.rate_exponents(d, k)
-    rows = [("eigenvalue_rate", ex.eigenvalue_rate),
-            ("eigenvector_rate", ex.eigenvector_rate),
-            ("embedding_rate", ex.embedding_rate),
-            ("tangent_rate", ex.tangent_rate),
-            ("b_star", ex.b_star),
-            ("bandwidth_exp", ex.bandwidth_exp)]
+    rows = list(asdict(ex).items())
     dio.save_table(_path(out, "rates.csv"), ("name", "value"), rows)
     print("rate exponents for d=%d, k=%d (errors scale as "
           "(log n / n)^rate):" % (d, k))

@@ -5,13 +5,14 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .bounds import (BoundConstants, heat_lower_diag, rate_exponents,
                      star_check)
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .geometry import (_sphere_chart, local_reach_numeric,
+from .geometry import (_L8, _sphere_chart, local_reach_numeric,
                        s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
                        s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
                        sample_sphere, sample_torus)
@@ -24,6 +25,7 @@ from .tangent import (TangentConfig, estimate_tangents, subsample_size,
 
 REACH_S2 = 0.646924          # curvature-sweep radius of the degree<=2 map
 TAIL_CUTOFF = 50             # truncation index for spectral tail sums
+_WHOLE_DEGREES = {3: 1, 8: 2}  # m filling whole eigenspaces -> top degree
 
 
 @dataclass
@@ -142,7 +144,7 @@ def sphere_truth(points, m=8):
     columns for S^2 up to index m <= 8."""
     if not 0 <= m <= 8:
         raise ValueError("sphere truth is tabulated for m <= 8")
-    lam = np.array([0.0, 2, 2, 2, 6, 6, 6, 6, 6])[:m + 1]
+    lam = np.concatenate([[0.0], _L8])[:m + 1]
     n = points.shape[0]
     cols = np.empty((n, m + 1))
     cols[:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
@@ -155,6 +157,11 @@ def truth_clusters(lam):
     """Coordinate clusters of the embedding (constant mode dropped) from
     the exact eigenvalue pattern."""
     return cluster_eigenvalues(lam[1:], _EXACT_REPEAT_TOL)
+
+
+def _scored(cfg):
+    """Whether the S^2 oracle can align, and so score, runs of cfg."""
+    return cfg.manifold == "sphere" and cfg.d == 2 and cfg.m in _WHOLE_DEGREES
 
 
 def _sample(cfg, n, seed):
@@ -226,7 +233,7 @@ def run_pipeline(cfg, n, seed):
         if len(spec.clusters) > 1:
             rec.first_cluster_mean = float(np.mean(spec.mu[spec.clusters[1]]))
 
-        oracle = cfg.manifold == "sphere" and cfg.d == 2 and cfg.m <= 8
+        oracle = _scored(cfg)
         if oracle:
             stage = "eigen-errors"
             lam, cols = sphere_truth(cloud.points, cfg.m)
@@ -241,16 +248,15 @@ def run_pipeline(cfg, n, seed):
         params = _embedding_params(cfg)
         est = embed_points(spec, params, provenance=(n, system.h, seed))
 
-        rotations = None
         if oracle:
             stage = "embed-errors"
             clusters = truth_clusters(lam)
             target = s2_oracle_embedding(cloud.points, t)[:, :cfg.m]
             rec.embedding_error = embedding_error(est.points, target,
                                                   clusters)
-            rotations = [(g, subspace_align(est.points[:, g],
-                                            target[:, g])[0])
-                         for g in clusters]
+            # truth clusters are contiguous and ascending: one block map
+            R = block_diag(*(subspace_align(est.points[:, g], target[:, g])[0]
+                             for g in clusters))
 
         stage = "tangent"
         size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
@@ -264,17 +270,12 @@ def run_pipeline(cfg, n, seed):
             k0 = min(batch.errors)
             raise ValueError("%d of %d fits failed; first: %s"
                              % (len(batch.errors), size, batch.errors[k0]))
-        if rotations is not None:
+        if oracle:
             stage = "tangent-errors"
-            # map oracle-frame tangent bases into the estimate's frame by
-            # the per-cluster rotations found during embedding alignment
-            angles = []
-            for j, idx in enumerate(pick):
-                truth = _oracle_tangent(cloud.points[idx], t, cfg.m)
-                mapped = np.empty_like(truth)
-                for g, Q in rotations:
-                    mapped[g] = Q @ truth[g]
-                angles.append(subspace_angle(batch.fits[j].basis, mapped))
+            angles = [subspace_angle(batch.fits[j].basis,
+                                     R @ _oracle_tangent(cloud.points[i], t,
+                                                         cfg.m))
+                      for j, i in enumerate(pick)]
             rec.tangent_angle_median = float(np.median(angles))
             rec.tangent_angle_max = float(np.max(angles))
     except (ValueError, RuntimeError) as err:
@@ -291,8 +292,10 @@ class StudyResult:
     records: list              # every underlying RunRecord
 
 
-_STUDY_METRICS = ("eigenvalue_error", "eigenvector_sup_error",
-                  "embedding_error", "tangent_angle")
+_STUDY_METRICS = (("eigenvalue_error", "eigenvalue_rate"),
+                  ("eigenvector_sup_error", "eigenvector_rate"),
+                  ("embedding_error", "embedding_rate"),
+                  ("tangent_angle", "tangent_rate"))
 
 
 def convergence_study(cfg):
@@ -300,6 +303,9 @@ def convergence_study(cfg):
     log(error) against log(log n / n) next to the theoretical exponents."""
     if len(cfg.n_grid) < 3:
         raise ValueError("need at least 3 grid sizes to fit a slope")
+    if not _scored(cfg):
+        raise ValueError("the convergence study scores the d = 2 sphere "
+                         "at m in %s only" % sorted(_WHOLE_DEGREES))
     records, rows = [], []
     for n in cfg.n_grid:
         per_seed = [run_pipeline(cfg, n, s) for s in cfg.seeds]
@@ -324,7 +330,7 @@ def convergence_study(cfg):
         })
     x = np.log([np.log(r["n"]) / r["n"] for r in rows])
     slopes = {key: float(np.polyfit(x, np.log([r[key] for r in rows]), 1)[0])
-              for key in _STUDY_METRICS}
+              for key, _ in _STUDY_METRICS}
     return StudyResult(rows=rows, slopes=slopes,
                        exponents=rate_exponents(cfg.d, cfg.k),
                        records=records)
@@ -338,15 +344,11 @@ def format_convergence(result):
                      % (r["n"], r["runs"], r["eigenvalue_error"],
                         r["eigenvector_sup_error"], r["embedding_error"],
                         r["tangent_angle"], r["first_cluster_mean"]))
-    ex = result.exponents
-    theo = {"eigenvalue_error": ex.eigenvalue_rate,
-            "eigenvector_sup_error": ex.eigenvector_rate,
-            "embedding_error": ex.embedding_rate,
-            "tangent_angle": ex.tangent_rate}
     lines.append("slopes of log(err) vs log(log n / n):")
-    for key in _STUDY_METRICS:
+    for key, rate in _STUDY_METRICS:
         lines.append("  %-22s fitted %+.4f   theoretical %+.6f"
-                     % (key, result.slopes[key], theo[key]))
+                     % (key, result.slopes[key],
+                        getattr(result.exponents, rate)))
     return "\n".join(lines)
 
 
@@ -380,9 +382,9 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
     against the flat on-diagonal value.  (d) and (e) depend on a
     sweep constant pinned at t0 = 0.25 and are skipped elsewhere.
     """
-    if m not in (3, 8):
+    if m not in _WHOLE_DEGREES:
         raise ValueError("verification supports m = 3 (degree 1) or 8")
-    l_embed = 1 if m == 3 else 2
+    l_embed = _WHOLE_DEGREES[m]
     checks = []
 
     norm = float(np.sqrt(s2_embedding_norm_sq(t0, l_embed)))

@@ -6,8 +6,6 @@ not know.  Floats are written with 17 significant digits so that write ->
 read round-trips are bit exact.
 """
 
-from itertools import chain
-
 import numpy as np
 
 from .geometry import PointCloud
@@ -28,10 +26,6 @@ RUN_FIELDS = ("n", "seed", "h", "t", "m", "eigenvalue_errors",
               "first_cluster_mean", "pattern_matched", "status", "wall_time")
 
 
-def _fmt(x):
-    return _F % float(x)
-
-
 def _cell(v):
     """One CSV cell: strings pass through, bools and ints stay integral,
     lists and tuples join their cells with ';', anything else is a
@@ -44,7 +38,7 @@ def _cell(v):
         return "%d" % v
     if isinstance(v, (list, tuple)):
         return ";".join(_cell(x) for x in v)
-    return _fmt(v)
+    return _F % float(v)
 
 
 def _write(path, tag, header, lines):
@@ -55,11 +49,16 @@ def _write(path, tag, header, lines):
         fh.writelines(lines)
 
 
+def _table(path, tag, header, rows):
+    """`_write` with each row's cells written by `_cell`."""
+    _write(path, tag, header,
+           (",".join(map(_cell, row)) + "\n" for row in rows))
+
+
 def save_cloud(cloud, path):
-    meta = "%d,%d,%d,%d\n" % (cloud.ambient_dim, cloud.d, cloud.n, cloud.seed)
-    _write(path, CLOUD_TAG, ("dim_ambient", "d", "n", "seed"),
-           chain([meta], (",".join(_F % v for v in row) + "\n"
-                          for row in cloud.points)))
+    meta = (cloud.ambient_dim, cloud.d, cloud.n, cloud.seed)
+    _table(path, CLOUD_TAG, ("dim_ambient", "d", "n", "seed"),
+           [meta] + cloud.points.tolist())
 
 
 def load_cloud(path):
@@ -104,9 +103,8 @@ def save_eigen(spec, path):
             cluster_of[i] = cid
     header = ["index", "mu", "cluster_id"]
     header += ["v%d" % (j + 1) for j in range(V.shape[0])]
-    _write(path, EIGEN_TAG, header,
-           ("%d,%s,%d," % (i, _fmt(spec.mu[i]), cluster_of[i])
-            + ",".join(_F % v for v in V[:, i]) + "\n"
+    _table(path, EIGEN_TAG, header,
+           ([i, spec.mu[i], cluster_of[i]] + V[:, i].tolist()
             for i in range(len(spec.mu))))
 
 
@@ -114,12 +112,10 @@ def save_tangents(estimates, path, angles=None):
     """Tangent fit table; angles maps base_index -> angle to a reference
     basis (written as nan when absent)."""
     angles = angles or {}
-    _write(path, TANGENT_TAG, ("base_index", "angle_to_truth",
+    _table(path, TANGENT_TAG, ("base_index", "angle_to_truth",
                                "neighbor_count", "iterations", "basis"),
-           ("%d,%s,%d,%d,%s\n"
-            % (est.base_index, _fmt(angles.get(est.base_index, np.nan)),
-               est.neighbor_count, est.iterations,
-               _cell(est.basis.ravel().tolist()))
+           ((est.base_index, angles.get(est.base_index, np.nan),
+             est.neighbor_count, est.iterations, est.basis.ravel().tolist())
             for est in estimates))
 
 
@@ -156,18 +152,15 @@ def save_matrix_coo(M, path, drop_tol=0.0):
 
 def save_bounds_table(rows, path):
     """Bound-evaluator table: (name, inputs-dict, value) triples."""
-    _write(path, BOUNDS_TAG, ("name", "inputs", "value"),
-           ("%s,%s,%s\n"
-            % (name, ";".join("%s=%s" % kv for kv in inputs.items()),
-               _fmt(value))
+    _table(path, BOUNDS_TAG, ("name", "inputs", "value"),
+           ((name, ["%s=%s" % kv for kv in inputs.items()], value)
             for name, inputs, value in rows))
 
 
 def save_table(path, header, rows):
     """Generic versioned table: header names plus rows of cells, each
     written by `_cell`."""
-    _write(path, TABLE_TAG, header,
-           (",".join(_cell(v) for v in row) + "\n" for row in rows))
+    _table(path, TABLE_TAG, header, rows)
 
 
 def read_kv(path):

@@ -110,11 +110,9 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     V = dm[:, None] * U
     V /= np.linalg.norm(V, axis=0, keepdims=True)
     # deterministic signs: first entry above noise level made positive
-    for i in range(V.shape[1]):
-        col = V[:, i]
-        idx = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if col[idx] < 0:
-            V[:, i] = -col
+    absV = np.abs(V)
+    first = np.argmax(absV > 1e-12 * absV.max(axis=0), axis=0)
+    V *= np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
 
     rnorm = np.linalg.norm(_residuals(system, V, mu), axis=0)
     bad = rnorm > 1e-8 * np.maximum(1.0, mu)

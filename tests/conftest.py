@@ -3,8 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dmaplab.spectral as sp
+
+# every property test repeats the same examples on every run
+settings.register_profile("dmaplab", derandomize=True, deadline=None)
+settings.load_profile("dmaplab")
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from dmaplab.cli import _BOUND_EVALS, main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                select_diffusion_time, select_eps_prime)
+from dmaplab.bounds import BoundConstants
 from dmaplab.experiments import ExperimentConfig
 from dmaplab.graph import system_from_cloud
 from dmaplab.io import TABLE_TAG, load_cloud
@@ -128,6 +131,46 @@ def test_bounds_exit_0_or_2_never_raise(tmp_path, expr):
     assert main(["bounds", "--out", str(tmp_path), expr]) in (0, 2)
 
 
+# keys whose values are parsed or validated; output_dir takes any text
+_CFG_KEYS = sorted({f.name for f in fields(ExperimentConfig)}
+                   - {"output_dir", "constants"}
+                   | {f.name for f in fields(BoundConstants)})
+_LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\r\n"),
+                     max_size=12)
+
+
+def _unknown_key(key):
+    return key.strip() not in _CFG_KEYS + ["output_dir"]
+
+
+_MALFORMED_LINES = st.one_of(
+    _LINE_TEXT.filter(lambda s: "=" not in s and s.strip()
+                      and not s.strip().startswith("#")),
+    st.tuples(_LINE_TEXT.filter(lambda s: "=" not in s)
+              .filter(_unknown_key), _LINE_TEXT)
+    .map("=".join),
+    st.tuples(st.sampled_from(_CFG_KEYS),
+              st.sampled_from(["1.5.2", "--1", "1e", "0x10", "\u00bd"])
+              | _LINE_TEXT.map(lambda s: "x" + s))
+    .map(" = ".join))
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=_MALFORMED_LINES,
+       good=st.lists(st.sampled_from(["d = 2", "k = 3", "# note", "",
+                                      "seeds = 1,2"]), max_size=3),
+       at=st.integers(0, 3))
+def test_malformed_config_line_exits_2(tmp_path, capsys, bad, good, at):
+    cfg = tmp_path / "bad.cfg"
+    lines = good[:at] + [bad] + good[at:]
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["rates", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_pipeline_single_run(tmp_path, capsys):
     assert main(["pipeline", "--n", "300", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
@@ -200,6 +243,18 @@ def test_config_grid_reaches_study(tmp_path, capsys):
     assert (tmp_path / "study.csv").exists()
     runs = (tmp_path / "runs.csv").read_text().splitlines()
     assert len(runs) == 2 + 6                 # 3 sizes x 2 seeds
+
+
+@pytest.mark.parametrize("setting", ["manifold = torus", "d = 3", "m = 5"])
+def test_study_refuses_unscored_config(tmp_path, capsys, setting):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("n_grid = 200,300,400\nseeds = 1\n%s\n" % setting)
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the convergence study scores")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["laplacian", "eigen", "embed"])

@@ -1,15 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import dmaplab.experiments as X
 import dmaplab.spectral as sp
+from dmaplab.embedding import embed_points, embedding_error
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
-                                 _oracle_tangent, _oracle_tangents,
-                                 convergence_study, format_verify,
-                                 load_config, run_pipeline, sphere_truth,
-                                 truth_clusters, verify_s2)
-from dmaplab.geometry import s2_oracle_tangent, sample_sphere
+                                 _embedding_params, _oracle_tangent,
+                                 _oracle_tangents, convergence_study,
+                                 format_verify, load_config, run_pipeline,
+                                 sphere_truth, truth_clusters, verify_s2)
+from dmaplab.geometry import (s2_oracle_embedding, s2_oracle_tangent,
+                              sample_sphere)
+from dmaplab.graph import system_from_cloud
 from dmaplab.io import RUN_FIELDS, record_row
+from dmaplab.spectral import eigen_errors, eigensolve_smallest
 
 
 def test_config_defaults_valid():
@@ -169,7 +178,11 @@ def test_torus_config_needs_d_2():
 
 def test_oracle_tangent_comparison_below_eight_coordinates():
     """With m < 8 the fits live in R^m and are compared with the tangent
-    of the m-coordinate map; at m = 8 the truth is the analytic basis."""
+    of the m-coordinate map; at m = 8 the truth is the analytic basis.
+    run_pipeline scores only m = 3 and 8, whose coordinates fill whole
+    harmonic eigenspaces: at any other m the solver's basis of a cut
+    eigenspace cannot be aligned to the truth, so the run is left
+    unscored."""
     p = sample_sphere(1, 2, 4).points[0]
     assert np.array_equal(_oracle_tangent(p, 0.25, 8),
                           s2_oracle_tangent(p, 0.25).basis)
@@ -177,15 +190,66 @@ def test_oracle_tangent_comparison_below_eight_coordinates():
     batch, angles, _ = _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
     assert not batch.errors
     assert np.median(list(angles.values())) < 0.01
-    for m in (3, 5):
+    rec = run_pipeline(ExperimentConfig(m=3), 400, 1)
+    assert rec.status == "ok"
+    assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
+    for m in (2, 4, 5, 6, 7):
         rec = run_pipeline(ExperimentConfig(m=m), 400, 1)
         assert rec.status == "ok"
-        assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
+        assert rec.eigenvalue_errors == rec.eigenvector_sup_errors == []
+        assert np.isnan([rec.embedding_error, rec.tangent_angle_median,
+                         rec.tangent_angle_max]).all()
+        assert rec.pattern_matched is False
+
+
+def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
+    """The block-diagonal map of the tangent-errors stage equals the
+    per-cluster loop: block g of each oracle tangent is mapped by the
+    rotation that aligned cluster g of the embedding."""
+    align, tangent, angle = (X.subspace_align, X._oracle_tangent,
+                             X.subspace_angle)
+    rotations, truths, mapped = [], [], []
+
+    def spy_align(E, T):
+        Q, err = align(E, T)
+        rotations.append(Q)
+        return Q, err
+
+    def spy_tangent(*args):
+        truths.append(tangent(*args))
+        return truths[-1]
+
+    def spy_angle(U, V):
+        mapped.append(V)
+        return angle(U, V)
+
+    monkeypatch.setattr(X, "subspace_align", spy_align)
+    monkeypatch.setattr(X, "_oracle_tangent", spy_tangent)
+    monkeypatch.setattr(X, "subspace_angle", spy_angle)
+    assert run_pipeline(ExperimentConfig(), 400, 1).status == "ok"
+    assert len(rotations) == 2 and len(mapped) == len(truths) == 10
+    for T, M in zip(truths, mapped):
+        ref = np.empty_like(T)
+        for g, Q in zip((slice(0, 3), slice(3, 8)), rotations):
+            ref[g] = Q @ T[g]
+        assert np.allclose(M, ref, rtol=0, atol=1e-14)
 
 
 def test_convergence_study_needs_three_sizes():
     with pytest.raises(ValueError):
         convergence_study(ExperimentConfig(n_grid=(100, 200)))
+
+
+@pytest.mark.parametrize("kw", [dict(manifold="torus"), dict(d=3),
+                                dict(m=5)])
+def test_convergence_study_refuses_unscored_config(monkeypatch, kw):
+    """Refused before the first run, not after the whole grid."""
+    def no_run(*args):
+        raise AssertionError("run_pipeline called")
+    monkeypatch.setattr(X, "run_pipeline", no_run)
+    cfg = ExperimentConfig(n_grid=(200, 300, 400), seeds=(1,), **kw)
+    with pytest.raises(ValueError, match="scores the d = 2 sphere"):
+        convergence_study(cfg)
 
 
 def test_verify_s2_recomputes_budget():
@@ -216,3 +280,40 @@ def test_verify_s2_degree_one_truncation_too_coarse():
 def test_verify_s2_rejects_other_m():
     with pytest.raises(ValueError):
         verify_s2(m=5)
+
+
+def _sphere_scores(cloud):
+    """mu, eigenvalue errors, pattern flag, ball counts and embedding error
+    of one m = 8 sphere run, scored as run_pipeline scores it."""
+    system = system_from_cloud(cloud)
+    spec = eigensolve_smallest(system, 8)
+    lam, cols = sphere_truth(cloud.points, 8)
+    report = eigen_errors(spec, lam, cols)
+    params = _embedding_params(ExperimentConfig())
+    est = embed_points(spec, params, provenance=(cloud.n, system.h, 0))
+    target = s2_oracle_embedding(cloud.points, params.t)
+    return (spec.mu, report.value_errors, report.pattern_matched,
+            system.ball_counts,
+            embedding_error(est.points, target, truth_clusters(lam)))
+
+
+@settings(max_examples=6)
+@given(n=st.integers(60, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_sphere_scores_invariant_under_orthogonal_map(n, seed):
+    """An orthogonal map of the sample leaves mu, the eigenvalue errors,
+    the cluster pattern, the ball counts and the embedding error unchanged.
+
+    The eigenvector sup errors are left out: they are an entrywise sup in
+    the harmonics' fixed basis, which the map mixes within each degree, so
+    they move (by up to 0.049 in such runs) although the fit is as good."""
+    cloud = sample_sphere(n, 2, seed)
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    mu, val, matched, counts, emb = _sphere_scores(cloud)
+    mu2, val2, matched2, counts2, emb2 = _sphere_scores(
+        replace(cloud, points=cloud.points @ Q.T))
+    assert np.allclose(mu2, mu, rtol=0, atol=1e-10)
+    assert np.allclose(val2, val, rtol=0, atol=1e-10)
+    assert matched2 == matched
+    assert np.array_equal(counts2, counts)
+    assert abs(emb2 - emb) <= 1e-10

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmaplab.geometry import PointCloud, sample_sphere
-from dmaplab.io import (BOUNDS_TAG, CLOUD_TAG, RUN_FIELDS, TABLE_TAG,
-                        emit_csv, load_cloud, read_kv, record_row,
-                        save_bounds_table, save_cloud, save_matrix_coo,
-                        save_table, save_tangents)
+from dmaplab.io import (BOUNDS_TAG, CLOUD_TAG, EIGEN_TAG, RUN_FIELDS,
+                        TABLE_TAG, emit_csv, load_cloud, read_kv, record_row,
+                        save_bounds_table, save_cloud, save_eigen,
+                        save_matrix_coo, save_table, save_tangents)
+from dmaplab.spectral import SpectralSet
 
 
 def test_cloud_round_trip(tmp_path):
@@ -135,3 +139,44 @@ def test_read_kv(tmp_path):
     bad.write_text("fine = 1\nnot a pair\n")
     with pytest.raises(ValueError, match="line 2"):
         read_kv(bad)
+
+
+# Property tests that guard `_table`, the row writer every table but the COO
+# dump and runs.csv goes through.  They held as well when each writer
+# formatted its own lines, so they cannot fail before it; they keep it
+# bit-exact.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ROUND_TRIP = settings(max_examples=60, suppress_health_check=[
+    HealthCheck.function_scoped_fixture])
+
+
+@_ROUND_TRIP
+@given(pts=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                  elements=_FINITE),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_cloud_round_trip_bit_exact(tmp_path, pts, seed):
+    cloud = PointCloud(points=pts, d=1, ambient_dim=pts.shape[1], seed=seed)
+    save_cloud(cloud, tmp_path / "cloud.csv")
+    back = load_cloud(tmp_path / "cloud.csv")
+    assert (back.d, back.ambient_dim, back.seed) == (1, pts.shape[1], seed)
+    assert back.points.tobytes() == pts.tobytes()
+
+
+@_ROUND_TRIP
+@given(V=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                elements=_FINITE),
+       data=st.data())
+def test_save_eigen_bit_exact(tmp_path, V, data):
+    k = V.shape[1]
+    mu = data.draw(arrays(np.float64, k, elements=_FINITE))
+    spec = SpectralSet(mu=mu, vec_raw=V, vec_norm=None,
+                       clusters=[[0], list(range(1, k))] if k > 1 else [[0]])
+    save_eigen(spec, tmp_path / "eigen.csv")
+    lines = (tmp_path / "eigen.csv").read_text().splitlines()
+    assert lines[0] == EIGEN_TAG
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in lines[2:]])
+    assert rows[:, 0].tolist() == list(range(k))
+    assert rows[:, 2].tolist() == [0] + [1] * (k - 1)
+    assert rows[:, 1].tobytes() == mu.tobytes()
+    assert rows[:, 3:].T.copy().tobytes() == V.tobytes()

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.spectral as sp
@@ -188,3 +192,21 @@ def test_eigen_errors_requires_normalized():
                           vec_norm=None, clusters=[[0]])
     with pytest.raises(ValueError):
         eigen_errors(spec, np.zeros(1), np.ones((4, 1)))
+
+
+@settings(max_examples=6)
+@given(n=st.integers(60, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_point_permutation_permutes_cluster_projector_diagonals(n, seed):
+    """Relabelling the points leaves mu and the clusters unchanged and
+    permutes the diagonal of each cluster's eigenvector projector."""
+    cloud = sample_sphere(n, 2, seed)
+    perm = np.random.default_rng(seed).permutation(n)
+    a = eigensolve_smallest(system_from_cloud(cloud), 8)
+    b = eigensolve_smallest(system_from_cloud(
+        replace(cloud, points=cloud.points[perm])), 8)
+    assert np.allclose(b.mu, a.mu, rtol=0, atol=1e-10)
+    assert b.clusters == a.clusters
+    for g in a.clusters:
+        diag_a = np.sum(a.vec_raw[:, g] ** 2, axis=1)
+        diag_b = np.sum(b.vec_raw[:, g] ** 2, axis=1)
+        assert np.allclose(diag_b, diag_a[perm], rtol=0, atol=1e-10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmaplab.embedding import EmbeddedCloud, EmbeddingParams
 from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
@@ -306,3 +308,17 @@ def test_poly_opnorm_d1_is_row_norm():
                 ref = float(np.linalg.norm(b.sum(axis=0)))
                 got = _poly_opnorm(b, plan.E[rows], plan.dirs, M)
                 assert abs(got - ref) <= 2 * np.spacing(ref)
+
+
+@settings(max_examples=200)
+@given(m=st.integers(1, 8), k=st.integers(1, 3),
+       spread=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_subspace_angle_symmetric_in_unit_interval(m, k, spread, seed):
+    k = min(k, m)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(U + spread * rng.standard_normal((m, k)))[0]
+    a, b = subspace_angle(U, V), subspace_angle(V, U)
+    assert 0.0 <= a <= 1.0
+    assert abs(a - b) <= 1e-12
