@@ -16,7 +16,7 @@ from .bounds import (BoundConstants, RateExponents, croke_constant,
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .experiments import (ExperimentConfig, RunRecord, convergence_study,
+from .experiments import (ExperimentConfig, convergence_study,
                           format_convergence, format_tangent_study,
                           format_verify, load_config, run_pipeline,
                           sphere_truth, tangent_study, truth_clusters,
@@ -30,7 +30,7 @@ from .geometry import (ManifoldDescriptor, PointCloud, TangentBasis,
 from .graph import (KernelConfig, LaplacianSystem, ball_counts, bandwidth,
                     build_affinity, gaussian_kernel, laplacian,
                     system_from_cloud)
-from .io import emit_csv, load_cloud, save_cloud
+from .io import RunRecord, emit_csv, load_cloud, save_cloud
 from .spectral import (SpectralSet, cluster_eigenvalues, eigen_errors,
                        eigensolve_smallest, l2_invdensity_norm, sign_align,
                        subspace_align)

@@ -7,6 +7,7 @@ exactly when all checks requested by the command pass.
 """
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import asdict
@@ -142,33 +143,31 @@ def cmd_tangent(args):
     return 0 if not batch.errors else 1
 
 
+# evaluators whose whole-number arguments are not just d
+_WHOLE_ARGS = {"li_yau_upper": ("m", "d"), "star_check": (),
+               "geodesic_euclid_bounds": ()}
+
+
+def _exposed(fn):
+    """fn's command-line entry, read from its signature: its arguments
+    without a default in order, int when whole-number and float otherwise,
+    and whether a trailing consts takes the constants table."""
+    whole = _WHOLE_ARGS.get(fn.__name__, ("d",))
+    args = [p.name for p in inspect.signature(fn).parameters.values()
+            if p.default is p.empty]
+    takes_consts = args[-1:] == ["consts"]
+    if takes_consts:
+        args.pop()
+    sig = tuple((a, int if a in whole else float) for a in args)
+    return fn, sig, takes_consts
+
+
 # bound evaluators exposed on the command line: name -> (callable,
 # ordered (arg, type) pairs, whether the constants table is appended)
-_BOUND_EVALS = {
-    "croke_constant": (B.croke_constant, (("d", int),), False),
-    "eps_cap": (B.eps_cap, (("d", int),), False),
-    "r1_value": (B.r1_value, (("t0", float), ("d", int), ("kappa", float)),
-                 False),
-    "s1_min": (B.s1_min, (("t0", float), ("d", int), ("kappa", float)),
-               True),
-    "star_check": (B.star_check, (("tau_l", float), ("t0", float),
-                                  ("eps", float), ("d", float),
-                                  ("kappa", float)), True),
-    "heat_upper": (B.heat_upper, (("t", float), ("dist", float), ("d", int),
-                                  ("kappa", float)), True),
-    "heat_lower_diag": (B.heat_lower_diag,
-                        (("t", float), ("d", int), ("kappa", float)), False),
-    "heat_lower_offdiag": (B.heat_lower_offdiag,
-                           (("t", float), ("dist", float), ("d", int),
-                            ("kappa", float), ("sigma", float)), False),
-    "li_yau_upper": (B.li_yau_upper,
-                     (("m", int), ("d", int), ("V", float),
-                      ("kappa_neg", float)), False),
-    "weyl_estimate": (B.weyl_estimate,
-                      (("lam", float), ("d", int), ("V", float)), False),
-    "geodesic_euclid_bounds": (B.geodesic_euclid_bounds,
-                               (("s", float), ("r0", float)), False),
-}
+_BOUND_EVALS = {fn.__name__: _exposed(fn) for fn in (
+    B.croke_constant, B.eps_cap, B.r1_value, B.s1_min, B.star_check,
+    B.heat_upper, B.heat_lower_diag, B.heat_lower_offdiag, B.li_yau_upper,
+    B.weyl_estimate, B.geodesic_euclid_bounds)}
 
 # evaluators returning a record: the fields written as name.field rows
 _RESULT_FIELDS = {
@@ -214,9 +213,14 @@ def _eval_bound(expr, consts):
     if "kappa" in inputs and not inputs["kappa"] >= 0:
         raise ValueError("%s: curvature kappa=%s must be >= 0"
                          % (name, raw["kappa"]))
+    for k in ("t", "t0"):
+        if k in inputs and not np.isfinite(inputs[k]):
+            raise ValueError("%s: time %s=%s must be finite"
+                             % (name, k, raw[k]))
     args = list(inputs.values()) + ([consts] if wants_consts else [])
     try:
-        res = fn(*args)
+        with np.errstate(all="raise", under="ignore"):
+            res = fn(*args)
     except ArithmeticError as err:
         raise ArithmeticError("%s: %s" % (expr, err)) from None
     if name not in _RESULT_FIELDS:
@@ -267,10 +271,8 @@ def cmd_pipeline(args):
         return 0 if rec.status == "ok" else 1
     result = X.convergence_study(cfg)
     dio.emit_csv(result.records, _path(out, "runs.csv"))
-    header = ("n", "runs", "eigenvalue_error", "eigenvector_sup_error",
-              "embedding_error", "tangent_angle", "first_cluster_mean")
-    dio.save_table(_path(out, "study.csv"), header,
-                   [[r[k] for k in header] for r in result.rows])
+    dio.save_table(_path(out, "study.csv"), list(result.rows[0]),
+                   [list(r.values()) for r in result.rows])
     print(X.format_convergence(result))
     print("wrote %s and %s"
           % (_path(out, "runs.csv"), _path(out, "study.csv")))
@@ -308,9 +310,8 @@ def cmd_verify_s2(args):
 def cmd_tangent_study(args):
     cfg, out = _load_cfg(args)
     result = X.tangent_study(cfg)
-    header = ("ntilde", "h_tilde", "median_angle", "max_angle")
-    dio.save_table(_path(out, "tangent_study.csv"), header,
-                   [[r[k] for k in header] for r in result.rows])
+    dio.save_table(_path(out, "tangent_study.csv"), list(result.rows[0]),
+                   [list(r.values()) for r in result.rows])
     print(X.format_tangent_study(result))
     print("wrote %s" % _path(out, "tangent_study.csv"))
     return 0

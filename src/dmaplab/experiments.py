@@ -17,7 +17,7 @@ from .geometry import (_L8, _sphere_chart, local_reach_numeric,
                        s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
                        sample_sphere, sample_torus)
 from .graph import system_from_cloud
-from .io import RUN_FIELDS, read_kv
+from .io import RunRecord, read_kv
 from .spectral import (_EXACT_REPEAT_TOL, cluster_eigenvalues, eigen_errors,
                        eigensolve_smallest, subspace_align)
 from .tangent import (TangentConfig, estimate_tangents, subsample_size,
@@ -56,8 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.manifold not in ("sphere", "torus"):
             raise ValueError("manifold must be 'sphere' or 'torus'")
-        if not self.n_grid or not self.seeds:
-            raise ValueError("n_grid and seeds must be nonempty")
+        if not (self.n_grid and self.seeds and self.ntilde_grid):
+            raise ValueError("n_grid, seeds and ntilde_grid must be nonempty")
         if self.manifold == "torus" and not 0 < self.torus_r < self.torus_R:
             raise ValueError("torus radii must satisfy 0 < r < R")
         if self.manifold == "torus" and self.d != 2:
@@ -116,27 +116,6 @@ def load_config(path):
     if consts:
         kwargs["constants"] = replace(BoundConstants(), **consts)
     return ExperimentConfig(**kwargs)
-
-
-@dataclass
-class RunRecord:
-    n: int
-    seed: int
-    h: float = np.nan
-    t: float = np.nan
-    m: int = 0
-    eigenvalue_errors: list = field(default_factory=list)
-    eigenvector_sup_errors: list = field(default_factory=list)
-    embedding_error: float = np.nan
-    tangent_angle_median: float = np.nan
-    tangent_angle_max: float = np.nan
-    first_cluster_mean: float = np.nan
-    pattern_matched: bool = False
-    status: str = "ok"
-    wall_time: float = 0.0
-
-
-assert set(RUN_FIELDS) == set(RunRecord.__dataclass_fields__)
 
 
 def sphere_truth(points, m=8):

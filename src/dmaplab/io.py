@@ -1,10 +1,12 @@
-"""CSV persistence for clouds, eigenpairs, tangent fits, run records, and
-matrix dumps, plus the flat key=value config reader.
+"""CSV persistence for clouds, eigenpairs, tangent fits, run records and
+their RunRecord type, and matrix dumps, plus the key=value config reader.
 
 Every file starts with a version comment; readers reject versions they do
 not know.  Floats are written with 17 significant digits so that write ->
 read round-trips are bit exact.
 """
+
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,10 +22,29 @@ TABLE_TAG = "# dmaplab table 1"
 
 _F = "%.17g"
 
-RUN_FIELDS = ("n", "seed", "h", "t", "m", "eigenvalue_errors",
-              "eigenvector_sup_errors", "embedding_error",
-              "tangent_angle_median", "tangent_angle_max",
-              "first_cluster_mean", "pattern_matched", "status", "wall_time")
+CLOUD_META = ("dim_ambient", "d", "n", "seed")
+
+
+@dataclass
+class RunRecord:
+    """One pipeline run: the runs.csv columns in order, wall_time last."""
+    n: int
+    seed: int
+    h: float = np.nan
+    t: float = np.nan
+    m: int = 0
+    eigenvalue_errors: list = field(default_factory=list)
+    eigenvector_sup_errors: list = field(default_factory=list)
+    embedding_error: float = np.nan
+    tangent_angle_median: float = np.nan
+    tangent_angle_max: float = np.nan
+    first_cluster_mean: float = np.nan
+    pattern_matched: bool = False
+    status: str = "ok"
+    wall_time: float = 0.0
+
+
+RUN_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def _cell(v):
@@ -57,8 +78,7 @@ def _table(path, tag, header, rows):
 
 def save_cloud(cloud, path):
     meta = (cloud.ambient_dim, cloud.d, cloud.n, cloud.seed)
-    _table(path, CLOUD_TAG, ("dim_ambient", "d", "n", "seed"),
-           [meta] + cloud.points.tolist())
+    _table(path, CLOUD_TAG, CLOUD_META, [meta] + cloud.points.tolist())
 
 
 def load_cloud(path):
@@ -67,7 +87,7 @@ def load_cloud(path):
     if not lines or lines[0] != CLOUD_TAG:
         raise ValueError("%s line 1: expected version tag %r"
                          % (path, CLOUD_TAG))
-    if len(lines) < 3 or lines[1] != "dim_ambient,d,n,seed":
+    if len(lines) < 3 or lines[1] != ",".join(CLOUD_META):
         raise ValueError("%s line 2: expected cloud metadata header" % path)
     try:
         amb, d, n, seed = (int(v) for v in lines[2].split(","))
@@ -126,8 +146,7 @@ def emit_csv(records, path):
 
 
 def record_row(r):
-    """Stable CSV encoding of one run record (wall_time is the last field
-    so the deterministic prefix is directly comparable)."""
+    """Stable CSV encoding of one run record."""
     return ",".join(_cell(getattr(r, f)) for f in RUN_FIELDS)
 
 

@@ -27,6 +27,8 @@ def test_rates_writes_table(tmp_path, capsys):
 def test_sample_round_trip(tmp_path):
     assert main(["sample", "--n", "25", "--seed", "9",
                  "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "cloud.csv").read_text().splitlines()
+    assert lines[1] == "dim_ambient,d,n,seed"
     cloud = load_cloud(tmp_path / "cloud.csv")
     assert cloud.n == 25
     assert np.allclose(np.linalg.norm(cloud.points, axis=1), 1.0,
@@ -92,6 +94,19 @@ _BAD_EXPRS = [
     ("r1_value:t0=0.25,d=2,kappa=-1",
      "r1_value: curvature kappa=-1 must be >= 0"),
     ("s1_min:t0=0.25,d=2,kappa=-1", "s1_min: curvature kappa=-1 must be >= 0"),
+    ("r1_value:t0=nan,d=2,kappa=0", "r1_value: time t0=nan must be finite"),
+    ("r1_value:t0=inf,d=2,kappa=0", "r1_value: time t0=inf must be finite"),
+    ("s1_min:t0=nan,d=2,kappa=0", "s1_min: time t0=nan must be finite"),
+    ("heat_lower_diag:t=nan,d=2,kappa=0",
+     "heat_lower_diag: time t=nan must be finite"),
+    ("heat_upper:t=nan,dist=0,d=2,kappa=0",
+     "heat_upper: time t=nan must be finite"),
+    ("star_check:tau_l=0.6,t0=nan,eps=0.05,d=2,kappa=0",
+     "star_check: time t0=nan must be finite"),
+    ("heat_lower_diag:t=1,d=3,kappa=1e308",
+     "heat_lower_diag:t=1,d=3,kappa=1e308: overflow encountered"),
+    ("heat_lower_diag:t=1,d=1e308,kappa=0",
+     "heat_lower_diag:t=1,d=1e308,kappa=0: invalid value encountered"),
 ]
 
 
@@ -101,6 +116,31 @@ def test_bounds_rejects_bad_expression(tmp_path, capsys, expr, message):
     assert main(["bounds", "--out", str(tmp_path), expr]) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
     assert list(tmp_path.iterdir()) == []
+
+
+# each evaluator's command-line arguments and whether it takes the constants
+_EXPOSED = {
+    "croke_constant": ((("d", int),), False),
+    "eps_cap": ((("d", int),), False),
+    "r1_value": ((("t0", float), ("d", int), ("kappa", float)), False),
+    "s1_min": ((("t0", float), ("d", int), ("kappa", float)), True),
+    "star_check": ((("tau_l", float), ("t0", float), ("eps", float),
+                    ("d", float), ("kappa", float)), True),
+    "heat_upper": ((("t", float), ("dist", float), ("d", int),
+                    ("kappa", float)), True),
+    "heat_lower_diag": ((("t", float), ("d", int), ("kappa", float)), False),
+    "heat_lower_offdiag": ((("t", float), ("dist", float), ("d", int),
+                            ("kappa", float), ("sigma", float)), False),
+    "li_yau_upper": ((("m", int), ("d", int), ("V", float),
+                      ("kappa_neg", float)), False),
+    "weyl_estimate": ((("lam", float), ("d", int), ("V", float)), False),
+    "geodesic_euclid_bounds": ((("s", float), ("r0", float)), False),
+}
+
+
+def test_bound_evaluators_expose_their_arguments():
+    assert {name: (sig, consts) for name, (_, sig, consts)
+            in _BOUND_EVALS.items()} == _EXPOSED
 
 
 _ARG_NAMES = sorted({k for _, sig, _ in _BOUND_EVALS.values() for k, _ in sig})
@@ -171,11 +211,18 @@ def test_malformed_config_line_exits_2(tmp_path, capsys, bad, good, at):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_RUNS_HEADER = ("n,seed,h,t,m,eigenvalue_errors,eigenvector_sup_errors,"
+                "embedding_error,tangent_angle_median,tangent_angle_max,"
+                "first_cluster_mean,pattern_matched,status,wall_time")
+
+
 def test_pipeline_single_run(tmp_path, capsys):
     assert main(["pipeline", "--n", "300", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "runs.csv").read_text().splitlines()
     assert len(lines) == 3
+    assert lines[1] == _RUNS_HEADER
+    assert capsys.readouterr().out.splitlines()[0] == _RUNS_HEADER
     assert ",ok," in lines[2]
 
 
@@ -240,9 +287,23 @@ def test_config_grid_reaches_study(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "theoretical" in out
-    assert (tmp_path / "study.csv").exists()
+    study = (tmp_path / "study.csv").read_text().splitlines()
+    assert study[1] == ("n,runs,eigenvalue_error,eigenvector_sup_error,"
+                        "embedding_error,tangent_angle,first_cluster_mean")
+    assert len(study) == 2 + 3
     runs = (tmp_path / "runs.csv").read_text().splitlines()
+    assert runs[1] == _RUNS_HEADER
     assert len(runs) == 2 + 6                 # 3 sizes x 2 seeds
+
+
+def test_tangent_study_table(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("ntilde_grid = 60,80\nseeds = 1\n")
+    assert main(["tangent-study", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "tangent_study.csv").read_text().splitlines()
+    assert lines[:2] == [TABLE_TAG, "ntilde,h_tilde,median_angle,max_angle"]
+    assert [line.split(",")[0] for line in lines[2:]] == ["60", "80"]
 
 
 @pytest.mark.parametrize("setting", ["manifold = torus", "d = 3", "m = 5"])

@@ -35,6 +35,8 @@ def test_config_validation():
         ExperimentConfig(manifold="plane")
     with pytest.raises(ValueError):
         ExperimentConfig(n_grid=())
+    with pytest.raises(ValueError, match="ntilde_grid must be nonempty"):
+        ExperimentConfig(ntilde_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(manifold="torus", torus_R=1.0, torus_r=1.0)
 

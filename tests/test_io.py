@@ -16,6 +16,8 @@ def test_cloud_round_trip(tmp_path):
     cloud = sample_sphere(37, 2, 5)
     path = tmp_path / "cloud.csv"
     save_cloud(cloud, path)
+    assert path.read_text().splitlines()[:3] == [
+        "# dmaplab cloud 1", "dim_ambient,d,n,seed", "3,2,37,5"]
     back = load_cloud(path)
     assert back.n == 37 and back.d == 2 and back.ambient_dim == 3
     assert back.seed == 5
@@ -51,7 +53,10 @@ def test_emit_csv_empty_is_header_only(tmp_path):
     emit_csv([], path)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
-    assert lines[1] == ",".join(RUN_FIELDS)
+    assert lines[1] == ("n,seed,h,t,m,eigenvalue_errors,"
+                        "eigenvector_sup_errors,embedding_error,"
+                        "tangent_angle_median,tangent_angle_max,"
+                        "first_cluster_mean,pattern_matched,status,wall_time")
 
 
 def test_record_row_layout():
