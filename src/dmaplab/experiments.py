@@ -168,9 +168,10 @@ def _embedding_params(cfg):
 
 def _oracle_tangent(p, t, m):
     """Orthonormal tangent basis at p of the first m <= 8 coordinates of
-    the S^2 oracle embedding at time t."""
+    the S^2 oracle embedding at time t: (m, 2) for one point, (N, m, 2)
+    for an (N, 3) array of points."""
     basis = s2_oracle_tangent(p, t).basis
-    return np.linalg.qr(basis[:m])[0] if m < 8 else basis
+    return np.linalg.qr(basis[..., :m, :])[0] if m < 8 else basis
 
 
 def _oracle_tangents(cfg, n, seed, tcfg):
@@ -184,8 +185,8 @@ def _oracle_tangents(cfg, n, seed, tcfg):
                         params)
     h_tilde = tangent_bandwidth(n, 2, tcfg)
     batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
-    angles = {i: subspace_angle(fit.basis,
-                                _oracle_tangent(cloud.points[i], t, cfg.m))
+    truth = _oracle_tangent(cloud.points, t, cfg.m)
+    angles = {i: subspace_angle(fit.basis, truth[i])
               for i, fit in batch.fits.items()}
     return batch, angles, h_tilde
 
@@ -251,10 +252,9 @@ def run_pipeline(cfg, n, seed):
                              % (len(batch.errors), size, batch.errors[k0]))
         if oracle:
             stage = "tangent-errors"
-            angles = [subspace_angle(batch.fits[j].basis,
-                                     R @ _oracle_tangent(cloud.points[i], t,
-                                                         cfg.m))
-                      for j, i in enumerate(pick)]
+            truth = R @ _oracle_tangent(cloud.points[pick], t, cfg.m)
+            angles = [subspace_angle(batch.fits[j].basis, truth[j])
+                      for j in range(size)]
             rec.tangent_angle_median = float(np.median(angles))
             rec.tangent_angle_max = float(np.max(angles))
     except (ValueError, RuntimeError) as err:

@@ -96,7 +96,8 @@ class ManifoldDescriptor:
 
 @dataclass
 class TangentBasis:
-    """Orthonormal basis of a tangent space, stored as columns."""
+    """Orthonormal basis of a tangent space, stored as columns; a stack of
+    them over leading axes (one per base point) when basis is 3-d."""
 
     base: np.ndarray
     basis: np.ndarray
@@ -104,13 +105,13 @@ class TangentBasis:
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
         self.basis = np.asarray(self.basis, dtype=float)
-        gram = self.basis.T @ self.basis
-        if np.max(np.abs(gram - np.eye(self.basis.shape[1]))) > 1e-12:
+        gram = np.swapaxes(self.basis, -1, -2) @ self.basis
+        if np.max(np.abs(gram - np.eye(self.basis.shape[-1]))) > 1e-12:
             raise ValueError("basis columns are not orthonormal")
 
     @property
     def projector(self):
-        return self.basis @ self.basis.T
+        return self.basis @ np.swapaxes(self.basis, -1, -2)
 
 
 def sphere_area(k):
@@ -361,12 +362,12 @@ def _sphere_chart(u):
 
 
 def _sphere_frame(p):
-    # orthonormal tangent pair at p, rotating away from the degenerate axis
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(p @ a) > 1.0 - 1e-6:
-        a = np.array([0.0, 1.0, 0.0])
-    t1 = a - (a @ p) * p
-    t1 /= np.linalg.norm(t1)
+    # orthonormal tangent pair at each row of p (..., 3), the first from
+    # e_x, or from e_y where p lies within 1e-6 of the x axis
+    near = (np.abs(p[..., 0]) > 1.0 - 1e-6)[..., None]
+    a = np.where(near, np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    t1 = a - np.sum(a * p, axis=-1, keepdims=True) * p
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
     t2 = np.cross(p, t1)
     return t1, t2
 
@@ -375,21 +376,25 @@ def s2_oracle_tangent(p, t, method="analytic"):
     """Orthonormal tangent basis of the embedded sphere at p, in R^8.
 
     method="analytic" pushes an orthonormal frame of S^2 through the exact
-    harmonic gradients; method="fd" differentiates the embedding along a
-    spherical chart by central differences (step 1e-5).  Charts degenerate
-    within 1e-6 of a pole are rotated before differencing.
+    harmonic gradients, and accepts an (N, 3) array of points too: base is
+    then (N, 8) and basis (N, 8, 2).  method="fd" differentiates the
+    embedding of one point along a spherical chart by central differences
+    (step 1e-5).  Charts degenerate within 1e-6 of a pole are rotated
+    before differencing.
     """
     p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
+    if np.max(np.abs(np.linalg.norm(np.atleast_2d(p), axis=-1) - 1.0)) > 1e-12:
         raise ValueError("base point must be on the unit sphere")
     base = s2_oracle_embedding(p, t)
     damp = embedding_scale(t, 2) * np.exp(-_L8 * t / 2.0)
     if method == "analytic":
         t1, t2 = _sphere_frame(p)
-        G = s2_harmonic_gradients(p)          # 8 x 3
-        J = G @ np.stack([t1, t2], axis=1)    # 8 x 2
+        G = s2_harmonic_gradients(p)              # (..., 8, 3)
+        J = G @ np.stack([t1, t2], axis=-1)       # (..., 8, 2)
         J *= damp[:, None]
     elif method == "fd":
+        if p.ndim != 1:
+            raise ValueError("method='fd' takes one base point")
         # rotate the chart so p sits on its equator, away from both poles
         t1, t2 = _sphere_frame(p)
         Q = np.stack([p, t1, t2], axis=1)
@@ -408,7 +413,7 @@ def s2_oracle_tangent(p, t, method="analytic"):
     else:
         raise ValueError("method must be 'analytic' or 'fd'")
     Qb, R = np.linalg.qr(J)
-    Qb = Qb * np.sign(np.diag(R))[None, :]
+    Qb = Qb * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
     return TangentBasis(base=base, basis=Qb)
 
 

@@ -10,6 +10,7 @@ from itertools import combinations_with_replacement
 from math import floor
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import _ALPHA
 
@@ -108,7 +109,7 @@ def _fit_plan(d, k):
 
 
 def _features(xi, E):
-    return np.prod(xi[:, None, :] ** E, axis=2)
+    return np.prod(xi[..., None, :] ** E, axis=-1)
 
 
 def _poly_opnorm(b_rows, E, dirs, M):
@@ -152,20 +153,166 @@ def _poly_opnorm(b_rows, E, dirs, M):
 
 
 def _top_d_basis(M, d):
+    """Top-d eigenvectors, largest first, of each matrix in a stack of
+    symmetric (D, D) matrices, and each one's top-d eigengap."""
     w, vecs = np.linalg.eigh(M)
-    gap = w[-d] - w[-d - 1] if len(w) > d else w[-d]
-    if gap < 1e-12:
-        raise ValueError("degenerate covariance: top-%d eigengap %.3e "
-                         "below 1e-12" % (d, gap))
-    return vecs[:, -d:][:, ::-1]
+    gap = w[:, -d] - w[:, -d - 1] if w.shape[1] > d else w[:, -d]
+    return vecs[:, :, -d:][:, :, ::-1], gap
+
+
+def _lstsq(Phi, rho, rows):
+    """Stacked least squares min |Phi b - rho| by SVD, with numpy lstsq's
+    cutoff: singular values s <= eps * max(rows, p) * s_max count as zero,
+    rows being each system's true row count (zero rows that pad a system
+    change none of its singular values)."""
+    if Phi.shape[2] == 0:
+        return np.zeros((Phi.shape[0], 0, rho.shape[2]))
+    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
+    cut = np.finfo(float).eps * np.maximum(rows, Phi.shape[2]) * s[:, 0]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut[:, None])
+    return Vt.transpose(0, 2, 1) @ (inv[:, :, None]
+                                    * (U.transpose(0, 2, 1) @ rho))
+
+
+def _cap(b, plan, t_cap):
+    """Scale each degree block of the stacked coefficients b whose operator
+    norm exceeds t_cap radially back onto it, in place.  At d <= 2 the norm
+    is the max over the plan's directions, taken as the Gram form
+    diag(M b b^T M^T) of all members at once; above d = 2 it is
+    _poly_opnorm, member by member."""
+    for _, rows, M in plan.blocks:
+        blk = b[:, rows]
+        if plan.dirs.shape[1] <= 2:
+            MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
+            G = blk @ blk.transpose(0, 2, 1)
+            sq = G.reshape(len(G), -1) @ MM.T
+            nrm = np.sqrt(np.maximum(np.max(sq, axis=1), 0.0))
+        else:
+            nrm = np.array([_poly_opnorm(x, plan.E[rows], plan.dirs, M)
+                            for x in blk])
+        over = nrm > t_cap
+        blk[over] *= (t_cap / nrm[over])[:, None, None]
+
+
+# base points fitted together; it bounds the padded arrays of one chunk
+_CHUNK = 64
+
+
+def _neighbors(tree, points, centers, h_tilde):
+    """For each center index, the ascending indices of the points at
+    distance strictly between 0 and h_tilde from it.  The tree proposes the
+    points within a relative 1e-9 above h_tilde, far more than the few ulps
+    by which its distances and np.linalg.norm can differ, and the norm
+    decides."""
+    cands = tree.query_ball_point(points[centers], h_tilde * (1 + 1e-9),
+                                  return_sorted=True)
+    out = []
+    for c, idx in zip(centers, cands):
+        idx = np.asarray(idx, dtype=np.intp)
+        dist = np.linalg.norm(points[idx] - points[c], axis=1)
+        out.append(idx[(dist > 0) & (dist < h_tilde)])
+    return out
+
+
+def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg):
+    """Fit the base points centers, with neighbour indices nbrs, together;
+    returns base index -> TangentEstimate, or the error message.
+
+    Zero rows pad each neighbourhood to the largest; they add nothing to
+    Z^T Z, to the features or to the residual, so only the objective's
+    mean needs each true count.  Every iteration works on the members
+    still active, which leave as the per-point fit would stop."""
+    out, members = {}, []
+    for c, nb in zip(centers, nbrs):
+        if len(nb) < d + 1:
+            out[c] = ("need at least %d neighbors strictly inside radius %g "
+                      "of point %d, found %d" % (d + 1, h_tilde, c, len(nb)))
+        else:
+            members.append((c, nb))
+    if not members:
+        return out
+    a = len(members)
+    counts = np.array([len(nb) for _, nb in members])
+    Z = np.zeros((a, counts.max(), points.shape[1]))
+    for j, (c, nb) in enumerate(members):
+        Z[j, :len(nb)] = points[nb] - points[c]
+    t_cap = cfg.t_cap if cfg.t_cap is not None else 1.0 / h_tilde
+    plan = _fit_plan(d, cfg.k)
+    active = np.ones(a, dtype=bool)
+
+    def degenerate(live, gap):
+        # drops the members whose top-d eigengap is below 1e-12
+        bad = gap < 1e-12
+        for j, g in zip(live[bad], gap[bad]):
+            out[members[j][0]] = ("degenerate covariance: top-%d eigengap "
+                                  "%.3e below 1e-12" % (d, g))
+        active[live[bad]] = False
+        return ~bad
+
+    B, gap = _top_d_basis(Z.transpose(0, 2, 1) @ Z, d)
+    degenerate(np.arange(a), gap)
+    b = np.zeros((a, plan.E.shape[0], Z.shape[2]))
+    prev_obj = np.full(a, np.inf)
+    iters = np.zeros(a, dtype=int)
+    for it in range(cfg.max_iter):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        Zl, Bl = Z[live, :counts[live].max()], B[live]
+        xi = Zl @ Bl
+        rho = Zl - xi @ Bl.transpose(0, 2, 1)
+        Phi = _features(xi, plan.E)
+        b_new = _lstsq(Phi, rho, counts[live])
+        _cap(b_new, plan, t_cap)
+        pred = Phi @ b_new
+        obj = np.sum((rho - pred) ** 2, axis=(1, 2)) / counts[live]
+        # a rejected step ends the fit with the previous plane and tensors
+        ok = ~(obj > prev_obj[live] + 1e-12)
+        active[live[~ok]] = False
+        live, Zl, Bl, pred = live[ok], Zl[ok], Bl[ok], pred[ok]
+        iters[live] = it + 1
+        prev_obj[live] = obj[ok]
+        b[live] = b_new[ok]
+        Y = Zl - pred
+        B_new, gap = _top_d_basis(Y.transpose(0, 2, 1) @ Y, d)
+        ok = degenerate(live, gap)
+        delta = np.linalg.svd(B_new @ B_new.transpose(0, 2, 1)
+                              - Bl @ Bl.transpose(0, 2, 1),
+                              compute_uv=False)[:, 0]
+        B[live[ok]] = B_new[ok]
+        active[live[ok & (delta < cfg.tol)]] = False
+
+    for j, (c, _) in enumerate(members):
+        if c not in out:
+            out[c] = TangentEstimate(
+                base_index=int(c), projector=B[j] @ B[j].T, basis=B[j],
+                tensors={l: b[j, rows] for l, rows, _ in plan.blocks},
+                neighbor_count=int(counts[j]), iterations=int(iters[j]))
+    return out
 
 
 def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
-    """Tangent estimate at one base point of a PointCloud or EmbeddedCloud
-    (any cloud with points, n and the intrinsic dimension d).
+    """Tangent estimate at one base point of a PointCloud or EmbeddedCloud:
+    estimate_tangents over that point alone, raising its error as a
+    ValueError."""
+    batch = estimate_tangents(cloud, [base_index], cfg, h_tilde)
+    if batch.errors:
+        raise ValueError(batch.errors[base_index])
+    return batch.fits[base_index]
+
+
+TangentBatch = namedtuple("TangentBatch", "fits errors")
+
+
+def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
+    """Independent tangent estimates at several base points of a PointCloud
+    or EmbeddedCloud (any cloud with points, n and the intrinsic dimension
+    d), as a TangentBatch of fits and errors by base index, both in the
+    order of base_indices.
 
     Neighbors are the points at distance strictly between 0 and h_tilde
-    from the base.  Starting from the local PCA plane, alternate between
+    from the base; h_tilde defaults to the tangent_bandwidth rule at the
+    cloud size.  Starting from the local PCA plane, alternate between
     (a) least-squares fits of the normal residuals against monomials of
     the tangent coordinates for degrees 2..k-1, with every degree block
     radially rescaled onto the operator-norm cap when it exceeds it, and
@@ -173,76 +320,29 @@ def fit_local_polynomial(cloud, base_index, h_tilde, cfg):
     stops when the projector moves less than cfg.tol in operator norm,
     when the objective would increase (the step is rejected), or at
     cfg.max_iter.  At k = 2 there are no monomials, the correction is
-    zero, and the fit is local PCA, done after one iteration.
-    """
-    d = cloud.d
-    base = cloud.points[base_index]
-    diff = cloud.points - base
-    dist = np.linalg.norm(diff, axis=1)
-    sel = (dist > 0) & (dist < h_tilde)
-    Z = diff[sel]
-    if Z.shape[0] < d + 1:
-        raise ValueError("need at least %d neighbors strictly inside "
-                         "radius %g of point %d, found %d"
-                         % (d + 1, h_tilde, base_index, Z.shape[0]))
-    t_cap = cfg.t_cap if cfg.t_cap is not None else 1.0 / h_tilde
-    plan = _fit_plan(d, cfg.k)
+    zero, and the fit is local PCA, done after one iteration.  A base point
+    with fewer than d + 1 neighbors or a degenerate covariance lands in
+    errors and does not abort the batch.
 
-    B = _top_d_basis(Z.T @ Z, d)
-    prev_obj = np.inf
-    iters = 0
-    for it in range(cfg.max_iter):
-        iters = it + 1
-        xi = Z @ B
-        rho = Z - xi @ B.T
-        Phi = _features(xi, plan.E)
-        b_new, *_ = np.linalg.lstsq(Phi, rho, rcond=None)
-        for _, rows, M in plan.blocks:
-            nrm = _poly_opnorm(b_new[rows], plan.E[rows], plan.dirs, M)
-            if nrm > t_cap:
-                b_new[rows] *= t_cap / nrm
-        pred = Phi @ b_new
-        obj = float(np.mean(np.sum((rho - pred) ** 2, axis=1)))
-        if obj > prev_obj + 1e-12:
-            iters -= 1
-            break
-        prev_obj = obj
-        b = b_new
-        Y = Z - pred
-        B_new = _top_d_basis(Y.T @ Y, d)
-        delta = np.linalg.svd(B_new @ B_new.T - B @ B.T,
-                              compute_uv=False)[0]
-        B = B_new
-        if delta < cfg.tol:
-            break
-
-    # the first step is always accepted, so b is set
-    return TangentEstimate(base_index=int(base_index),
-                           projector=B @ B.T,
-                           basis=B,
-                           tensors={l: b[rows] for l, rows, _ in plan.blocks},
-                           neighbor_count=int(Z.shape[0]),
-                           iterations=iters)
-
-
-TangentBatch = namedtuple("TangentBatch", "fits errors")
-
-
-def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
-    """Independent tangent fits at several base points.
-
-    h_tilde defaults to the tangent_bandwidth rule at the cloud size.
-    Failing fits do not abort the batch; they are collected by index in
-    the errors dict.
+    One k-d tree over the cloud finds every neighbourhood, and the base
+    points are fitted _CHUNK = 64 at a time with stacked linear algebra;
+    each fit is the same, up to rounding, whichever points share its
+    chunk.
     """
     if h_tilde is None:
         h_tilde = tangent_bandwidth(cloud.n, cloud.d, cfg)
-    fits, errors = {}, {}
-    for idx in base_indices:
-        try:
-            fits[idx] = fit_local_polynomial(cloud, idx, h_tilde, cfg)
-        except ValueError as err:
-            errors[idx] = str(err)
+    base_indices = list(base_indices)
+    points = cloud.points
+    tree = cKDTree(points)
+    done = {}
+    for start in range(0, len(base_indices), _CHUNK):
+        chunk = base_indices[start:start + _CHUNK]
+        done.update(_fit_chunk(points, cloud.d, chunk,
+                               _neighbors(tree, points, chunk, h_tilde),
+                               h_tilde, cfg))
+    fits = {i: done[i] for i in base_indices
+            if isinstance(done[i], TangentEstimate)}
+    errors = {i: done[i] for i in base_indices if isinstance(done[i], str)}
     return TangentBatch(fits=fits, errors=errors)
 
 

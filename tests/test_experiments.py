@@ -204,10 +204,23 @@ def test_oracle_tangent_comparison_below_eight_coordinates():
         assert rec.pattern_matched is False
 
 
+def test_oracle_tangent_stacked_at_every_m():
+    """_oracle_tangent on an (N, 3) array equals its one-point calls, for
+    the full map and for the first m coordinates."""
+    pts = sample_sphere(40, 2, 8).points
+    for m in (3, 5, 8):
+        stacked = _oracle_tangent(pts, 0.25, m)
+        assert stacked.shape == (40, m, 2)
+        for p, basis in zip(pts, stacked):
+            assert np.max(np.abs(basis - _oracle_tangent(p, 0.25, m))) \
+                <= 1e-14
+
+
 def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
     """The block-diagonal map of the tangent-errors stage equals the
     per-cluster loop: block g of each oracle tangent is mapped by the
-    rotation that aligned cluster g of the embedding."""
+    rotation that aligned cluster g of the embedding.  One oracle call
+    builds the tangents of every fitted point."""
     align, tangent, angle = (X.subspace_align, X._oracle_tangent,
                              X.subspace_angle)
     rotations, truths, mapped = [], [], []
@@ -229,8 +242,9 @@ def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
     monkeypatch.setattr(X, "_oracle_tangent", spy_tangent)
     monkeypatch.setattr(X, "subspace_angle", spy_angle)
     assert run_pipeline(ExperimentConfig(), 400, 1).status == "ok"
-    assert len(rotations) == 2 and len(mapped) == len(truths) == 10
-    for T, M in zip(truths, mapped):
+    assert len(rotations) == 2 and len(truths) == 1
+    assert len(mapped) == len(truths[0]) == 10
+    for T, M in zip(truths[0], mapped):
         ref = np.empty_like(T)
         for g, Q in zip((slice(0, 3), slice(3, 8)), rotations):
             ref[g] = Q @ T[g]

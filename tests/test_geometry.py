@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from dmaplab.geometry import (embedding_scale, legendre_p,
+from dmaplab.geometry import (_L8, embedding_scale, legendre_p,
                               local_reach_numeric, pushforward_density,
                               real_sph_harmonic, s2_embedding_norm_sq,
-                              s2_harmonics, s2_heat_kernel,
-                              s2_oracle_embedding, s2_oracle_tangent,
-                              s2_tail_sum, sample_sphere, sample_torus,
-                              second_fundamental_form, sphere_area,
-                              true_tangent_sphere)
+                              s2_harmonic_gradients, s2_harmonics,
+                              s2_heat_kernel, s2_oracle_embedding,
+                              s2_oracle_tangent, s2_tail_sum, sample_sphere,
+                              sample_torus, second_fundamental_form,
+                              sphere_area, true_tangent_sphere)
 
 
 def test_sample_sphere_unit_norm():
@@ -243,6 +243,40 @@ def test_oracle_tangent_orthonormal_and_tangent():
             dv = s2_oracle_embedding(q, 0.25) - s2_oracle_embedding(p, 0.25)
             resid = dv - basis @ (basis.T @ dv)
             assert np.linalg.norm(resid) <= 5e-5 * np.linalg.norm(dv)
+
+
+def _oracle_tangent_one_point(p, t):
+    """The analytic oracle basis at one point as it was built before the
+    stacked form: the frame from e_x, or e_y within 1e-6 of the x axis."""
+    a = np.array([1.0, 0.0, 0.0])
+    if abs(p @ a) > 1.0 - 1e-6:
+        a = np.array([0.0, 1.0, 0.0])
+    t1 = a - (a @ p) * p
+    t1 /= np.linalg.norm(t1)
+    J = s2_harmonic_gradients(p) @ np.stack([t1, np.cross(p, t1)], axis=1)
+    J *= (embedding_scale(t, 2) * np.exp(-_L8 * t / 2.0))[:, None]
+    Q, R = np.linalg.qr(J)
+    return Q * np.sign(np.diag(R))[None, :]
+
+
+def test_oracle_tangent_stacked_matches_one_point_form():
+    """One call on an (N, 3) array gives every row's one-point basis,
+    choosing the frame per row, also at and near the x axis."""
+    near = 1.0 - 1e-7
+    pts = np.vstack([sample_sphere(200, 2, 6).points,
+                     [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                      [near, np.sqrt(1.0 - near ** 2), 0.0]]])
+    oracle = s2_oracle_tangent(pts, 0.3)
+    assert oracle.basis.shape == (203, 8, 2)
+    assert np.array_equal(oracle.base, s2_oracle_embedding(pts, 0.3))
+    for p, basis in zip(pts, oracle.basis):
+        ref = _oracle_tangent_one_point(p, 0.3)
+        assert np.max(np.abs(basis - ref)) <= 1e-14
+        assert np.max(np.abs(s2_oracle_tangent(p, 0.3).basis - ref)) <= 1e-14
+    with pytest.raises(ValueError, match="one base point"):
+        s2_oracle_tangent(pts, 0.3, method="fd")
+    with pytest.raises(ValueError, match="unit sphere"):
+        s2_oracle_tangent(np.vstack([pts, [[1.0, 1.0, 0.0]]]), 0.3)
 
 
 def test_oracle_tangent_fd_agrees():
