@@ -428,15 +428,34 @@ def _eval_chart(embed, U):
 
 # directions over a half circle at which 2-d operator norms are maximized
 _ALPHA = np.linspace(0.0, np.pi, 720, endpoint=False)
+# index pairs (i, j) of the Gram entries of (S11, S12, S22), diagonal first
+# (in this order the verify-s2 sweep radius equals the per-direction loop
+# it replaced bit for bit)
+_PAIRS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
 
 
-def _shape_operator_norms(embed, U, step):
-    """Operator norm of the second fundamental form at each chart point.
+def _direction_forms(alpha):
+    """(6, len(alpha)) weights that turn the Gram entries of (S11, S12, S22)
+    into |c0 S11 + c1 S12 + c2 S22|^2 for c = (cos^2 a, 2 cos a sin a,
+    sin^2 a): c_i c_j, doubled off the diagonal."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    c = np.stack([ca * ca, 2 * ca * sa, sa * sa])
+    i, j = _PAIRS
+    return c[i] * c[j] * np.where(i == j, 1.0, 2.0)[:, None]
+
+
+_DIRECTION_FORMS = _direction_forms(_ALPHA)
+# chart points per evaluation of the curvature sweep
+_SWEEP_CHUNK = 4096
+
+
+def _shape_operators(embed, U, step):
+    """Second fundamental form at each chart point, as the (S11, S12, S22)
+    entries of its symmetric 2 x 2 block of normal vectors, each (N, m).
 
     First derivatives use step/10, second derivatives use step, both by
-    central differences.  The (2, 2) block of normal-projected second
-    derivatives is symmetrized by the inverse metric square root and the
-    norm maximized over a 720-point grid of unit tangent directions.
+    central differences.  The block of normal-projected second derivatives
+    is symmetrized by the inverse metric square root.
     """
     h1 = step / 10.0
     h2 = step
@@ -486,13 +505,19 @@ def _shape_operator_norms(embed, U, step):
     S11 = ia_ * ia_ * H11 + 2 * ia_ * ib_ * H12 + ib_ * ib_ * H22
     S12 = ia_ * ib_ * H11 + (ia_ * ic_ + ib_ * ib_) * H12 + ib_ * ic_ * H22
     S22 = ib_ * ib_ * H11 + 2 * ib_ * ic_ * H12 + ic_ * ic_ * H22
+    return S11, S12, S22
 
-    best = np.zeros(N)
-    for a in _ALPHA:
-        ca, sa = np.cos(a), np.sin(a)
-        v = ca * ca * S11 + 2 * ca * sa * S12 + sa * sa * S22
-        best = np.maximum(best, np.einsum("ij,ij->i", v, v))
-    return np.sqrt(best)
+
+def _shape_operator_norms(embed, U, step):
+    """Operator norm of the second fundamental form at each chart point,
+    maximized over a 720-point grid of unit tangent directions."""
+    S = _shape_operators(embed, U, step)
+    # the squared norm along each direction is a quadratic form in the six
+    # per-point Gram entries of (S11, S12, S22)
+    gram = np.stack([np.einsum("ij,ij->i", S[i], S[j])
+                     for i, j in zip(*_PAIRS)], axis=1)
+    best = np.max(gram @ _DIRECTION_FORMS, axis=1)
+    return np.sqrt(np.maximum(best, 0.0))
 
 
 def second_fundamental_form(embed, u, step=1e-4):
@@ -520,8 +545,10 @@ def local_reach_numeric(embed, grid, step=1e-4,
     ph = b0 + (np.arange(2 * grid) + 0.5) * (b1 - b0) / (2 * grid)
     T, P = np.meshgrid(th, ph, indexing="ij")
     U = np.stack([T.ravel(), P.ravel()], axis=1)
-    norms = _shape_operator_norms(embed, U, step)
-    return float(1.0 / np.max(norms))
+    top = max(np.max(_shape_operator_norms(embed, U[i:i + _SWEEP_CHUNK],
+                                           step))
+              for i in range(0, len(U), _SWEEP_CHUNK))
+    return float(1.0 / top)
 
 
 def pushforward_density(J, f):

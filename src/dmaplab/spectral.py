@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
 from .geometry import sphere_area
+from .graph import _tile_pairs
 
 _DENSE_LIMIT = 2000
 _EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
@@ -67,6 +68,14 @@ def _residuals(system, V, mu):
     return (V - (system.W @ V) / system.degree[:, None]) / system.h**2 - V * mu
 
 
+def _symmetrize(S):
+    """S <- (S + S^T)/2 in place, one tile pair at a time."""
+    for I, J in _tile_pairs(S.shape[0]):
+        t = 0.5 * (S[I, J] + S[J, I].T)
+        S[I, J] = t
+        S[J, I] = t.T
+
+
 def eigensolve_smallest(system, m, gap_tol=0.25):
     """Smallest m+1 eigenpairs of -L via the symmetric conjugate form
     S = (I - A)/h^2 with A = D^-1/2 W D^-1/2.
@@ -85,9 +94,16 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     dm = 1.0 / np.sqrt(system.degree)
 
     if n <= _DENSE_LIMIT:
-        S = (np.eye(n) - dm[:, None] * system.W * dm[None, :]) / (h * h)
-        S = 0.5 * (S + S.T)
-        mu, U = sla.eigh(S, subset_by_index=[0, m])
+        # (I - A)/h^2 in place, bit for bit; 0 - a keeps a zero entry +0
+        S = dm[:, None] * system.W
+        S *= dm[None, :]
+        np.subtract(0.0, S, out=S)
+        S[np.diag_indices(n)] += 1.0
+        S /= h * h
+        _symmetrize(S)
+        # S equals S.T bit for bit, and S.T is Fortran-ordered: eigh may
+        # work in it without a copy
+        mu, U = sla.eigh(S.T, subset_by_index=[0, m], overwrite_a=True)
     else:
         A = LinearOperator((n, n), dtype=float,
                            matvec=lambda v: dm * (system.W @ (dm * v)))

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dmaplab.cli import _BOUND_EVALS, main
@@ -166,6 +166,10 @@ def _bound_exprs(draw):
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(expr=_bound_exprs())
+# the two faults the drawn examples found in some selections of tests only:
+# an infinite time, and an overflow inside _beta
+@example(expr="r1_value:t0=inf,d=2,kappa=0")
+@example(expr="r1_value:t0=1,d=1e308,kappa=1e308")
 def test_bounds_exit_0_or_2_never_raise(tmp_path, expr):
     assert len(_BOUND_EVALS) == 11
     assert main(["bounds", "--out", str(tmp_path), expr]) in (0, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+import dmaplab.geometry as G
 from dmaplab.geometry import (_L8, embedding_scale, legendre_p,
                               local_reach_numeric, pushforward_density,
                               real_sph_harmonic, s2_embedding_norm_sq,
@@ -333,6 +334,59 @@ def test_local_reach_propagates_chart_errors():
 
     with pytest.raises(TypeError):
         local_reach_numeric(scalar_chart, grid=32)
+
+
+def _loop_norms(S11, S12, S22):
+    # the per-direction sweep that _shape_operator_norms ran before its
+    # Gram form, verbatim
+    N = S11.shape[0]
+    best = np.zeros(N)
+    for a in G._ALPHA:
+        ca, sa = np.cos(a), np.sin(a)
+        v = ca * ca * S11 + 2 * ca * sa * S12 + sa * sa * S22
+        best = np.maximum(best, np.einsum("ij,ij->i", v, v))
+    return np.sqrt(best)
+
+
+def _oracle_chart(t, m=8):
+    return lambda u: s2_oracle_embedding(G._sphere_chart(u), t)[:, :m]
+
+
+def _sweep_points(grid):
+    th = (np.arange(grid) + 0.5) * np.pi / grid
+    ph = (np.arange(2 * grid) + 0.5) * np.pi / grid
+    T, P = np.meshgrid(th, ph, indexing="ij")
+    return np.stack([T.ravel(), P.ravel()], axis=1)
+
+
+_SWEEP_CHARTS = {"unit-sphere": G._sphere_chart}
+_SWEEP_CHARTS.update({"oracle-t%g" % t: _oracle_chart(t)
+                      for t in (0.2, 0.5, 1.0, 2.0)})
+_SWEEP_CHARTS.update({"oracle-m3-t%g" % t: _oracle_chart(t, 3)
+                      for t in (0.2, 0.5, 1.0, 2.0)})
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_CHARTS))
+def test_gram_form_matches_direction_loop(name):
+    chart = _SWEEP_CHARTS[name]
+    U = _sweep_points(40)
+    ref = _loop_norms(*G._shape_operators(chart, U, 1e-4))
+    got = G._shape_operator_norms(chart, U, 1e-4)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-14
+    # one point at a time, as second_fundamental_form asks
+    one = second_fundamental_form(chart, U[777])
+    assert abs(one - ref[777]) <= 1e-14 * ref[777]
+
+
+def test_chunked_sweep_equals_one_batch(monkeypatch):
+    chart = _oracle_chart(0.5)
+    grid = 50                       # 5000 points: one full chunk and a part
+    assert (grid * 2 * grid) % G._SWEEP_CHUNK
+    chunked = local_reach_numeric(chart, grid=grid)
+    monkeypatch.setattr(G, "_SWEEP_CHUNK", grid * 2 * grid)
+    assert chunked == local_reach_numeric(chart, grid=grid)
+    whole = G._shape_operator_norms(chart, _sweep_points(grid), 1e-4)
+    assert chunked == 1.0 / np.max(whole)
 
 
 def test_pushforward_density():

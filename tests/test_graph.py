@@ -133,11 +133,12 @@ def test_system_deterministic():
     assert np.array_equal(a.ball_counts, b.ball_counts)
 
 
-@pytest.mark.parametrize("n", [300, 2001])
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 300, 2001])
 def test_in_place_build_matches_old_expressions(n):
     """W, q, the degrees and the derived L equal, bit for bit, the
     temporaries-based expressions the graph layer used before it built W in
-    place.  Those expressions are the reference, so this cannot fail on the
+    place, row block by row block; n = 63, 65, 129 and 2001 end in a partial
+    block.  Those expressions are the reference, so this cannot fail on the
     code that used them; it pins that the rewrite kept every bit."""
     cloud = sample_sphere(n, 2, 7)
     h = bandwidth(n, 2)
@@ -170,6 +171,26 @@ def test_system_from_cloud_holds_two_square_arrays_at_most(peak_bytes):
     n = 1500
     cloud = sample_sphere(n, 2, 2)
     assert peak_bytes(lambda: system_from_cloud(cloud)) < 2.5 * 8 * n * n
+
+
+def test_system_from_cloud_holds_one_square_array_and_a_block(peak_bytes):
+    # W plus row-block temporaries; the build kept two n x n arrays before
+    n = 1500
+    cloud = sample_sphere(n, 2, 2)
+    assert peak_bytes(lambda: system_from_cloud(cloud)) < 1.25 * 8 * n * n
+
+
+@pytest.mark.parametrize("i, j", [(129, 128), (5, 100)],
+                         ids=["last-partial-tile", "off-diagonal-tile"])
+def test_laplacian_rejects_one_asymmetric_pair(i, j):
+    # n = 130 tiles as 64 + 64 + 2: (129, 128) sits in the last, partial
+    # diagonal tile, (5, 100) in the off-diagonal tile of rows 0-63 and
+    # columns 64-127
+    W, _ = build_affinity(sample_sphere(130, 2, 3), 0.8)
+    laplacian(W, 0.8)
+    W[i, j] += 1e-9
+    with pytest.raises(ValueError, match="W must be symmetric"):
+        laplacian(W, 0.8)
 
 
 def _rotation(seed):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -65,6 +66,38 @@ def test_eigensolve_dense_vs_iterative(monkeypatch):
     assert it.clusters == dense.clusters
     for Pd, Pi in zip(_cluster_projectors(dense), _cluster_projectors(it)):
         assert np.max(np.abs(Pd - Pi)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_dense_branch_matches_old_expression(monkeypatch, n):
+    """The in-place S of the dense branch, and eigh's mu and U on it, equal
+    bit for bit those of the temporaries-based expression it replaced; both
+    n end in a partial tile.  That expression is the reference, so this
+    cannot fail on the code that used it."""
+    system = _sphere_system(n, 5)
+    calls = []
+
+    def eigh(S, **kwargs):
+        calls.append((S.copy(), sla.eigh(S, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sp, "sla", type("sla", (), {"eigh": eigh}))
+    eigensolve_smallest(system, 8)
+    dm = 1.0 / np.sqrt(system.degree)
+    h = system.h
+    S_old = (np.eye(n) - dm[:, None] * system.W * dm[None, :]) / (h * h)
+    S_old = 0.5 * (S_old + S_old.T)
+    mu_old, U_old = sla.eigh(S_old, subset_by_index=[0, 8])
+    (S, (mu, U)), = calls
+    assert S.tobytes() == S_old.tobytes()
+    assert np.array_equal(mu, mu_old) and np.array_equal(U, U_old)
+
+
+def test_eigensolve_dense_allocates_one_square_array(peak_bytes):
+    # S and tile temporaries; S, its old temporaries and eigh's copy before
+    n = 1500
+    system = _sphere_system(n, 2)
+    assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 1.25 * 8 * n * n
 
 
 def test_eigensolve_iterative_repeats_bit_for_bit(force_iterative):
