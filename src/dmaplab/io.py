@@ -2,8 +2,13 @@
 their RunRecord type, and matrix dumps, plus the key=value config reader.
 
 Every file starts with a version comment; readers reject versions they do
-not know.  Floats are written with 17 significant digits so that write ->
-read round-trips are bit exact.
+not know.  Floats are written with 17 significant digits (`_F`, "%.17g") so
+that write -> read round-trips are bit exact.  The COO matrix dump, the
+largest artifact, makes the same bytes without a Python call per value: its
+digits come from exact vectorized arithmetic (a double-double power of ten
+and Dekker's product), and a value that arithmetic cannot decide (zero,
+subnormal, non-finite, in %g's fixed-notation range, or near a rounding
+tie) is written by `_F` itself.
 """
 
 from dataclasses import dataclass, field, fields
@@ -150,23 +155,152 @@ def record_row(r):
     return ",".join(_cell(getattr(r, f)) for f in RUN_FIELDS)
 
 
+# rows of the matrix per block of the COO dump: a block's temporaries (about
+# 300 bytes a value) stay in cache, and 2-4 rows timed fastest at n = 2000
+_COO_ROWS = 4
+
+
+def _pow10_table():
+    """10^k for k = 16 - E over every decimal exponent E of a normal double,
+    as an exact power-of-two prescale 2^c and a double-double hi + lo of
+    10^k / 2^c (|lo| <= ulp(hi) / 2).  c is floor(log2 10^k), capped at 1000
+    so that 2^c is a double; x 2^c is then exact and normal for every normal
+    x whose exponent is within one of E."""
+    ks = range(-292, 325)
+    scale, hi, lo = [], [], []
+    for k in ks:
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        c = num.bit_length() - den.bit_length()
+        if num << max(-c, 0) < den << max(c, 0):
+            c -= 1
+        c = min(c, 1000)
+        num, den = num << max(-c, 0), den << max(c, 0)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        scale.append(2.0 ** c)
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+    return ks[0], np.array(scale), np.array(hi), np.array(lo)
+
+
+def _ascii(strings, width, dtype):
+    """NUL-padded ASCII of each string, one `dtype` word per `width` bytes."""
+    return np.array(strings, "S%d" % width).view(dtype)
+
+
+_K0, _P10_SCALE, _P10_HI, _P10_LO = _pow10_table()
+# the leading digit with its point, then without (no digit after the point
+# survives), then both again negative: index digit + 10 stripped + 20 sign
+_LEAD = _ascii([s + "%d" % d + p for s in ("", "-") for p in (".", "")
+                for d in range(10)], 4, np.uint32)
+# 4-digit groups, in full and with trailing zeros stripped (index + 10^4)
+_QUAD = _ascii(["%04d" % q for q in range(10 ** 4)]
+               + [("%04d" % q).rstrip("0") for q in range(10 ** 4)],
+               4, np.uint32)
+# "e-308\n" .. "e+308\n", index E + 308
+_EXP = _ascii(["e%+03d\n" % e for e in range(-308, 309)], 8, np.uint64)
+_TINY = np.finfo(np.float64).tiny
+_SPLIT = 2.0 ** 27 + 1.0     # Veltkamp splitter for 53-bit doubles
+
+
+def _two_prod(a, b):
+    """Dekker's exact product: a * b == p + e with p = fl(a * b)."""
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _g17_lines(x):
+    """`_F % v + "\\n"` of each float64 v in x, as an (m, 32) uint8 array
+    NUL-padded in each row.
+
+    A normal v with decimal exponent E outside %g's fixed range [-4, 17) is
+    written from the 17 correctly rounded significant digits
+    D = round(|v| 10^(16 - E)) in [10^16, 10^17).  The product is known to
+    within 2^-45 of a unit: 10^(16 - E) is a double-double, and the product
+    with its high part is Dekker's exact one.  D > 2^53, so the product's
+    rounded high part is an integer and the low part decides the rounding.
+    Every other value is written by `_F` itself: zeros, subnormal and
+    non-finite values, the fixed range, a D within 2^-30 of a half (exact
+    ties among them), and an E from log10 that is off by one.  E is checked
+    on the unrounded product, so a D that rounds up to 10^16 falls back."""
+    x = np.asarray(x, dtype=np.float64)
+    xs = np.abs(x)
+    fast = (xs >= _TINY) & (xs < np.inf)
+    xs[~fast] = 1.0        # log10 and the tables see normal values only
+    E = np.floor(np.log10(xs)).astype(np.int64)
+    fast &= (E < -4) | (E >= 17)
+    k = 16 - E - _K0
+    xs *= _P10_SCALE[k]
+    P, T = _two_prod(xs, _P10_HI[k])
+    T += xs * _P10_LO[k]
+    Tf = np.floor(T)
+    T -= Tf
+    D = P.astype(np.int64) + Tf.astype(np.int64)
+    fast &= (D >= 10 ** 16) & (np.abs(T - 0.5) > 2.0 ** -30)
+    D += T > 0.5
+    fast &= D < 10 ** 17
+    D[~fast] = 10 ** 16    # keeps every table index in range
+    lead, D = np.divmod(D, 10 ** 16)
+    a, b = np.divmod(D, 10 ** 8)
+    q1, q2 = np.divmod(a, 10 ** 4)
+    q3, q4 = np.divmod(b, 10 ** 4)
+    # a group is stripped when every group after it is zero
+    z4 = q4 == 0
+    z3 = z4 & (q3 == 0)
+    z2 = z3 & (q2 == 0)
+    out = np.zeros((len(x), 4), np.uint64)
+    w = out.view(np.uint32)
+    w[:, 0] = _LEAD[lead + 10 * (z2 & (q1 == 0)) + 20 * (x < 0)]
+    w[:, 1] = _QUAD[q1 + 10 ** 4 * z2]
+    w[:, 2] = _QUAD[q2 + 10 ** 4 * z3]
+    w[:, 3] = _QUAD[q3 + 10 ** 4 * z4]
+    w[:, 4] = _QUAD[q4 + 10 ** 4]
+    out[:, 3] = _EXP[E + 308]
+    out = out.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    out[slow] = _ascii([_F % v + "\n" for v in x[slow].tolist()],
+                       32, np.uint8).reshape(-1, 32)
+    return out
+
+
 def save_matrix_coo(M, path, drop_tol=0.0):
     """Coordinate-format text dump row,col,value of a dense matrix: every
-    entry with |value| > drop_tol, and the diagonal always.  Each column's
-    line template is built once; a row joins the templates of its kept
-    columns and fills them with one % call."""
+    entry with |value| > drop_tol, and the diagonal always.  Values are
+    written as `_F` writes them, byte for byte.
+
+    The dump is streamed in blocks of `_COO_ROWS` rows.  A block's lines are
+    laid out in one NUL-padded byte matrix: the precomputed "i," and "j,"
+    prefixes, then each value's digits from `_g17_lines`, which makes them
+    with vectorized exact arithmetic and falls back to `_F` for the few
+    values it cannot decide.  Dropping the NULs leaves the block's text."""
     M = np.asarray(M)
-    cols = np.arange(M.shape[1])
-    line = ["%%d,%d,%s\n" % (j, _F) for j in cols]
+    rows, cols = M.shape
+    # each "i," prefix takes w 8-byte words, so every field stays aligned
+    w = -(-len("%d," % max(rows - 1, cols - 1, 0)) // 8)
+    prefix = _ascii(["%d," % i for i in range(max(rows, cols))],
+                    8 * w, np.uint64).reshape(-1, w)
 
-    def rows():
-        for i, row in enumerate(M):
-            keep = np.flatnonzero((np.abs(row) > drop_tol) | (cols == i))
-            args = [i] * (2 * len(keep))
-            args[1::2] = row[keep].tolist()
-            yield "".join([line[j] for j in keep]) % tuple(args)
+    def blocks():
+        for r0 in range(0, rows, _COO_ROWS):
+            B = M[r0:r0 + _COO_ROWS]
+            keep = np.abs(B) > drop_tol
+            diag = np.arange(min(len(B), cols - r0))
+            keep[diag, r0 + diag] = True
+            i, j = np.nonzero(keep)
+            lines = np.empty((len(i), 2 * w + 4), np.uint64)
+            lines[:, :w] = prefix[r0 + i]
+            lines[:, w:2 * w] = prefix[j]
+            lines[:, 2 * w:] = _g17_lines(B[i, j]).view(np.uint64)
+            text = lines.view(np.uint8)
+            yield text[text != 0].tobytes().decode("ascii")
 
-    _write(path, COO_TAG, ("row", "col", "value"), rows())
+    _write(path, COO_TAG, ("row", "col", "value"), blocks())
 
 
 def save_bounds_table(rows, path):

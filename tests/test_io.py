@@ -1,11 +1,16 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dmaplab import io as dio
 from dmaplab.geometry import PointCloud, sample_sphere
-from dmaplab.io import (BOUNDS_TAG, CLOUD_TAG, EIGEN_TAG, RUN_FIELDS,
+from dmaplab.graph import bandwidth, build_affinity
+from dmaplab.io import (BOUNDS_TAG, CLOUD_TAG, COO_TAG, EIGEN_TAG, RUN_FIELDS,
                         TABLE_TAG, emit_csv, load_cloud, read_kv, record_row,
                         save_bounds_table, save_cloud, save_eigen,
                         save_matrix_coo, save_table, save_tangents)
@@ -114,6 +119,118 @@ def test_save_matrix_coo(tmp_path):
                       for j, v in enumerate(row)
                       if abs(v) > drop_tol or i == j]
             assert path.read_text().splitlines()[2:] == expect
+
+
+def _reference_coo(M, path, drop_tol=0.0):
+    """The per-row template writer that the vectorized dump replaced, kept
+    as it was: each row joins its kept columns' line templates and fills
+    them with one % call."""
+    M = np.asarray(M)
+    cols = np.arange(M.shape[1])
+    line = ["%%d,%d,%s\n" % (j, "%.17g") for j in cols]
+
+    def rows():
+        for i, row in enumerate(M):
+            keep = np.flatnonzero((np.abs(row) > drop_tol) | (cols == i))
+            args = [i] * (2 * len(keep))
+            args[1::2] = row[keep].tolist()
+            yield "".join([line[j] for j in keep]) % tuple(args)
+
+    dio._write(path, COO_TAG, ("row", "col", "value"), rows())
+
+
+def _g17_text(x):
+    """The values `_g17_lines` writes for x, one string per value."""
+    out = dio._g17_lines(np.asarray(x, dtype=np.float64))
+    assert out.shape == (len(x), 32)
+    return out[out != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _percent_g17(x):
+    return ["%.17g" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=200)
+@given(x=arrays(np.float64, st.integers(1, 40),
+                elements=st.floats(allow_subnormal=True)))
+def test_g17_lines_matches_percent_g17(x):
+    assert _g17_text(x) == _percent_g17(x)
+
+
+def test_g17_lines_matches_percent_g17_on_named_values():
+    """Every power of ten from 1e-300 to 1e300 with both neighbours (which
+    catch a log10 exponent that is off by one), exact 17-digit ties, the
+    fixed-notation range [1e-4, 1e17), subnormals, +-0, +-inf and nan, each
+    also negated."""
+    tens = np.array([float("1e%d" % e) for e in range(-300, 301)])
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.arange(43, 419, 2) / 2.0 ** 22,     # v * 10^21 = odd / 2
+        10.0 ** rng.uniform(-4.0, 17.0, 2000),
+        [9.9999999999999996e-281, 5e-324, 2.2250738585072009e-308,
+         np.finfo(np.float64).tiny, np.finfo(np.float64).max,
+         0.0, np.inf, np.nan]])
+    x = np.concatenate([x, -x])
+    assert _g17_text(x) == _percent_g17(x)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_g17_lines_survives_a_log10_off_by_one(monkeypatch, shift):
+    """With every decimal exponent from log10 one too small or one too
+    large, the digit checks send each value to the %.17g fallback."""
+    log10 = np.log10
+    monkeypatch.setattr(dio.np, "log10", lambda v: log10(v) + shift)
+    x = np.random.default_rng(1).uniform(-3.0, 3.0, 3000)
+    x = np.sign(x) * 10.0 ** (100 * x)
+    assert _g17_text(x) == _percent_g17(x)
+
+
+def test_g17_lines_matches_percent_g17_on_random_bit_patterns():
+    x = np.random.default_rng(20240).integers(
+        0, 2 ** 64, size=10 ** 6, dtype=np.uint64).view(np.float64)
+    assert _g17_text(x) == _percent_g17(x)
+
+
+@pytest.mark.parametrize("drop_tol", [0.0, 1e-12])
+@pytest.mark.parametrize("n", [65, 129, 300])
+def test_save_matrix_coo_matches_reference_bytes(tmp_path, n, drop_tol):
+    """An affinity W, byte for byte as the per-row template writer wrote
+    it; n = 65 and 129 end in a partial row block, and at n = 65 some
+    entries lie in %g's fixed-notation range."""
+    W, _ = build_affinity(sample_sphere(n, 2, n), bandwidth(n, 2))
+    save_matrix_coo(W, tmp_path / "new.csv", drop_tol=drop_tol)
+    _reference_coo(W, tmp_path / "old.csv", drop_tol=drop_tol)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+
+
+def test_save_matrix_coo_special_values(tmp_path):
+    """Zeros, the smallest subnormal, nan and +-inf, on and off the
+    diagonal, are written as %.17g writes them, with no RuntimeWarning."""
+    M = np.array([[0.0, -0.0, 5e-324, np.nan],
+                  [np.inf, -0.0, -np.inf, 1.0],
+                  [-5e-324, np.nan, np.nan, 0.0],
+                  [-np.inf, 0.0, 1e-300, np.inf]])
+    for A in (M.T, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_matrix_coo(A, tmp_path / "new.csv")
+        _reference_coo(A, tmp_path / "old.csv")
+        lines = (tmp_path / "new.csv").read_text().splitlines()
+        assert lines == (tmp_path / "old.csv").read_text().splitlines()
+        assert {"0,0,0", "1,1,-0", "2,2,nan", "3,3,inf"} <= set(lines)
+    assert lines[2:6] == ["0,0,0", "0,2,4.9406564584124654e-324", "1,0,inf",
+                          "1,1,-0"]
+
+
+def test_save_matrix_coo_streams_row_blocks(peak_bytes):
+    """The dump holds one block of lines at a time, never the whole text
+    (about 34 bytes a line, over 4 * 8 n^2 here)."""
+    n = 1500
+    W, _ = build_affinity(sample_sphere(n, 2, 1), bandwidth(n, 2))
+    peak = peak_bytes(lambda: save_matrix_coo(W, os.devnull, drop_tol=1e-12))
+    assert peak <= 0.25 * 8 * n * n
 
 
 def test_save_bounds_table(tmp_path):
