@@ -6,10 +6,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# rows (and tile side) of the blocked dense passes over W.  At n = 4000,
-# 256-row blocks raised the process's peak RSS by 6 MiB, as malloc kept
-# their 8 MB temporaries on the heap; 64-row blocks kept it flat.
+# tile side of the dense eigensolver's symmetrization of S
 _BLOCK = 64
+# rows of every row-block pass over W.  A 16-row block (512 KB at n = 4000)
+# stays in L2 through all steps of the kernel pass, and its temporaries stay
+# small (256-row blocks raised the peak RSS by 6 MiB, as malloc kept their
+# 8 MB temporaries on the heap); the division pass took 13 ms in 16-row
+# blocks against 16 ms in 64-row ones.  Tile side of the asymmetry check:
+# 128 was the fastest of 64, 128, 256 and 512 at n = 4000.  With 64 for
+# both the sweeps and the tiles, a run_pipeline call at n = 4000 took 4-9%
+# longer (one BLAS thread).
+_ROWS = 16
+_TILE = 128
 
 
 @dataclass
@@ -51,22 +59,35 @@ class LaplacianSystem:
         return np.divide(L, self.h * self.h, out=L)
 
 
-def _blocks(n):
-    """Slices of _BLOCK consecutive indices covering range(n)."""
-    return [slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+def _blocks(n, size):
+    """Slices of size consecutive indices covering range(n)."""
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _tile_pairs(n):
-    """(I, J) pairs of _blocks(n) with I <= J: the tiles that cover the upper
-    triangle of an n x n array."""
-    tiles = _blocks(n)
+def _tile_pairs(n, size=_BLOCK):
+    """(I, J) pairs of _blocks(n, size) with I <= J: the tiles that cover
+    the upper triangle of an n x n array."""
+    tiles = _blocks(n, size)
     return [(I, J) for k, I in enumerate(tiles) for J in tiles[k:]]
 
 
 def _asymmetry(W):
     """max |W - W^T|, taken over tile pairs without an n x n temporary."""
     return max(np.max(np.abs(W[I, J] - W[J, I].T))
-               for I, J in _tile_pairs(W.shape[0]))
+               for I, J in _tile_pairs(W.shape[0], _TILE))
+
+
+def _row_stats(W):
+    """W.sum(axis=1), W.max() and W.min() of a finite W, bit for bit, from
+    one pass over row blocks."""
+    deg = np.empty(W.shape[0])
+    hi, lo = -np.inf, np.inf
+    for b in _blocks(W.shape[0], _ROWS):
+        rows = W[b]
+        deg[b] = rows.sum(axis=1)
+        hi = max(hi, rows.max())
+        lo = min(lo, rows.min())
+    return deg, hi, lo
 
 
 def bandwidth(n, d):
@@ -93,22 +114,25 @@ def build_affinity(cloud, h):
 
     Returns (W, q) with q_i = sum_j k_h(x_i, x_j) (self term included) and
     W_ij = k_h(x_i, x_j) / (q_i q_j), built in place over row blocks (peak:
-    W and one block of rows).
+    W and one block of rows).  The kernel and q take one pass over W, the
+    division by q_i q_j a second.
     """
     x = cloud.points
     if x.shape[0] < 2:
         raise ValueError("need at least two points")
     sq = np.sum(x * x, axis=1)
     W = x @ x.T
-    # (-2 g) + s is s - 2 g bit for bit: scaling by -2 is exact
-    W *= -2.0
-    for b in _blocks(W.shape[0]):
-        W[b] += sq[b, None] + sq[None, :]
-    np.maximum(W, 0.0, out=W)
-    W /= -4.0 * h * h
-    np.exp(W, out=W)
-    q = W.sum(axis=1)
-    for b in _blocks(W.shape[0]):
+    q = np.empty(W.shape[0])
+    for b in _blocks(W.shape[0], _ROWS):
+        K = W[b]
+        # (-2 g) + s is s - 2 g bit for bit: scaling by -2 is exact
+        K *= -2.0
+        K += sq[b, None] + sq[None, :]
+        np.maximum(K, 0.0, out=K)
+        K /= -4.0 * h * h
+        np.exp(K, out=K)
+        q[b] = K.sum(axis=1)
+    for b in _blocks(W.shape[0], _ROWS):
         W[b] /= np.outer(q[b], q)
     return W, q
 
@@ -125,10 +149,10 @@ def laplacian(W, h, ball_counts=None, d=None):
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
-    deg = W.sum(axis=1)
+    deg, hi, lo = _row_stats(W)
     if not np.isfinite(deg).all():
         raise ValueError("W must be finite")
-    if _asymmetry(W) > 1e-12 * max(1.0, W.max(), -W.min()):
+    if _asymmetry(W) > 1e-12 * max(1.0, hi, -lo):
         raise ValueError("W must be symmetric")
     if np.any(np.diag(W) <= 0):
         raise ValueError("W needs a positive diagonal")

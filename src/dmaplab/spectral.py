@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
 from .geometry import sphere_area
@@ -82,6 +83,9 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
 
     Dense solve up to n = 2000; above, Lanczos finds the largest m+1
     eigenvalues lambda of A from products with W alone (mu = (1-lambda)/h^2).
+    Those products read one triangle of W (BLAS dsymv), so an asymmetry
+    within laplacian's tolerance is seen by the residual check alone, which
+    uses the full W.
     Eigenvectors are mapped back by u -> D^-1/2 u, l2-normalized, sign-fixed
     (first significant entry positive), checked against the residual
     contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
@@ -105,8 +109,12 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
         # work in it without a copy
         mu, U = sla.eigh(S.T, subset_by_index=[0, m], overwrite_a=True)
     else:
+        # dsymv takes a Fortran-ordered array: W^T is one for a C-ordered
+        # W; any other layout is copied once, not on every product
+        W = system.W
+        F = W.T if W.flags.c_contiguous else np.asfortranarray(W)
         A = LinearOperator((n, n), dtype=float,
-                           matvec=lambda v: dm * (system.W @ (dm * v)))
+                           matvec=lambda v: dm * dsymv(1.0, F, dm * v))
         try:
             # a fixed start vector makes repeated solves bit-identical
             lam, U = eigsh(A, k=m + 1, which="LA", tol=1e-10,

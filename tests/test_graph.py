@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmaplab.geometry import PointCloud, sample_sphere
+import dmaplab.graph as gr
 from dmaplab.graph import (KernelConfig, LaplacianSystem, ball_counts,
                            bandwidth, build_affinity, gaussian_kernel,
                            laplacian, system_from_cloud)
@@ -133,13 +134,18 @@ def test_system_deterministic():
     assert np.array_equal(a.ball_counts, b.ball_counts)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129, 300, 2001])
+# every n but 64 ends in a partial block of the 16-row passes over W, and
+# every n above 128 in a partial 128-wide asymmetry tile
+PARTIAL_N = [15, 17, 33, 63, 64, 65, 129, 300, 2001]
+
+
+@pytest.mark.parametrize("n", PARTIAL_N)
 def test_in_place_build_matches_old_expressions(n):
     """W, q, the degrees and the derived L equal, bit for bit, the
     temporaries-based expressions the graph layer used before it built W in
-    place, row block by row block; n = 63, 65, 129 and 2001 end in a partial
-    block.  Those expressions are the reference, so this cannot fail on the
-    code that used them; it pins that the rewrite kept every bit."""
+    place, row block by row block; every n but 64 ends in a partial block.
+    Those expressions are the reference, so this cannot fail on the code
+    that used them; it pins that the rewrite kept every bit."""
     cloud = sample_sphere(n, 2, 7)
     h = bandwidth(n, 2)
     x = cloud.points
@@ -157,6 +163,32 @@ def test_in_place_build_matches_old_expressions(n):
     assert np.array_equal(system.W, W_old)
     assert np.array_equal(system.degree, deg_old)
     assert np.array_equal(system.L, L_old)
+
+
+@pytest.mark.parametrize("n", PARTIAL_N)
+def test_row_stats_match_whole_array_reductions(n):
+    W, _ = build_affinity(sample_sphere(n, 2, 7), bandwidth(n, 2))
+    deg, hi, lo = gr._row_stats(W)
+    assert np.array_equal(deg, W.sum(axis=1))
+    assert hi == W.max() and lo == W.min()
+    assert np.array_equal(laplacian(W, 0.8).degree, W.sum(axis=1))
+
+
+def test_laplacian_checks_finiteness_first():
+    # each W below would fail the symmetry, diagonal and degree checks too
+    for value in (np.nan, np.inf, -np.inf):
+        W, _ = build_affinity(sample_sphere(33, 2, 3), 0.8)
+        W[20, 3] = value
+        W[4, 4] = 0.0
+        W[9] = -1.0
+        with pytest.raises(ValueError, match="W must be finite"):
+            laplacian(W, 0.8)
+
+
+def test_laplacian_checks_allocate_no_square_array(peak_bytes):
+    n = 1500
+    W, _ = build_affinity(sample_sphere(n, 2, 2), bandwidth(n, 2))
+    assert peak_bytes(lambda: laplacian(W, 0.8)) < 0.05 * 8 * n * n
 
 
 def test_system_stores_w_as_its_only_square_array():
@@ -180,13 +212,20 @@ def test_system_from_cloud_holds_one_square_array_and_a_block(peak_bytes):
     assert peak_bytes(lambda: system_from_cloud(cloud)) < 1.25 * 8 * n * n
 
 
-@pytest.mark.parametrize("i, j", [(129, 128), (5, 100)],
-                         ids=["last-partial-tile", "off-diagonal-tile"])
-def test_laplacian_rejects_one_asymmetric_pair(i, j):
-    # n = 130 tiles as 64 + 64 + 2: (129, 128) sits in the last, partial
-    # diagonal tile, (5, 100) in the off-diagonal tile of rows 0-63 and
-    # columns 64-127
-    W, _ = build_affinity(sample_sphere(130, 2, 3), 0.8)
+@pytest.mark.parametrize("n, i, j", [(130, 129, 128), (130, 5, 100),
+                                     (300, 299, 290), (300, 5, 200),
+                                     (300, 290, 5)],
+                         ids=["last-partial-tile", "diagonal-tile",
+                              "last-partial-tile-300", "off-diagonal-tile",
+                              "off-diagonal-partial-tile"])
+def test_laplacian_rejects_one_asymmetric_pair(n, i, j):
+    # 128-wide tiles: n = 130 tiles as 128 + 2, n = 300 as 128 + 128 + 44.
+    # (129, 128) and (299, 290) sit in the last, partial diagonal tile,
+    # (5, 100) in the first diagonal tile, (5, 200) in the off-diagonal tile
+    # of rows 0-127 and columns 128-255, (290, 5) in the partial one of rows
+    # 256-299 and columns 0-127
+    assert gr._TILE == 128
+    W, _ = build_affinity(sample_sphere(n, 2, 3), 0.8)
     laplacian(W, 0.8)
     W[i, j] += 1e-9
     with pytest.raises(ValueError, match="W must be symmetric"):

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.spectral as sp
 from dmaplab.geometry import sample_sphere, sphere_area
-from dmaplab.graph import system_from_cloud
+from dmaplab.graph import laplacian, system_from_cloud
 from dmaplab.spectral import (cluster_eigenvalues, eigen_errors,
                               eigensolve_smallest, l2_invdensity_norm,
                               sign_align, subspace_align)
@@ -113,6 +113,70 @@ def test_eigensolve_iterative_allocates_no_square_array(force_iterative,
     n = 1500
     system = _sphere_system(n, 2)
     assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 8 * n * n
+
+
+def test_eigensolve_iterative_f_ordered_allocates_no_square_array(
+        force_iterative, peak_bytes):
+    n = 1500
+    system = _sphere_system(n, 2)
+    system.W = np.asfortranarray(system.W)
+    assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 8 * n * n
+
+
+def _strided(W):
+    """W as the [:n, :n] view of a larger symmetric array."""
+    n = W.shape[0]
+    big = np.ones((n + 3, n + 3))
+    big[:n, :n] = W
+    return big[:n, :n]
+
+
+def _record_dsymv(monkeypatch):
+    """Patch the Lanczos product to record its array operand; returns the
+    list of operands."""
+    operands = []
+
+    def dsymv(alpha, a, x):
+        operands.append(a)
+        return sla.blas.dsymv(alpha, a, x)
+
+    monkeypatch.setattr(sp, "dsymv", dsymv)
+    return operands
+
+
+@pytest.mark.parametrize("layout", [np.asfortranarray, _strided],
+                         ids=["F-ordered", "strided"])
+def test_eigensolve_iterative_any_layout(force_iterative, monkeypatch,
+                                         layout):
+    """Every layout of W solves to the same mu, and the products go through
+    one Fortran-ordered array, copied once at most."""
+    system = _sphere_system(500, 4)
+    ref = eigensolve_smallest(system, 8)
+    other = laplacian(layout(system.W), system.h,
+                      ball_counts=system.ball_counts, d=system.d)
+    operands = _record_dsymv(monkeypatch)
+    spec = eigensolve_smallest(other, 8)
+    assert np.max(np.abs(spec.mu - ref.mu)) <= 1e-12
+    assert all(a is operands[0] for a in operands)
+    assert operands[0].flags.f_contiguous
+
+
+def test_eigensolve_iterative_reads_one_triangle(force_iterative,
+                                                 monkeypatch):
+    """An asymmetry within laplacian's tolerance, in the triangle the Lanczos
+    products do not read, still meets the residual contract, which is
+    checked against the full W."""
+    system = _sphere_system(500, 5)
+    W = system.W.copy()
+    W[3, 400] += 1e-13 * W.max()
+    assert W[3, 400] != W[400, 3]
+    bent = laplacian(W, system.h)
+    operands = _record_dsymv(monkeypatch)
+    spec = eigensolve_smallest(bent, 8)
+    r = np.linalg.norm(sp._residuals(bent, spec.vec_raw, spec.mu), axis=0)
+    assert np.all(r <= 1e-8 * np.maximum(1.0, spec.mu))
+    # the products take entry (3, 400) from W[400, 3], not the moved W[3, 400]
+    assert sla.blas.dsymv(1.0, operands[0], np.eye(500)[400])[3] == W[400, 3]
 
 
 def test_residuals_from_w_match_derived_l(force_iterative):
