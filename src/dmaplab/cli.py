@@ -10,7 +10,7 @@ import argparse
 import inspect
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -137,8 +137,9 @@ def cmd_tangent(args):
         k0 = min(batch.errors)
         print("failed fits: %d, first at index %d: %s"
               % (len(batch.errors), k0, batch.errors[k0]))
-    print("angle to analytic tangent: median %.6f  max %.6f"
-          % (np.median(vals), vals.max()))
+    if vals.size:
+        print("angle to analytic tangent: median %.6f  max %.6f"
+              % (np.median(vals), vals.max()))
     print("wrote %s" % _path(out, "tangents.csv"))
     return 0 if not batch.errors else 1
 
@@ -298,8 +299,8 @@ def cmd_verify_s2(args):
     report = X.verify_s2(**{k: _setting(args, cfg, k)
                             for k in ("t0", "m", "eps")})
     dio.save_table(_path(out, "verify.csv"),
-                   ("check", "value", "target", "passed"),
-                   [(c.name, c.value, c.target.replace(",", ";"),
+                   [f.name for f in fields(X.CheckResult)],
+                   [(c.check, c.value, c.target.replace(",", ";"),
                      "skip" if c.passed is None else int(c.passed))
                     for c in report.checks])
     print(X.format_verify(report))

@@ -27,10 +27,7 @@ class EmbeddingParams:
         if self.m < self.d:
             raise ValueError("embedding dimension m must be >= d")
         if self.eps is not None:
-            cap = eps_cap(self.d)
-            if not 0 < self.eps <= cap + 1e-12:
-                raise ValueError("eps must lie in (0, %.6f] for d=%d"
-                                 % (cap, self.d))
+            _check_eps(self.eps, self.d)
         if self.eps_prime is not None and self.eps_prime <= 0:
             raise ValueError("eps_prime must be positive")
 
@@ -55,9 +52,16 @@ class EmbeddedCloud:
         return self.params.d
 
 
+def _check_eps(eps, d):
+    """Refuse an isometry slack outside (0, eps_cap(d)]."""
+    cap = eps_cap(d)
+    if not 0 < eps <= cap + 1e-12:
+        raise ValueError("eps must lie in (0, %.6f] for d=%d" % (cap, d))
+
+
 def select_diffusion_time(t0, iota):
     """t = min(t0, 4, iota^2/4)."""
-    if t0 <= 0 or iota <= 0:
+    if not (t0 > 0 and iota > 0):
         raise ValueError("t0 and iota must be positive")
     return float(min(t0, 4.0, iota * iota / 4.0))
 

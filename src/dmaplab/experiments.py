@@ -9,8 +9,8 @@ from scipy.linalg import block_diag
 
 from .bounds import (BoundConstants, heat_lower_diag, rate_exponents,
                      star_check)
-from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
-                        embedding_error, select_diffusion_time,
+from .embedding import (EmbeddedCloud, EmbeddingParams, _check_eps,
+                        embed_points, embedding_error, select_diffusion_time,
                         select_eps_prime)
 from .geometry import (_L8, _sphere_chart, local_reach_numeric,
                        s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
@@ -193,7 +193,8 @@ def _oracle_tangents(cfg, n, seed, tcfg):
 
 def run_pipeline(cfg, n, seed):
     """One full pass: sample -> graph Laplacian -> eigenpairs -> spectral
-    embedding -> tangent fits, with sphere ground truth when available.
+    embedding, then, where the S^2 oracle scores the run, its errors and
+    tangent fits on a subsample; an unscored run fits no tangents.
 
     Failures are reported through the record's status field as
     'stage: message'; later fields keep their NaN defaults.
@@ -238,19 +239,17 @@ def run_pipeline(cfg, n, seed):
             R = block_diag(*(subspace_align(est.points[:, g], target[:, g])[0]
                              for g in clusters))
 
-        stage = "tangent"
-        size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
-        rng = np.random.default_rng((seed, n, 17))
-        pick = np.sort(rng.choice(n, size=size, replace=False))
-        sub = EmbeddedCloud(est.points[pick], params)
-        tcfg = cfg.tangent_config()
-        h_tilde = tangent_bandwidth(size, cfg.d, tcfg)
-        batch = estimate_tangents(sub, range(size), tcfg, h_tilde)
-        if batch.errors:
-            k0 = min(batch.errors)
-            raise ValueError("%d of %d fits failed; first: %s"
-                             % (len(batch.errors), size, batch.errors[k0]))
-        if oracle:
+            stage = "tangent"
+            size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
+            rng = np.random.default_rng((seed, n, 17))
+            pick = np.sort(rng.choice(n, size=size, replace=False))
+            batch = estimate_tangents(EmbeddedCloud(est.points[pick], params),
+                                      range(size), cfg.tangent_config())
+            if batch.errors:
+                k0 = min(batch.errors)
+                raise ValueError("%d of %d fits failed; first: %s"
+                                 % (len(batch.errors), size, batch.errors[k0]))
+
             stage = "tangent-errors"
             truth = R @ _oracle_tangent(cloud.points[pick], t, cfg.m)
             angles = [subspace_angle(batch.fits[j].basis, truth[j])
@@ -271,10 +270,14 @@ class StudyResult:
     records: list              # every underlying RunRecord
 
 
-_STUDY_METRICS = (("eigenvalue_error", "eigenvalue_rate"),
-                  ("eigenvector_sup_error", "eigenvector_rate"),
-                  ("embedding_error", "embedding_rate"),
-                  ("tangent_angle", "tangent_rate"))
+# each scored study column, the RunRecord value whose median over the good
+# seeds fills it, and the theoretical exponent printed next to its slope
+_STUDY_METRICS = (
+    ("eigenvalue_error", lambda r: r.eigenvalue_errors[1], "eigenvalue_rate"),
+    ("eigenvector_sup_error", lambda r: r.eigenvector_sup_errors[1],
+     "eigenvector_rate"),
+    ("embedding_error", lambda r: r.embedding_error, "embedding_rate"),
+    ("tangent_angle", lambda r: r.tangent_angle_max, "tangent_rate"))
 
 
 def convergence_study(cfg):
@@ -293,23 +296,15 @@ def convergence_study(cfg):
         if not good:
             raise RuntimeError("all seeds failed at n=%d: %s"
                                % (n, per_seed[0].status))
-        rows.append({
-            "n": n,
-            "runs": len(good),
-            "eigenvalue_error": float(np.median(
-                [r.eigenvalue_errors[1] for r in good])),
-            "eigenvector_sup_error": float(np.median(
-                [r.eigenvector_sup_errors[1] for r in good])),
-            "embedding_error": float(np.median(
-                [r.embedding_error for r in good])),
-            "tangent_angle": float(np.median(
-                [r.tangent_angle_max for r in good])),
-            "first_cluster_mean": float(np.median(
-                [r.first_cluster_mean for r in good])),
-        })
+        row = {"n": n, "runs": len(good)}
+        for key, value, _ in _STUDY_METRICS:
+            row[key] = float(np.median([value(r) for r in good]))
+        row["first_cluster_mean"] = float(np.median(
+            [r.first_cluster_mean for r in good]))
+        rows.append(row)
     x = np.log([np.log(r["n"]) / r["n"] for r in rows])
     slopes = {key: float(np.polyfit(x, np.log([r[key] for r in rows]), 1)[0])
-              for key, _ in _STUDY_METRICS}
+              for key, _, _ in _STUDY_METRICS}
     return StudyResult(rows=rows, slopes=slopes,
                        exponents=rate_exponents(cfg.d, cfg.k),
                        records=records)
@@ -319,12 +314,11 @@ def format_convergence(result):
     lines = ["n      runs  eig_err     vec_sup     embed_err   tan_angle"
              "   first_cluster"]
     for r in result.rows:
-        lines.append("%-6d %-5d %-11.4e %-11.4e %-11.4e %-11.4e %-.6f"
-                     % (r["n"], r["runs"], r["eigenvalue_error"],
-                        r["eigenvector_sup_error"], r["embedding_error"],
-                        r["tangent_angle"], r["first_cluster_mean"]))
+        cells = "".join("%-11.4e " % r[key] for key, _, _ in _STUDY_METRICS)
+        lines.append("%-6d %-5d %s%-.6f" % (r["n"], r["runs"], cells,
+                                            r["first_cluster_mean"]))
     lines.append("slopes of log(err) vs log(log n / n):")
-    for key, rate in _STUDY_METRICS:
+    for key, _, rate in _STUDY_METRICS:
         lines.append("  %-22s fitted %+.4f   theoretical %+.6f"
                      % (key, result.slopes[key],
                         getattr(result.exponents, rate)))
@@ -333,7 +327,7 @@ def format_convergence(result):
 
 @dataclass
 class CheckResult:
-    name: str
+    check: str
     value: float
     target: str
     passed: bool               # None marks a skipped check
@@ -359,10 +353,15 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
     (d) curvature-sweep radius of the image surface, (e) the radius
     inequality protecting the first-order chart, (f) the truncated kernel
     against the flat on-diagonal value.  (d) and (e) depend on a
-    sweep constant pinned at t0 = 0.25 and are skipped elsewhere.
+    sweep constant pinned at t0 = 0.25 and are skipped elsewhere.  A t0
+    that is not positive and finite, or an eps outside (0, eps_cap(2)], is
+    refused before any check runs.
     """
     if m not in _WHOLE_DEGREES:
         raise ValueError("verification supports m = 3 (degree 1) or 8")
+    if not 0 < t0 < np.inf:
+        raise ValueError("t0 must be positive and finite, got %r" % t0)
+    _check_eps(eps, 2)
     l_embed = _WHOLE_DEGREES[m]
     checks = []
 
@@ -416,7 +415,7 @@ def format_verify(report):
         tag = "skip" if c.passed is None else ("pass" if c.passed
                                                else "FAIL")
         lines.append("  [%s] %-17s value %-14.9g target %s"
-                     % (tag, c.name, c.value, c.target))
+                     % (tag, c.check, c.value, c.target))
     lines.append("overall: %s" % ("pass" if report.ok else "FAIL"))
     return "\n".join(lines)
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-# tile side of the dense eigensolver's symmetrization of S
-_BLOCK = 64
 # rows of every row-block pass over W.  A 16-row block (512 KB at n = 4000)
 # stays in L2 through all steps of the kernel pass, and its temporaries stay
 # small (256-row blocks raised the peak RSS by 6 MiB, as malloc kept their
@@ -64,7 +62,7 @@ def _blocks(n, size):
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _tile_pairs(n, size=_BLOCK):
+def _tile_pairs(n, size):
     """(I, J) pairs of _blocks(n, size) with I <= J: the tiles that cover
     the upper triangle of an n x n array."""
     tiles = _blocks(n, size)

@@ -13,6 +13,7 @@ from .geometry import sphere_area
 from .graph import _tile_pairs
 
 _DENSE_LIMIT = 2000
+_BLOCK = 64                 # tile side of the dense solver's symmetrization
 _EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
 
 
@@ -71,7 +72,7 @@ def _residuals(system, V, mu):
 
 def _symmetrize(S):
     """S <- (S + S^T)/2 in place, one tile pair at a time."""
-    for I, J in _tile_pairs(S.shape[0]):
+    for I, J in _tile_pairs(S.shape[0], _BLOCK):
         t = 0.5 * (S[I, J] + S[J, I].T)
         S[I, J] = t
         S[J, I] = t.T

@@ -238,6 +238,17 @@ def test_tangent_command(tmp_path, capsys):
     assert (tmp_path / "tangents.csv").exists()
 
 
+def test_tangent_command_without_a_fit_exits_1(tmp_path, capsys):
+    # at n = 3 every point has 2 neighbours, one short of a plane fit
+    assert main(["tangent", "--n", "3", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "tangent fits at 0 of 3 points" in out
+    assert "failed fits: 3, first at index 0" in out
+    lines = (tmp_path / "tangents.csv").read_text().splitlines()
+    assert lines[1:] == ["base_index,angle_to_truth,neighbor_count,"
+                         "iterations,basis"]
+
+
 def test_tangent_command_with_three_coordinates(tmp_path, capsys):
     cfg = tmp_path / "m3.cfg"
     cfg.write_text("m = 3\n")
@@ -282,6 +293,16 @@ def test_verify_s2_reads_config(tmp_path):
         assert main(["verify-s2", "--out", str(out)] + extra) in (0, 1)
         tables[label] = (out / "verify.csv").read_text()
     assert tables["config"] == tables["flag"] != tables["default"]
+
+
+@pytest.mark.parametrize("flag", [["--eps", "-1"], ["--t0", "nan"],
+                                  ["--t0", "inf"], ["--t0", "0"]])
+def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
+    assert main(["verify-s2", "--out", str(tmp_path)] + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "verify.csv").exists()
 
 
 def test_config_grid_reaches_study(tmp_path, capsys):

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", [["bounds_tour.py"],
+                                    ["s2_verification.py"],
                                     ["sphere_pipeline.py", "300", "1"],
                                     ["tangent_accuracy.py"]],
                          ids=lambda script: script[0])

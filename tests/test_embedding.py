@@ -22,6 +22,8 @@ def test_select_diffusion_time():
     assert select_diffusion_time(10.0, 100.0) == 4.0
     with pytest.raises(ValueError):
         select_diffusion_time(0.0, 1.0)
+    with pytest.raises(ValueError, match="t0 and iota must be positive"):
+        select_diffusion_time(np.nan, 1.0)
 
 
 def test_select_eps_prime_flat_values():

@@ -8,7 +8,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.experiments as X
 import dmaplab.spectral as sp
-from dmaplab.embedding import embed_points, embedding_error
+from dmaplab.embedding import (EmbeddingParams, embed_points,
+                               embedding_error)
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
                                  _embedding_params, _oracle_tangent,
                                  _oracle_tangents, convergence_study,
@@ -19,6 +20,7 @@ from dmaplab.geometry import (s2_oracle_embedding, s2_oracle_tangent,
 from dmaplab.graph import system_from_cloud
 from dmaplab.io import RUN_FIELDS, record_row
 from dmaplab.spectral import eigen_errors, eigensolve_smallest
+from dmaplab.tangent import estimate_tangents
 
 
 def test_config_defaults_valid():
@@ -173,6 +175,42 @@ def test_run_pipeline_torus_skips_oracle():
     assert np.isnan(rec.tangent_angle_median)
 
 
+def _count_tangent_fits(monkeypatch):
+    """A list that gains one entry per estimate_tangents call made by
+    run_pipeline."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_tangents(*args, **kwargs)
+    monkeypatch.setattr(X, "estimate_tangents", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kw", [dict(d=3), dict(manifold="torus"),
+                                dict(m=5)], ids=["d3", "torus", "m5"])
+def test_unscored_run_fits_no_tangents(monkeypatch, kw):
+    calls = _count_tangent_fits(monkeypatch)
+    rec = run_pipeline(ExperimentConfig(**kw), 300, 1)
+    assert rec.status == "ok"
+    assert calls == []
+    assert np.isnan(rec.tangent_angle_median)
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_scored_run_fits_tangents_once(monkeypatch, m):
+    calls = _count_tangent_fits(monkeypatch)
+    rec = run_pipeline(ExperimentConfig(m=m), 300, 1)
+    assert rec.status == "ok"
+    assert len(calls) == 1
+    assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
+
+
+def test_nan_t0_fails_at_embed():
+    rec = run_pipeline(ExperimentConfig(t0=np.nan), 200, 1)
+    assert rec.status == "embed: t0 and iota must be positive"
+
+
 def test_torus_config_needs_d_2():
     with pytest.raises(ValueError, match="torus is a surface"):
         ExperimentConfig(manifold="torus", d=3)
@@ -251,6 +289,27 @@ def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
         assert np.allclose(M, ref, rtol=0, atol=1e-14)
 
 
+def test_convergence_study_rows_are_medians_of_records():
+    cfg = ExperimentConfig(n_grid=(150, 200, 250), seeds=(1, 2, 3))
+    result = convergence_study(cfg)
+    assert [r["n"] for r in result.rows] == [150, 200, 250]
+    for row in result.rows:
+        good = [r for r in result.records
+                if r.n == row["n"] and r.status == "ok"]
+        assert row == {
+            "n": row["n"],
+            "runs": len(good),
+            "eigenvalue_error": np.median(
+                [r.eigenvalue_errors[1] for r in good]),
+            "eigenvector_sup_error": np.median(
+                [r.eigenvector_sup_errors[1] for r in good]),
+            "embedding_error": np.median([r.embedding_error for r in good]),
+            "tangent_angle": np.median([r.tangent_angle_max for r in good]),
+            "first_cluster_mean": np.median(
+                [r.first_cluster_mean for r in good]),
+        }
+
+
 def test_convergence_study_needs_three_sizes():
     with pytest.raises(ValueError):
         convergence_study(ExperimentConfig(n_grid=(100, 200)))
@@ -287,7 +346,7 @@ def test_verify_s2_degree_one_truncation_too_coarse():
     # keeping only the l=1 block at t = 1/4 breaks both the isometry and
     # the tail budget; the battery must report this honestly
     rep = verify_s2(t0=0.25, m=3, eps=0.05)
-    names = {c.name: c for c in rep.checks}
+    names = {c.check: c for c in rep.checks}
     assert names["isometry-defect"].passed is False
     assert names["spectral-tail"].passed is False
     assert not rep.ok
@@ -296,6 +355,23 @@ def test_verify_s2_degree_one_truncation_too_coarse():
 def test_verify_s2_rejects_other_m():
     with pytest.raises(ValueError):
         verify_s2(m=5)
+
+
+@pytest.mark.parametrize("t0", [0.0, -1.0, np.nan, np.inf])
+def test_verify_s2_rejects_bad_time(t0):
+    with pytest.raises(ValueError, match="t0 must be positive and finite"):
+        verify_s2(t0=t0)
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, 0.2, np.nan])
+def test_verify_s2_rejects_eps_as_embedding_does(eps):
+    with pytest.raises(ValueError) as embedding:
+        EmbeddingParams(t=0.25, m=8, eps=eps, eps_prime=None, d=2,
+                        kappa=0.0, iota=np.pi)
+    with pytest.raises(ValueError) as verify:
+        verify_s2(eps=eps)
+    assert str(verify.value) == str(embedding.value) \
+        == "eps must lie in (0, 0.166667] for d=2"
 
 
 def _sphere_scores(cloud):
