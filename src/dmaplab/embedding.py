@@ -28,8 +28,8 @@ class EmbeddingParams:
             raise ValueError("embedding dimension m must be >= d")
         if self.eps is not None:
             _check_eps(self.eps, self.d)
-        if self.eps_prime is not None and self.eps_prime <= 0:
-            raise ValueError("eps_prime must be positive")
+        if self.eps_prime is not None and not 0 < self.eps_prime < np.inf:
+            raise ValueError("eps_prime must be positive and finite")
 
 
 @dataclass
@@ -69,9 +69,11 @@ def select_diffusion_time(t0, iota):
 def select_eps_prime(t, d, kappa):
     """Kernel-truncation slack
     eps' = (4 pi t)^(-d/2)/8 * exp(-beta^2 t/4 - 2 sqrt(3 d t) beta / 3)
-    with beta = sqrt(kappa) (d-1)."""
+    with beta = sqrt(kappa) (d-1), for a finite kappa >= 0."""
     if t <= 0:
         raise ValueError("time must be positive")
+    if not 0 <= kappa < np.inf:
+        raise ValueError("kappa must be finite and >= 0, got %r" % kappa)
     beta = np.sqrt(kappa) * (d - 1)
     return float((4 * np.pi * t) ** (-d / 2.0) / 8.0
                  * np.exp(-beta**2 * t / 4.0

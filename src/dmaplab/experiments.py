@@ -63,6 +63,9 @@ class ExperimentConfig:
         if self.manifold == "torus" and self.d != 2:
             raise ValueError("the torus is a surface: need d = 2, got d = %d"
                              % self.d)
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and >= 0")
+        self.tangent_config()
 
     def tangent_config(self, max_iter=None):
         return TangentConfig(

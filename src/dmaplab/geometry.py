@@ -330,9 +330,9 @@ def s2_embedding_norm_sq(t, l_max=2):
     Constant over base points and unit directions; near 1 exactly when the
     map is a near-isometry.
     """
-    return float(4.0 * t * t * sum(
-        _lam(l) * (2 * l + 1) * np.exp(-2.0 * _lam(l) * t)
-        for l in range(1, l_max + 1)))
+    s = sum(_lam(l) * (2 * l + 1) * np.exp(-2.0 * _lam(l) * t)
+            for l in range(1, l_max + 1))
+    return float(4.0 * t * t * s) if s else 0.0   # not inf * 0 at huge t
 
 
 _L8 = np.array([_lam(1)] * 3 + [_lam(2)] * 5)

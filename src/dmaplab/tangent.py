@@ -32,6 +32,9 @@ class TangentConfig:
             raise ValueError("need max_iter >= 1 and tol > 0")
         if not 0 < self.f_min <= self.f_max:
             raise ValueError("need 0 < f_min <= f_max")
+        cap = 1.0 if self.t_cap is None else self.t_cap
+        if not (0 < self.bandwidth_const < np.inf and 0 < cap < np.inf):
+            raise ValueError("need a finite bandwidth_const > 0 and t_cap > 0")
 
 
 @dataclass
@@ -92,8 +95,8 @@ def _fit_plan(d, k):
     expos lists the (degree, exponent) pairs of degrees 2..k-1 (none at
     k = 2) and E holds them as a float array; blocks gives, per degree l,
     its row slice of E and the monomials of the fixed unit directions dirs
-    (the single direction 1 at d = 1, the 720-angle grid at d = 2, 2000
-    seeded normals otherwise).  Arrays are read-only.
+    of _opnorms (the single direction 1 at d = 1, the 720-angle grid at
+    d = 2, 2000 seeded normals otherwise).  Arrays are read-only.
     """
     expos = tuple(monomial_exponents(d, range(2, k)))
     E = _frozen(np.array([e for _, e in expos], dtype=float).reshape(-1, d))
@@ -110,46 +113,6 @@ def _fit_plan(d, k):
 
 def _features(xi, E):
     return np.prod(xi[..., None, :] ** E, axis=-1)
-
-
-def _poly_opnorm(b_rows, E, dirs, M):
-    """sup over unit u of |sum_a b_a u^a| for one homogeneous degree block
-    with exponent rows E, given the monomials M of the unit directions dirs.
-
-    The value is first the max over dirs: exact at d = 1, where the block
-    is homogeneous and +-1 are the only unit directions, and the max over
-    the 720-direction grid at d = 2.  Above d = 2, symmetric power
-    iteration climbs from the best 3 of the 2000 directions until u moves
-    by less than 1e-10 (at most 50 rounds), and the largest value seen is
-    returned.
-    """
-    V = M @ b_rows
-    sq = np.sum(V * V, axis=1)
-    best = float(np.sqrt(np.max(sq)))
-    d = E.shape[1]
-    if d <= 2:
-        return best
-    # gradient of <w, p(u)> in u: d/du_j u^a = a_j u^(a - e_j)
-    Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
-    for u in dirs[np.argsort(sq)[-3:]]:
-        for _ in range(50):
-            w = np.prod(u ** E, axis=1) @ b_rows
-            nw = np.linalg.norm(w)
-            best = max(best, float(nw))
-            if nw == 0:
-                break
-            g = (E.T * np.prod(u ** Ed, axis=2)) @ (b_rows @ (w / nw))
-            ng = np.linalg.norm(g)
-            if ng == 0:
-                break
-            g /= ng
-            moved = np.linalg.norm(g - u)
-            u = g
-            if moved < 1e-10:
-                break
-        best = max(best, float(np.linalg.norm(np.prod(u ** E, axis=1)
-                                              @ b_rows)))
-    return best
 
 
 def _top_d_basis(M, d):
@@ -174,22 +137,49 @@ def _lstsq(Phi, rho, rows):
                                     * (U.transpose(0, 2, 1) @ rho))
 
 
+# shifted power rounds that refine the direction max above d = 2
+_ROUNDS, _SHIFT = 50, 0.5
+
+
+def _opnorms(blk, l, E, dirs, M):
+    """sup over unit u of |p(u)|, p(u) = sum_a b_a u^a, for each member b
+    of a stack blk of degree-l blocks with exponent rows E, given the
+    monomials M of the unit directions dirs.  Each member takes its max
+    over dirs as the Gram form diag(M b b^T M^T): exact at d = 1, the
+    720-direction grid max at d = 2.  Above d = 2 all members then climb
+    together from their best three directions by _ROUNDS shifted power
+    steps u <- J(u)^T p(u) / l + _SHIFT |p(u)|^2 u, normalized, J being the
+    Jacobian of p (SS-HOPM, Kolda & Mayo 2011), and the largest value met
+    is returned.  The shift lets the climb settle, so the value is a
+    stable function of the block."""
+    MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
+    G = blk @ blk.transpose(0, 2, 1)
+    sq = G.reshape(len(G), -1) @ MM.T
+    best = np.max(sq, axis=1)
+    d = E.shape[1]
+    if d > 2:
+        u = dirs[np.argpartition(sq, -3, axis=1)[:, -3:]]
+        # d/du_j u^a = a_j u^(a - e_j), as (member, start, j, monomial)
+        Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
+        for _ in range(_ROUNDS):
+            p = _features(u, E) @ blk
+            val = np.sum(p * p, axis=2, keepdims=True)
+            best = np.maximum(best, np.max(val, axis=(1, 2)))
+            dm = E.T * _features(u[:, :, None, :], Ed)
+            g = dm @ (p @ blk.transpose(0, 2, 1))[..., None]
+            v = g[..., 0] / l + _SHIFT * val * u
+            # v = 0 only where p = 0 (u.v = (1 + _SHIFT)|p|^2): keep u
+            np.divide(v, np.linalg.norm(v, axis=2, keepdims=True), out=u,
+                      where=val > 0)
+    return np.sqrt(np.maximum(best, 0.0))
+
+
 def _cap(b, plan, t_cap):
     """Scale each degree block of the stacked coefficients b whose operator
-    norm exceeds t_cap radially back onto it, in place.  At d <= 2 the norm
-    is the max over the plan's directions, taken as the Gram form
-    diag(M b b^T M^T) of all members at once; above d = 2 it is
-    _poly_opnorm, member by member."""
-    for _, rows, M in plan.blocks:
+    norm (_opnorms) exceeds t_cap radially back onto it, in place."""
+    for l, rows, M in plan.blocks:
         blk = b[:, rows]
-        if plan.dirs.shape[1] <= 2:
-            MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
-            G = blk @ blk.transpose(0, 2, 1)
-            sq = G.reshape(len(G), -1) @ MM.T
-            nrm = np.sqrt(np.maximum(np.max(sq, axis=1), 0.0))
-        else:
-            nrm = np.array([_poly_opnorm(x, plan.E[rows], plan.dirs, M)
-                            for x in blk])
+        nrm = _opnorms(blk, l, plan.E[rows], plan.dirs, M)
         over = nrm > t_cap
         blk[over] *= (t_cap / nrm[over])[:, None, None]
 

@@ -305,6 +305,28 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
     assert not (tmp_path / "verify.csv").exists()
 
 
+@pytest.mark.parametrize("setting", ["kappa = -1", "kappa = nan",
+                                     "tangent_t_cap = -1",
+                                     "tangent_t_cap = nan",
+                                     "tangent_bandwidth_const = -1"])
+def test_pipeline_refuses_bad_config_values(tmp_path, capsys, setting):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--n", "300",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "runs.csv").exists()
+
+
+def test_verify_s2_at_huge_t0_reports_finite_values(tmp_path, capsys):
+    # t0^2 overflows while the sum under it underflows to 0
+    assert main(["verify-s2", "--t0", "1e300", "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "verify.csv").read_text().splitlines()
+    assert rows[2] == "isometry-defect,0,in (0.95; 1.05),0"
+    assert "[FAIL] isometry-defect" in capsys.readouterr().out
+
+
 def test_config_grid_reaches_study(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("n_grid = 150,250,400\nseeds = 1,2\n")

@@ -44,6 +44,12 @@ def test_select_eps_prime_curved():
     assert select_eps_prime(t, d, kappa) < select_eps_prime(t, d, 0.0)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, -1e-300, np.nan, np.inf])
+def test_select_eps_prime_refuses_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+        select_eps_prime(0.25, 2, kappa)
+
+
 def test_embedding_params_validation():
     _params()
     with pytest.raises(ValueError):
@@ -52,8 +58,9 @@ def test_embedding_params_validation():
         _params(m=1)                       # below intrinsic dimension
     with pytest.raises(ValueError):
         _params(eps=0.2)                   # above the 1/6 cap at d=2
-    with pytest.raises(ValueError):
-        _params(eps_prime=-1.0)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _params(eps_prime=bad)
 
 
 def test_embedded_cloud_rejects_nonfinite():

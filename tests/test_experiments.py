@@ -41,6 +41,14 @@ def test_config_validation():
         ExperimentConfig(ntilde_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(manifold="torus", torus_R=1.0, torus_r=1.0)
+    for kappa in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            ExperimentConfig(kappa=kappa)
+    for kw in (dict(tangent_t_cap=-1.0), dict(tangent_t_cap=np.nan),
+               dict(tangent_bandwidth_const=-1.0), dict(k=1),
+               dict(tangent_max_iter=0), dict(tangent_tol=0.0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**kw)
 
 
 def test_load_config_full(tmp_path):
