@@ -65,6 +65,8 @@ class ExperimentConfig:
                              % self.d)
         if not 0 <= self.kappa < np.inf:
             raise ValueError("kappa must be finite and >= 0")
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be positive and finite")
         self.tangent_config()
 
     def tangent_config(self, max_iter=None):

@@ -62,17 +62,12 @@ def _blocks(n, size):
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _tile_pairs(n, size):
-    """(I, J) pairs of _blocks(n, size) with I <= J: the tiles that cover
-    the upper triangle of an n x n array."""
-    tiles = _blocks(n, size)
-    return [(I, J) for k, I in enumerate(tiles) for J in tiles[k:]]
-
-
 def _asymmetry(W):
-    """max |W - W^T|, taken over tile pairs without an n x n temporary."""
+    """max |W - W^T|, taken over the tile pairs that cover the upper
+    triangle, without an n x n temporary."""
+    tiles = _blocks(W.shape[0], _TILE)
     return max(np.max(np.abs(W[I, J] - W[J, I].T))
-               for I, J in _tile_pairs(W.shape[0], _TILE))
+               for k, I in enumerate(tiles) for J in tiles[k:])
 
 
 def _row_stats(W):

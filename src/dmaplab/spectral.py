@@ -10,10 +10,8 @@ from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
 from .geometry import sphere_area
-from .graph import _tile_pairs
 
 _DENSE_LIMIT = 2000
-_BLOCK = 64                 # tile side of the dense solver's symmetrization
 _EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
 
 
@@ -55,6 +53,8 @@ def l2_invdensity_norm(vec, ball_counts, h, d):
 def cluster_eigenvalues(mu, gap_tol):
     """Group ascending eigenvalues into contiguous clusters, splitting where
     the gap to the next value is >= gap_tol * max(1, next value)."""
+    if not 0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be positive and finite")
     mu = np.asarray(mu, dtype=float)
     clusters = []
     for i in range(len(mu)):
@@ -70,45 +70,34 @@ def _residuals(system, V, mu):
     return (V - (system.W @ V) / system.degree[:, None]) / system.h**2 - V * mu
 
 
-def _symmetrize(S):
-    """S <- (S + S^T)/2 in place, one tile pair at a time."""
-    for I, J in _tile_pairs(S.shape[0], _BLOCK):
-        t = 0.5 * (S[I, J] + S[J, I].T)
-        S[I, J] = t
-        S[J, I] = t.T
-
-
 def eigensolve_smallest(system, m, gap_tol=0.25):
-    """Smallest m+1 eigenpairs of -L via the symmetric conjugate form
-    S = (I - A)/h^2 with A = D^-1/2 W D^-1/2.
+    """Smallest m+1 eigenpairs of -L from the largest m+1 eigenvalues lambda
+    of its symmetric conjugate A = D^-1/2 W D^-1/2, mu = (1-lambda)/h^2.
 
-    Dense solve up to n = 2000; above, Lanczos finds the largest m+1
-    eigenvalues lambda of A from products with W alone (mu = (1-lambda)/h^2).
-    Those products read one triangle of W (BLAS dsymv), so an asymmetry
-    within laplacian's tolerance is seen by the residual check alone, which
-    uses the full W.
+    Up to n = 2000 a dense eigh solves A; above, Lanczos solves it from
+    products with W alone (BLAS dsymv).  Both branches read one triangle of
+    W, the lower one for a C-ordered W, so an asymmetry within laplacian's
+    tolerance is seen by the residual check alone, which uses the full W.
     Eigenvectors are mapped back by u -> D^-1/2 u, l2-normalized, sign-fixed
     (first significant entry positive), checked against the residual
     contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
     when the system carries ball counts and an intrinsic dimension.
     """
     n = system.n
+    if m < 0:
+        raise ValueError("m must be >= 0, got %d" % m)
     if m + 1 > n:
         raise ValueError("asked for %d pairs from an n=%d system" % (m + 1, n))
     h = system.h
     dm = 1.0 / np.sqrt(system.degree)
 
     if n <= _DENSE_LIMIT:
-        # (I - A)/h^2 in place, bit for bit; 0 - a keeps a zero entry +0
-        S = dm[:, None] * system.W
-        S *= dm[None, :]
-        np.subtract(0.0, S, out=S)
-        S[np.diag_indices(n)] += 1.0
-        S /= h * h
-        _symmetrize(S)
-        # S equals S.T bit for bit, and S.T is Fortran-ordered: eigh may
-        # work in it without a copy
-        mu, U = sla.eigh(S.T, subset_by_index=[0, m], overwrite_a=True)
+        A = dm[:, None] * system.W
+        A *= dm[None, :]
+        # for a C-ordered W, A.T is Fortran-ordered: eigh works in it
+        # without a copy; its upper triangle is A's lower one
+        lam, U = sla.eigh(A.T, lower=False, subset_by_index=[n - m - 1, n - 1],
+                          overwrite_a=True)
     else:
         # dsymv takes a Fortran-ordered array: W^T is one for a C-ordered
         # W; any other layout is copied once, not on every product
@@ -124,9 +113,9 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
             raise RuntimeError(
                 "Lanczos did not converge: %d of %d pairs found"
                 % (len(err.eigenvalues), m + 1)) from err
-        mu = (1.0 - lam) / (h * h)
-        order = np.argsort(mu)
-        mu, U = mu[order], U[:, order]
+    mu = (1.0 - lam) / (h * h)
+    order = np.argsort(mu)
+    mu, U = mu[order], U[:, order]
 
     if mu[0] < -1e-9:
         raise RuntimeError("negative leading eigenvalue %.3e" % mu[0])

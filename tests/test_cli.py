@@ -308,7 +308,9 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
 @pytest.mark.parametrize("setting", ["kappa = -1", "kappa = nan",
                                      "tangent_t_cap = -1",
                                      "tangent_t_cap = nan",
-                                     "tangent_bandwidth_const = -1"])
+                                     "tangent_bandwidth_const = -1",
+                                     "gap_tol = -1", "gap_tol = nan",
+                                     "gap_tol = inf"])
 def test_pipeline_refuses_bad_config_values(tmp_path, capsys, setting):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(setting + "\n")

@@ -44,6 +44,9 @@ def test_config_validation():
     for kappa in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="kappa must be finite"):
             ExperimentConfig(kappa=kappa)
+    for gap_tol in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            ExperimentConfig(gap_tol=gap_tol)
     for kw in (dict(tangent_t_cap=-1.0), dict(tangent_t_cap=np.nan),
                dict(tangent_bandwidth_const=-1.0), dict(k=1),
                dict(tangent_max_iter=0), dict(tangent_tol=0.0)):

@@ -70,31 +70,29 @@ def test_eigensolve_dense_vs_iterative(monkeypatch):
 
 @pytest.mark.parametrize("n", [300, 2000])
 def test_dense_branch_matches_old_expression(monkeypatch, n):
-    """The in-place S of the dense branch, and eigh's mu and U on it, equal
-    bit for bit those of the temporaries-based expression it replaced; both
-    n end in a partial tile.  That expression is the reference, so this
-    cannot fail on the code that used it."""
+    """The in-place A of the dense branch, and eigh's lambda and U on it,
+    equal bit for bit those of the temporaries-based expression
+    dm[:, None] * W * dm[None, :]."""
     system = _sphere_system(n, 5)
     calls = []
 
-    def eigh(S, **kwargs):
-        calls.append((S.copy(), sla.eigh(S, **kwargs)))
+    def eigh(a, **kwargs):
+        calls.append((a.copy(), sla.eigh(a, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(sp, "sla", type("sla", (), {"eigh": eigh}))
     eigensolve_smallest(system, 8)
     dm = 1.0 / np.sqrt(system.degree)
-    h = system.h
-    S_old = (np.eye(n) - dm[:, None] * system.W * dm[None, :]) / (h * h)
-    S_old = 0.5 * (S_old + S_old.T)
-    mu_old, U_old = sla.eigh(S_old, subset_by_index=[0, 8])
-    (S, (mu, U)), = calls
-    assert S.tobytes() == S_old.tobytes()
-    assert np.array_equal(mu, mu_old) and np.array_equal(U, U_old)
+    A_old = dm[:, None] * system.W * dm[None, :]
+    lam_old, U_old = sla.eigh(A_old.T, lower=False,
+                              subset_by_index=[n - 9, n - 1])
+    (a, (lam, U)), = calls
+    assert a.T.tobytes() == A_old.tobytes()
+    assert np.array_equal(lam, lam_old) and np.array_equal(U, U_old)
 
 
 def test_eigensolve_dense_allocates_one_square_array(peak_bytes):
-    # S and tile temporaries; S, its old temporaries and eigh's copy before
+    # A alone: built in place and handed to eigh without a copy
     n = 1500
     system = _sphere_system(n, 2)
     assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 1.25 * 8 * n * n
@@ -179,6 +177,37 @@ def test_eigensolve_iterative_reads_one_triangle(force_iterative,
     assert sla.blas.dsymv(1.0, operands[0], np.eye(500)[400])[3] == W[400, 3]
 
 
+def test_eigensolve_dense_reads_one_triangle():
+    """The dense eigh reads the triangle the Lanczos products read: with
+    W[3, 400] moved, it takes entry (3, 400) from W[400, 3], so the solve
+    equals bit for bit the one on W with W[400, 3] put back at (3, 400)
+    (degrees kept).  The residual contract, checked against the full W,
+    still holds."""
+    system = _sphere_system(500, 5)
+    W = system.W.copy()
+    W[3, 400] += 1e-13 * W.max()
+    assert W[3, 400] != W[400, 3]
+    bent = laplacian(W, system.h)
+    spec = eigensolve_smallest(bent, 8)
+    r = np.linalg.norm(sp._residuals(bent, spec.vec_raw, spec.mu), axis=0)
+    assert np.all(r <= 1e-8 * np.maximum(1.0, spec.mu))
+    lower = W.copy()
+    lower[3, 400] = W[400, 3]
+    ref = eigensolve_smallest(replace(bent, W=lower), 8)
+    assert np.array_equal(spec.mu, ref.mu)
+    assert np.array_equal(spec.vec_raw, ref.vec_raw)
+
+
+def test_eigensolve_refuses_negative_m(request):
+    """m < 0 meets the solver's own error on both branches, not scipy's."""
+    system = _sphere_system(300, 1)
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        eigensolve_smallest(system, -1)
+    request.getfixturevalue("force_iterative")
+    with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
+        eigensolve_smallest(system, -1)
+
+
 def test_residuals_from_w_match_derived_l(force_iterative):
     system = _sphere_system(600, 3)
     spec = eigensolve_smallest(system, 8)
@@ -222,6 +251,9 @@ def test_cluster_eigenvalues_grouping():
         [[0], [1, 2, 3], [4, 5, 6, 7, 8]]
     assert cluster_eigenvalues(np.array([2.0, 2.0 + 1e-6]),
                                sp._EXACT_REPEAT_TOL) == [[0], [1]]
+    for gap_tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gap_tol must be positive"):
+            cluster_eigenvalues(mu, gap_tol)
 
 
 def test_l2_invdensity_norm_closed_form():
