@@ -3,8 +3,9 @@ kernel sandwich bounds, geodesic-ball volume and diameter bounds, the
 reach threshold machinery, and the convergence-rate exponent table.
 
 Unnamed analytic constants are explicit inputs.  Evaluators refuse to run
-when a required constant is missing instead of guessing; the only built-in
-default is the unit-sphere heat-kernel constant C1 = 0.408912.
+when a required constant is missing instead of guessing, and refuse input
+outside the domain their bound holds on; the only built-in default is the
+unit-sphere heat-kernel constant C1 = 0.408912.
 """
 
 from collections import namedtuple
@@ -77,7 +78,21 @@ def rate_exponents(d, k):
     )
 
 
+def _check_domain(d=None, kappa=None, **times):
+    """Refuse input outside the bounds' domain: d >= 1, a curvature kappa
+    (Ricci >= -kappa (d-1)) finite and >= 0, times positive and finite."""
+    if d is not None and not d >= 1:
+        raise ValueError("d must be >= 1, got %s" % d)
+    if kappa is not None and not 0 <= kappa < np.inf:
+        raise ValueError("kappa must be finite and >= 0, got %s" % kappa)
+    for name, t in times.items():
+        if not 0 < t < np.inf:
+            raise ValueError("%s must be positive and finite, got %s"
+                             % (name, t))
+
+
 def _beta(kappa, d):
+    _check_domain(d, kappa)
     return np.sqrt(kappa) * (d - 1)
 
 
@@ -90,10 +105,10 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
     """
     if d < 1 or m < 0:
         raise ValueError("need d >= 1 and m >= 0")
-    if V <= 0:
+    if not V > 0:
         raise ValueError("volume must be positive")
-    if kappa_neg < 0:
-        raise ValueError("kappa_neg is a magnitude, must be >= 0")
+    if not 0 <= kappa_neg < np.inf:
+        raise ValueError("kappa_neg is a magnitude, must be finite and >= 0")
     om = sphere_area(d - 1)
     if kappa_neg == 0:
         return float((d + 4) * d ** (1.0 - 2.0 / d)
@@ -117,6 +132,7 @@ def eigen_lower_power(k_idx, d, kappa, diam, C1_eigen):
     k-th eigenvalue."""
     if C1_eigen is None:
         raise ValueError("constant C1_eigen is unknown; supply it explicitly")
+    _check_domain(d, kappa)
     if diam <= 0:
         raise ValueError("diameter must be positive")
     return float(C1_eigen ** (1.0 + diam * np.sqrt(kappa))
@@ -126,16 +142,14 @@ def eigen_lower_power(k_idx, d, kappa, diam, C1_eigen):
 def croke_constant(d):
     """Geodesic-ball volume constant C'(d) = 2^d Gamma(d/2)^(d-1) /
     (d^d Gamma((d-1)/2)^d); vol(B_r) >= C'(d) r^d for r <= iota/2."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_domain(d)
     return float(2.0 ** d * _gamma(d / 2.0) ** (d - 1)
                  / (d ** d * _gamma((d - 1) / 2.0) ** d))
 
 
 def heat_upper(t, dist, d, kappa, consts):
     """Heat kernel upper bound C1 t^(-d/2) exp(C2 kappa t - 2 dist^2/(9t))."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _check_domain(d, kappa, t=t)
     C1 = _need(consts, "C1")
     expo = -2.0 * dist * dist / (9.0 * t)
     if kappa > 0:
@@ -150,6 +164,7 @@ def heat_upper_liyau(t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2,
     - dist^2/((4+a2) t)); a1 = 3/2, a2 = 1/2 reproduce the 2 dist^2/(9t)
     exponent shape.  The curvature term needs the dimensional constant c_d.
     """
+    _check_domain(d, kappa, t=t)
     if not 1.0 < alpha1 < 2.0:
         raise ValueError("alpha1 must lie in (1, 2)")
     if not 0.0 < alpha2 < 1.0:
@@ -169,8 +184,7 @@ def heat_upper_liyau(t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2,
 def heat_lower_diag(t, d, kappa):
     """On-diagonal heat kernel lower bound
     (4 pi t)^(-d/2) exp(-beta^2 t/4 - 2 sqrt(3d) beta sqrt(t)/3)."""
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _check_domain(t=t)
     b = _beta(kappa, d)
     return float((4 * np.pi * t) ** (-d / 2.0)
                  * np.exp(-b * b * t / 4.0
@@ -185,8 +199,7 @@ def heat_lower_offdiag(t, dist, d, kappa, sigma):
     At sigma^2 = 3 beta^2/(8d) and dist = 0 this collapses to
     heat_lower_diag.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    _check_domain(t=t)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     b = _beta(kappa, d)
@@ -219,8 +232,7 @@ def s1_min(t0, d, kappa, consts):
     """Geodesic distance threshold: square root of
     (9 t0/2) (C2 kappa t0 + beta^2 t0/4 + 2 sqrt(3 d t0) beta/3
     + log(2 (4 pi)^(d/2) C1))."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    _check_domain(t0=t0)
     val = _bracket(t0, d, kappa, consts)
     if val <= 0:
         raise ValueError("threshold undefined: bracket nonpositive "
@@ -231,8 +243,7 @@ def s1_min(t0, d, kappa, consts):
 def r1_value(t0, d, kappa):
     """r1 = sqrt(t0) exp(-beta^2 t0/8 - sqrt(3 d t0) beta/3); the global
     reach is bounded below by r1/2."""
-    if t0 <= 0:
-        raise ValueError("t0 must be positive")
+    _check_domain(t0=t0)
     b = _beta(kappa, d)
     return float(np.sqrt(t0) * np.exp(-b * b * t0 / 8.0
                                       - np.sqrt(3.0 * d * t0) * b / 3.0))
@@ -244,8 +255,9 @@ StarResult = namedtuple("StarResult", "lhs rhs holds")
 def star_check(tau_l, t0, eps, d, kappa, consts):
     """Reach condition 8 tau_l^2 >= (9 (1+eps)^2 t0 / 2) * bracket, with
     the same bracket as s1_min.  Returns both sides and the verdict."""
-    if t0 <= 0 or tau_l < 0:
-        raise ValueError("need t0 > 0 and tau_l >= 0")
+    _check_domain(t0=t0)
+    if tau_l < 0:
+        raise ValueError("need tau_l >= 0")
     lhs = 8.0 * tau_l * tau_l
     rhs = 4.5 * (1.0 + eps) ** 2 * t0 * _bracket(t0, d, kappa, consts)
     return StarResult(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs >= rhs))
@@ -255,6 +267,7 @@ def diameter_upper(d, tau, f_min, C_d):
     """Diameter bound C_d / (tau^(d-1) f_min)."""
     if C_d is None:
         raise ValueError("constant C_d is unknown; supply it explicitly")
+    _check_domain(d)
     if tau <= 0 or f_min <= 0:
         raise ValueError("reach and density floor must be positive")
     return float(C_d / (tau ** (d - 1) * f_min))
@@ -278,8 +291,7 @@ def eps_cap(d):
     """Largest admissible isometry slack
     min{(4^(1/d) - 1)/3, (1 - 4^(-1/d))/3}; keeps the pushforward metric
     determinant inside (1/4, 4)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_domain(d)
     return float(min((4.0 ** (1.0 / d) - 1.0) / 3.0,
                      (1.0 - 4.0 ** (-1.0 / d)) / 3.0))
 
@@ -289,5 +301,8 @@ def weyl_estimate(lam, d, V):
     the unit-ball volume.  Asymptotic only: no finite-lambda guarantee."""
     if lam < 0:
         raise ValueError("eigenvalue level must be nonnegative")
+    _check_domain(d)
+    if not V > 0:
+        raise ValueError("volume V must be positive, got %s" % V)
     nu = np.pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
     return float(nu * V * lam ** (d / 2.0) / (2.0 * np.pi) ** d)

@@ -144,22 +144,19 @@ def cmd_tangent(args):
     return 0 if not batch.errors else 1
 
 
-# evaluators whose whole-number arguments are not just d
-_WHOLE_ARGS = {"li_yau_upper": ("m", "d"), "star_check": (),
-               "geodesic_euclid_bounds": ()}
+_WHOLE_ARGS = ("m", "d")    # whole numbers wherever they appear
 
 
 def _exposed(fn):
     """fn's command-line entry, read from its signature: its arguments
     without a default in order, int when whole-number and float otherwise,
     and whether a trailing consts takes the constants table."""
-    whole = _WHOLE_ARGS.get(fn.__name__, ("d",))
     args = [p.name for p in inspect.signature(fn).parameters.values()
             if p.default is p.empty]
     takes_consts = args[-1:] == ["consts"]
     if takes_consts:
         args.pop()
-    sig = tuple((a, int if a in whole else float) for a in args)
+    sig = tuple((a, int if a in _WHOLE_ARGS else float) for a in args)
     return fn, sig, takes_consts
 
 
@@ -209,21 +206,13 @@ def _eval_bound(expr, consts):
         raise ValueError("%s: unknown argument(s) %s"
                          % (name, ", ".join(sorted(extra))))
     inputs = {k: _bound_arg(name, k, raw[k], typ) for k, typ in sig}
-    if "d" in inputs and not inputs["d"] >= 1:
-        raise ValueError("%s: dimension d=%s must be >= 1" % (name, raw["d"]))
-    if "kappa" in inputs and not inputs["kappa"] >= 0:
-        raise ValueError("%s: curvature kappa=%s must be >= 0"
-                         % (name, raw["kappa"]))
-    for k in ("t", "t0"):
-        if k in inputs and not np.isfinite(inputs[k]):
-            raise ValueError("%s: time %s=%s must be finite"
-                             % (name, k, raw[k]))
     args = list(inputs.values()) + ([consts] if wants_consts else [])
     try:
         with np.errstate(all="raise", under="ignore"):
             res = fn(*args)
-    except ArithmeticError as err:
-        raise ArithmeticError("%s: %s" % (expr, err)) from None
+    except (ValueError, ArithmeticError) as err:
+        # the evaluator refuses input outside its domain itself
+        raise ValueError("%s: %s" % (expr, err)) from None
     if name not in _RESULT_FIELDS:
         return [(name, inputs, res)]
     return [("%s.%s" % (name, f), inputs, float(getattr(res, f)))

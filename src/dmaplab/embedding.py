@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import eps_cap
+from .bounds import _check_domain, eps_cap, heat_lower_diag
 from .geometry import embedding_scale
 from .spectral import _procrustes
 
@@ -22,8 +22,7 @@ class EmbeddingParams:
     iota: float
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("diffusion time must be positive")
+        _check_domain(t=self.t)
         if self.m < self.d:
             raise ValueError("embedding dimension m must be >= d")
         if self.eps is not None:
@@ -67,17 +66,11 @@ def select_diffusion_time(t0, iota):
 
 
 def select_eps_prime(t, d, kappa):
-    """Kernel-truncation slack
-    eps' = (4 pi t)^(-d/2)/8 * exp(-beta^2 t/4 - 2 sqrt(3 d t) beta / 3)
-    with beta = sqrt(kappa) (d-1), for a finite kappa >= 0."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if not 0 <= kappa < np.inf:
-        raise ValueError("kappa must be finite and >= 0, got %r" % kappa)
-    beta = np.sqrt(kappa) * (d - 1)
-    return float((4 * np.pi * t) ** (-d / 2.0) / 8.0
-                 * np.exp(-beta**2 * t / 4.0
-                          - 2.0 * np.sqrt(3.0 * d * t) * beta / 3.0))
+    """Kernel-truncation slack eps' = heat_lower_diag(t, d, kappa) / 8, an
+    eighth of the on-diagonal heat kernel lower bound
+    (4 pi t)^(-d/2) exp(-beta^2 t/4 - 2 sqrt(3d) beta sqrt(t)/3),
+    beta = sqrt(kappa) (d-1)."""
+    return heat_lower_diag(t, d, kappa) / 8.0
 
 
 def embed_points(spec, params, provenance=None):

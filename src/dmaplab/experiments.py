@@ -7,8 +7,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .bounds import (BoundConstants, heat_lower_diag, rate_exponents,
-                     star_check)
+from .bounds import (BoundConstants, _check_domain, heat_lower_diag,
+                     rate_exponents, star_check)
 from .embedding import (EmbeddedCloud, EmbeddingParams, _check_eps,
                         embed_points, embedding_error, select_diffusion_time,
                         select_eps_prime)
@@ -63,8 +63,7 @@ class ExperimentConfig:
         if self.manifold == "torus" and self.d != 2:
             raise ValueError("the torus is a surface: need d = 2, got d = %d"
                              % self.d)
-        if not 0 <= self.kappa < np.inf:
-            raise ValueError("kappa must be finite and >= 0")
+        _check_domain(kappa=self.kappa)
         if not 0 < self.gap_tol < np.inf:
             raise ValueError("gap_tol must be positive and finite")
         self.tangent_config()
@@ -246,6 +245,9 @@ def run_pipeline(cfg, n, seed):
 
             stage = "tangent"
             size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
+            if size > n:
+                raise ValueError("n=%d is below the tangent subsample size %d"
+                                 % (n, size))
             rng = np.random.default_rng((seed, n, 17))
             pick = np.sort(rng.choice(n, size=size, replace=False))
             batch = estimate_tangents(EmbeddedCloud(est.points[pick], params),
@@ -364,8 +366,7 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
     """
     if m not in _WHOLE_DEGREES:
         raise ValueError("verification supports m = 3 (degree 1) or 8")
-    if not 0 < t0 < np.inf:
-        raise ValueError("t0 must be positive and finite, got %r" % t0)
+    _check_domain(t0=t0)
     _check_eps(eps, 2)
     l_embed = _WHOLE_DEGREES[m]
     checks = []

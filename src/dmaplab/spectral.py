@@ -75,9 +75,9 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     of its symmetric conjugate A = D^-1/2 W D^-1/2, mu = (1-lambda)/h^2.
 
     Up to n = 2000 a dense eigh solves A; above, Lanczos solves it from
-    products with W alone (BLAS dsymv).  Both branches read one triangle of
-    W, the lower one for a C-ordered W, so an asymmetry within laplacian's
-    tolerance is seen by the residual check alone, which uses the full W.
+    products with W alone (BLAS dsymv).  Both branches read W's lower
+    triangle in every layout, so an asymmetry within laplacian's tolerance
+    is seen by the residual check alone, which uses the full W.
     Eigenvectors are mapped back by u -> D^-1/2 u, l2-normalized, sign-fixed
     (first significant entry positive), checked against the residual
     contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
@@ -99,12 +99,12 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
         lam, U = sla.eigh(A.T, lower=False, subset_by_index=[n - m - 1, n - 1],
                           overwrite_a=True)
     else:
-        # dsymv takes a Fortran-ordered array: W^T is one for a C-ordered
-        # W; any other layout is copied once, not on every product
-        W = system.W
-        F = W.T if W.flags.c_contiguous else np.asfortranarray(W)
-        A = LinearOperator((n, n), dtype=float,
-                           matvec=lambda v: dm * dsymv(1.0, F, dm * v))
+        # dsymv reads the upper triangle of W^T (a C-ordered W) or the lower
+        # triangle of W itself or of its one Fortran copy: W's lower either way
+        lower = int(not system.W.flags.c_contiguous)
+        F = np.asfortranarray(system.W if lower else system.W.T)
+        A = LinearOperator((n, n), dtype=float, matvec=lambda v:
+                           dm * dsymv(1.0, F, dm * v, lower=lower))
         try:
             # a fixed start vector makes repeated solves bit-identical
             lam, U = eigsh(A, k=m + 1, which="LA", tol=1e-10,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dmaplab.bounds import (BoundConstants, croke_constant, diameter_upper,
                             heat_upper_liyau, li_yau_upper, r1_value,
                             rate_exponents, s1_min, star_check,
                             weyl_estimate)
+from dmaplab.embedding import select_eps_prime
 from dmaplab.geometry import s2_heat_kernel, sphere_area
 
 S2 = BoundConstants()                      # C1 defaults to the S^2 value
@@ -216,3 +219,63 @@ def test_weyl_estimate():
     assert count == 100
     est = weyl_estimate(110.0, 2, 4.0 * np.pi)
     assert abs(est - count) / count <= 0.15
+
+
+CURVED = BoundConstants(C2=1.0)
+
+# every evaluator that takes d, kappa, a time or a volume, with arguments
+# inside its domain; each case below moves one of them outside it
+_IN_DOMAIN = {
+    rate_exponents: dict(d=2, k=3),
+    li_yau_upper: dict(m=3, d=2, V=7.0, kappa_neg=0.1, diam=2.0),
+    eigen_lower_power: dict(k_idx=6, d=2, kappa=0.5, diam=np.pi,
+                            C1_eigen=0.5),
+    croke_constant: dict(d=2),
+    heat_upper: dict(t=0.25, dist=0.5, d=2, kappa=0.5, consts=CURVED),
+    heat_upper_liyau: dict(t=0.25, dist=0.5, d=2, kappa=0.5, vol_p=1.0,
+                           vol_q=2.0, alpha1=1.5, alpha2=0.5, C_alpha2=1.0,
+                           c_d=1.0),
+    heat_lower_diag: dict(t=0.25, d=2, kappa=0.5),
+    heat_lower_offdiag: dict(t=0.25, dist=0.5, d=2, kappa=0.5, sigma=0.5),
+    s1_min: dict(t0=0.25, d=2, kappa=0.5, consts=CURVED),
+    r1_value: dict(t0=0.25, d=2, kappa=0.5),
+    star_check: dict(tau_l=0.6, t0=0.25, eps=0.05, d=2, kappa=0.5,
+                     consts=CURVED),
+    diameter_upper: dict(d=2, tau=0.5, f_min=0.1, C_d=1.0),
+    eps_cap: dict(d=2),
+    weyl_estimate: dict(lam=110.0, d=2, V=4.0 * np.pi),
+}
+_OUTSIDE = {"d": (0,), "kappa": (-1.0, np.nan, np.inf),
+            "kappa_neg": (-1.0, np.nan, np.inf),
+            "t": (0.0, np.nan, np.inf), "t0": (0.0, np.nan, np.inf),
+            "V": (0.0, -1.0, np.nan)}
+_DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
+                 for key, bads in _OUTSIDE.items() if key in kw
+                 for bad in bads]
+
+
+@pytest.mark.parametrize(
+    "fn, key, bad", _DOMAIN_CASES,
+    ids=["%s-%s=%s" % (fn.__name__, k, v) for fn, k, v in _DOMAIN_CASES])
+def test_evaluators_refuse_input_outside_their_domain(fn, key, bad):
+    """Each evaluator refuses a dimension below 1, a curvature that is
+    negative or not finite, a time that is not positive and finite, and a
+    volume that is not positive, with a ValueError and no RuntimeWarning."""
+    kw = _IN_DOMAIN[fn]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn(**kw)
+        with pytest.raises(ValueError):
+            fn(**dict(kw, **{key: bad}))
+
+
+def test_select_eps_prime_is_an_eighth_of_heat_lower_diag():
+    """eps' = heat_lower_diag / 8 bit for bit; at kappa = 0 both give the
+    flat value (4 pi t)^(-d/2) / 8."""
+    for t in np.geomspace(1e-3, 4.0, 25):
+        for d in range(1, 8):
+            flat = (4 * np.pi * t) ** (-d / 2.0) / 8.0
+            assert select_eps_prime(t, d, 0.0) == flat
+            for kappa in (0.0, 0.1, 0.5, 2.0):
+                assert (select_eps_prime(t, d, kappa)
+                        == heat_lower_diag(t, d, kappa) / 8.0)

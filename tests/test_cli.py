@@ -63,7 +63,7 @@ def test_bounds_expressions(tmp_path, capsys):
     assert "star_check.holds" in out
     text = (tmp_path / "bounds.csv").read_text()
     assert "croke_constant,d=2,0.31830988618379" in text
-    assert ("star_check.lhs,tau_l=0.646924;t0=0.25;eps=0.05;d=2.0;kappa=0.0,"
+    assert ("star_check.lhs,tau_l=0.646924;t0=0.25;eps=0.05;d=2;kappa=0.0,"
             "3.3480852942080004\n") in text
 
 
@@ -85,24 +85,40 @@ _BAD_EXPRS = [
     ("croke_constant:d=2000", "croke_constant:d=2000: "),
     ("croke_constant:d=inf", "croke_constant: argument d=inf is not a whole"),
     ("croke_constant:d=abc", "croke_constant: argument d=abc is not a number"),
-    ("li_yau_upper:m=-3,d=3,V=1,kappa_neg=0", "need d >= 1 and m >= 0"),
-    ("r1_value:t0=0.25,d=-3,kappa=1", "r1_value: dimension d=-3 must be >= 1"),
+    ("star_check:tau_l=1,t0=1,eps=0,d=2.5,kappa=0",
+     "star_check: argument d=2.5 is not a whole"),
+    ("li_yau_upper:m=-3,d=3,V=1,kappa_neg=0",
+     "li_yau_upper:m=-3,d=3,V=1,kappa_neg=0: need d >= 1 and m >= 0"),
+    ("r1_value:t0=0.25,d=-3,kappa=1",
+     "r1_value:t0=0.25,d=-3,kappa=1: d must be >= 1, got -3"),
     ("weyl_estimate:lam=1,d=-2,V=1",
-     "weyl_estimate: dimension d=-2 must be >= 1"),
+     "weyl_estimate:lam=1,d=-2,V=1: d must be >= 1, got -2"),
+    ("weyl_estimate:lam=110,d=2,V=-1",
+     "weyl_estimate:lam=110,d=2,V=-1: volume V must be positive, got -1.0"),
     ("heat_lower_diag:t=0.25,d=0,kappa=0",
-     "heat_lower_diag: dimension d=0 must be >= 1"),
+     "heat_lower_diag:t=0.25,d=0,kappa=0: d must be >= 1, got 0"),
     ("r1_value:t0=0.25,d=2,kappa=-1",
-     "r1_value: curvature kappa=-1 must be >= 0"),
-    ("s1_min:t0=0.25,d=2,kappa=-1", "s1_min: curvature kappa=-1 must be >= 0"),
-    ("r1_value:t0=nan,d=2,kappa=0", "r1_value: time t0=nan must be finite"),
-    ("r1_value:t0=inf,d=2,kappa=0", "r1_value: time t0=inf must be finite"),
-    ("s1_min:t0=nan,d=2,kappa=0", "s1_min: time t0=nan must be finite"),
+     "r1_value:t0=0.25,d=2,kappa=-1: kappa must be finite and >= 0, got -1.0"),
+    ("s1_min:t0=0.25,d=2,kappa=-1",
+     "s1_min:t0=0.25,d=2,kappa=-1: kappa must be finite and >= 0, got -1.0"),
+    ("heat_upper:t=0.25,dist=0,d=2,kappa=-1",
+     "heat_upper:t=0.25,dist=0,d=2,kappa=-1: kappa must be finite and >= 0, "
+     "got -1.0"),
+    ("r1_value:t0=nan,d=2,kappa=0",
+     "r1_value:t0=nan,d=2,kappa=0: t0 must be positive and finite, got nan"),
+    ("r1_value:t0=inf,d=2,kappa=0",
+     "r1_value:t0=inf,d=2,kappa=0: t0 must be positive and finite, got inf"),
+    ("s1_min:t0=nan,d=2,kappa=0",
+     "s1_min:t0=nan,d=2,kappa=0: t0 must be positive and finite, got nan"),
     ("heat_lower_diag:t=nan,d=2,kappa=0",
-     "heat_lower_diag: time t=nan must be finite"),
+     "heat_lower_diag:t=nan,d=2,kappa=0: t must be positive and finite, "
+     "got nan"),
     ("heat_upper:t=nan,dist=0,d=2,kappa=0",
-     "heat_upper: time t=nan must be finite"),
+     "heat_upper:t=nan,dist=0,d=2,kappa=0: t must be positive and finite, "
+     "got nan"),
     ("star_check:tau_l=0.6,t0=nan,eps=0.05,d=2,kappa=0",
-     "star_check: time t0=nan must be finite"),
+     "star_check:tau_l=0.6,t0=nan,eps=0.05,d=2,kappa=0: t0 must be positive "
+     "and finite, got nan"),
     ("heat_lower_diag:t=1,d=3,kappa=1e308",
      "heat_lower_diag:t=1,d=3,kappa=1e308: overflow encountered"),
     ("heat_lower_diag:t=1,d=1e308,kappa=0",
@@ -125,7 +141,7 @@ _EXPOSED = {
     "r1_value": ((("t0", float), ("d", int), ("kappa", float)), False),
     "s1_min": ((("t0", float), ("d", int), ("kappa", float)), True),
     "star_check": ((("tau_l", float), ("t0", float), ("eps", float),
-                    ("d", float), ("kappa", float)), True),
+                    ("d", int), ("kappa", float)), True),
     "heat_upper": ((("t", float), ("dist", float), ("d", int),
                     ("kappa", float)), True),
     "heat_lower_diag": ((("t", float), ("d", int), ("kappa", float)), False),

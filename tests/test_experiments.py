@@ -217,6 +217,12 @@ def test_scored_run_fits_tangents_once(monkeypatch, m):
     assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
 
 
+def test_run_below_tangent_subsample_size_fails_at_tangent():
+    rec = run_pipeline(ExperimentConfig(), 9, 1)
+    assert rec.status == "tangent: n=9 is below the tangent subsample size 10"
+    assert np.isnan(rec.tangent_angle_median)
+
+
 def test_nan_t0_fails_at_embed():
     rec = run_pipeline(ExperimentConfig(t0=np.nan), 200, 1)
     assert rec.status == "embed: t0 and iota must be positive"

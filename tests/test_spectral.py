@@ -130,13 +130,13 @@ def _strided(W):
 
 
 def _record_dsymv(monkeypatch):
-    """Patch the Lanczos product to record its array operand; returns the
-    list of operands."""
+    """Patch the Lanczos product to record its array operand and triangle
+    flag; returns the list of (operand, lower) pairs."""
     operands = []
 
-    def dsymv(alpha, a, x):
-        operands.append(a)
-        return sla.blas.dsymv(alpha, a, x)
+    def dsymv(alpha, a, x, lower=0):
+        operands.append((a, lower))
+        return sla.blas.dsymv(alpha, a, x, lower=lower)
 
     monkeypatch.setattr(sp, "dsymv", dsymv)
     return operands
@@ -155,26 +155,32 @@ def test_eigensolve_iterative_any_layout(force_iterative, monkeypatch,
     operands = _record_dsymv(monkeypatch)
     spec = eigensolve_smallest(other, 8)
     assert np.max(np.abs(spec.mu - ref.mu)) <= 1e-12
-    assert all(a is operands[0] for a in operands)
-    assert operands[0].flags.f_contiguous
+    assert all(a is operands[0][0] for a, _ in operands)
+    assert operands[0][0].flags.f_contiguous
 
 
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray,
+                                    _strided],
+                         ids=["C-ordered", "F-ordered", "strided"])
 def test_eigensolve_iterative_reads_one_triangle(force_iterative,
-                                                 monkeypatch):
+                                                 monkeypatch, layout):
     """An asymmetry within laplacian's tolerance, in the triangle the Lanczos
     products do not read, still meets the residual contract, which is
-    checked against the full W."""
+    checked against the full W.  The products read W's lower triangle, as
+    the dense eigh does, in every layout."""
     system = _sphere_system(500, 5)
     W = system.W.copy()
     W[3, 400] += 1e-13 * W.max()
     assert W[3, 400] != W[400, 3]
-    bent = laplacian(W, system.h)
+    bent = laplacian(layout(W), system.h)
     operands = _record_dsymv(monkeypatch)
     spec = eigensolve_smallest(bent, 8)
     r = np.linalg.norm(sp._residuals(bent, spec.vec_raw, spec.mu), axis=0)
     assert np.all(r <= 1e-8 * np.maximum(1.0, spec.mu))
     # the products take entry (3, 400) from W[400, 3], not the moved W[3, 400]
-    assert sla.blas.dsymv(1.0, operands[0], np.eye(500)[400])[3] == W[400, 3]
+    a, lower = operands[0]
+    assert sla.blas.dsymv(1.0, a, np.eye(500)[400],
+                          lower=lower)[3] == W[400, 3]
 
 
 def test_eigensolve_dense_reads_one_triangle():
