@@ -11,8 +11,8 @@ import numpy as np
 
 from dmaplab import (EmbeddingParams, eigen_errors, eigensolve_smallest,
                      embed_points, embedding_error, s2_oracle_embedding,
-                     sample_sphere, select_eps_prime, sphere_truth,
-                     system_from_cloud, truth_clusters)
+                     sample_sphere, sphere_truth, system_from_cloud,
+                     truth_clusters)
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
 seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
@@ -34,9 +34,7 @@ for g, (ev, sv) in enumerate(zip(report.value_errors,
           % (g, ev, sv))
 print("multiplicity pattern matched:", report.pattern_matched)
 
-params = EmbeddingParams(t=t, m=m, eps=0.05,
-                         eps_prime=select_eps_prime(t, 2, 0.0),
-                         d=2, kappa=0.0, iota=np.pi)
+params = EmbeddingParams(t=t, m=m, d=2)
 emb = embed_points(spec, params)
 target = s2_oracle_embedding(cloud.points, t)[:, :m]
 err = embedding_error(emb.points, target, truth_clusters(lam))

@@ -10,8 +10,8 @@ import numpy as np
 from dmaplab import (EmbeddedCloud, EmbeddingParams, PointCloud,
                      TangentConfig, estimate_tangents,
                      fit_local_polynomial, s2_oracle_embedding,
-                     s2_oracle_tangent, sample_sphere, select_eps_prime,
-                     subspace_angle, tangent_bandwidth)
+                     s2_oracle_tangent, sample_sphere, subspace_angle,
+                     tangent_bandwidth)
 
 rng = np.random.default_rng(7)
 cfg = TangentConfig(k=3)
@@ -36,9 +36,7 @@ print("circle: angle to truth = %.2e, curvature coefficient = %.4f "
 # sphere via the spectral embedding family
 n, t = 2000, 0.25
 cloud = sample_sphere(n, 2, 7)
-params = EmbeddingParams(t=t, m=8, eps=0.05,
-                         eps_prime=select_eps_prime(t, 2, 0.0),
-                         d=2, kappa=0.0, iota=np.pi)
+params = EmbeddingParams(t=t, m=8, d=2)
 emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t), params)
 cfg = TangentConfig(k=3, max_iter=100)
 batch = estimate_tangents(emb, range(0, n, 4), cfg,

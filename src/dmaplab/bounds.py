@@ -9,7 +9,7 @@ unit-sphere heat-kernel constant C1 = 0.408912.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -25,15 +25,12 @@ class BoundConstants:
 
     C1: float = C1_S2
     C2: float = None
-    C_alpha2: float = None
-    C_d_diam: float = None
-    C1_eigen: float = None
 
     def __post_init__(self):
-        for name in ("C1", "C2", "C_alpha2", "C_d_diam", "C1_eigen"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is not None and v <= 0:
-                raise ValueError("constant %s must be positive" % name)
+                raise ValueError("constant %s must be positive" % f.name)
 
 
 def _need(consts, name):
@@ -280,8 +277,10 @@ def geodesic_euclid_bounds(s, r0):
     """Euclidean-chord bounds for geodesic distance s at curvature radius
     r0: s - s^3/(24 r0^2) <= |p - q| <= s.  short_arc reports s <= 2 sqrt(2)
     r0, the regime in which the lower bound is at least 2s/3."""
-    if s < 0 or r0 <= 0:
-        raise ValueError("need s >= 0 and r0 > 0")
+    if not 0 <= s < np.inf:
+        raise ValueError("s must be finite and >= 0, got %s" % s)
+    if not 0 < r0 < np.inf:
+        raise ValueError("r0 must be positive and finite, got %s" % r0)
     lo = s - s ** 3 / (24.0 * r0 * r0)
     return GeodesicBounds(lo=float(lo), hi=float(s),
                           short_arc=bool(s <= 2.0 * np.sqrt(2.0) * r0))

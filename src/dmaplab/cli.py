@@ -17,7 +17,8 @@ import numpy as np
 from . import bounds as B
 from . import experiments as X
 from . import io as dio
-from .embedding import embed_points
+from .embedding import (EmbeddingParams, embed_points,
+                        select_diffusion_time, select_eps_prime)
 from .geometry import PointCloud
 from .graph import system_from_cloud
 from .spectral import _residuals, eigensolve_smallest
@@ -109,14 +110,14 @@ def cmd_eigen(args):
 def cmd_embed(args):
     cfg, out, n, system = _dense_system(args)
     spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
-    params = X._embedding_params(cfg)
-    emb = embed_points(spec, params, provenance=(n, system.h, args.seed))
+    t = select_diffusion_time(cfg.t0, cfg.iota)
+    emb = embed_points(spec, EmbeddingParams(t=t, m=cfg.m, d=cfg.d))
     carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
                          seed=args.seed)
     dio.save_cloud(carrier, _path(out, "embedding.csv"))
     norms = np.linalg.norm(emb.points, axis=1)
     print("embedded %d points into R^%d at t=%.6g (eps'=%.6g)"
-          % (n, cfg.m, params.t, params.eps_prime))
+          % (n, cfg.m, t, select_eps_prime(t, cfg.d, cfg.kappa)))
     print("coordinate-vector norms in [%.6f, %.6f]"
           % (norms.min(), norms.max()))
     print("wrote %s" % _path(out, "embedding.csv"))

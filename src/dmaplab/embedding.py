@@ -1,12 +1,13 @@
 """Diffusion-map coordinates: time and truncation-slack selection, the
 scaled spectral embedding, and alignment-aware error against reference
-embeddings."""
+embeddings.  The coordinates depend on the time t and the truncation
+index m alone; the slacks eps and eps' enter only the bounds."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_domain, eps_cap, heat_lower_diag
+from .bounds import _check_domain, heat_lower_diag
 from .geometry import embedding_scale
 from .spectral import _procrustes
 
@@ -15,27 +16,18 @@ from .spectral import _procrustes
 class EmbeddingParams:
     t: float
     m: int
-    eps: float
-    eps_prime: float
     d: int
-    kappa: float
-    iota: float
 
     def __post_init__(self):
-        _check_domain(t=self.t)
+        _check_domain(self.d, t=self.t)
         if self.m < self.d:
             raise ValueError("embedding dimension m must be >= d")
-        if self.eps is not None:
-            _check_eps(self.eps, self.d)
-        if self.eps_prime is not None and not 0 < self.eps_prime < np.inf:
-            raise ValueError("eps_prime must be positive and finite")
 
 
 @dataclass
 class EmbeddedCloud:
     points: np.ndarray
     params: EmbeddingParams
-    provenance: tuple = None   # (n, h, seed)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -49,13 +41,6 @@ class EmbeddedCloud:
     @property
     def d(self):
         return self.params.d
-
-
-def _check_eps(eps, d):
-    """Refuse an isometry slack outside (0, eps_cap(d)]."""
-    cap = eps_cap(d)
-    if not 0 < eps <= cap + 1e-12:
-        raise ValueError("eps must lie in (0, %.6f] for d=%d" % (cap, d))
 
 
 def select_diffusion_time(t0, iota):
@@ -73,7 +58,7 @@ def select_eps_prime(t, d, kappa):
     return heat_lower_diag(t, d, kappa) / 8.0
 
 
-def embed_points(spec, params, provenance=None):
+def embed_points(spec, params):
     """Spectral coordinates scale(t, d) * e^(-mu_i t / 2) * v_i(x_j) for
     i = 1..m, dropping the constant index-0 pair."""
     if spec.vec_norm is None:
@@ -85,7 +70,7 @@ def embed_points(spec, params, provenance=None):
     t = params.t
     damp = embedding_scale(t, params.d) * np.exp(-spec.mu[1:params.m + 1] * t / 2.0)
     pts = spec.vec_norm[:, 1:params.m + 1] * damp[None, :]
-    return EmbeddedCloud(points=pts, params=params, provenance=provenance)
+    return EmbeddedCloud(points=pts, params=params)
 
 
 def embedding_error(est, oracle, clusters):
@@ -96,8 +81,8 @@ def embedding_error(est, oracle, clusters):
     block of estimated coordinates is rotated onto the reference block by
     Procrustes (a sign flip when the block is a single coordinate).
     """
-    E = np.asarray(getattr(est, "points", est), dtype=float)
-    T = np.asarray(getattr(oracle, "points", oracle), dtype=float)
+    E = np.asarray(est, dtype=float)
+    T = np.asarray(oracle, dtype=float)
     if E.shape != T.shape:
         raise ValueError("embeddings differ in shape")
     m = E.shape[1]

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .bounds import (BoundConstants, _check_domain, heat_lower_diag,
-                     rate_exponents, star_check)
-from .embedding import (EmbeddedCloud, EmbeddingParams, _check_eps,
-                        embed_points, embedding_error, select_diffusion_time,
+from .bounds import (BoundConstants, _check_domain, eps_cap,
+                     heat_lower_diag, rate_exponents, star_check)
+from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
+                        embedding_error, select_diffusion_time,
                         select_eps_prime)
 from .geometry import (_L8, _sphere_chart, local_reach_numeric,
                        s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
@@ -64,6 +64,7 @@ class ExperimentConfig:
             raise ValueError("the torus is a surface: need d = 2, got d = %d"
                              % self.d)
         _check_domain(kappa=self.kappa)
+        _check_eps(self.eps, self.d)
         if not 0 < self.gap_tol < np.inf:
             raise ValueError("gap_tol must be positive and finite")
         self.tangent_config()
@@ -74,6 +75,13 @@ class ExperimentConfig:
             t_cap=self.tangent_t_cap,
             max_iter=self.tangent_max_iter if max_iter is None else max_iter,
             tol=self.tangent_tol)
+
+
+def _check_eps(eps, d):
+    """Refuse an isometry slack outside (0, eps_cap(d)]."""
+    cap = eps_cap(d)
+    if not 0 < eps <= cap + 1e-12:
+        raise ValueError("eps must lie in (0, %.6f] for d=%d" % (cap, d))
 
 
 def _parse_value(kind, raw, path, lineno):
@@ -161,15 +169,6 @@ def _dense_sample(cfg, n, seed):
     return _sample(cfg, n, seed)
 
 
-def _embedding_params(cfg):
-    """Diffusion time and truncation slack for embedding a sample of the
-    configured manifold."""
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    return EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                           eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
-                           d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
-
-
 def _oracle_tangent(p, t, m):
     """Orthonormal tangent basis at p of the first m <= 8 coordinates of
     the S^2 oracle embedding at time t: (m, 2) for one point, (N, m, 2)
@@ -182,11 +181,10 @@ def _oracle_tangents(cfg, n, seed, tcfg):
     """Tangent fits at every point of an oracle-embedded S^2 sample, then
     each fit's angle to the analytic tangent in index order: (batch, angles
     by base index, h_tilde)."""
-    params = _embedding_params(replace(cfg, d=2, kappa=0.0))
-    t = params.t
+    t = select_diffusion_time(cfg.t0, cfg.iota)
     cloud = sample_sphere(n, 2, seed)
     emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
-                        params)
+                        EmbeddingParams(t=t, m=cfg.m, d=2))
     h_tilde = tangent_bandwidth(n, 2, tcfg)
     batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
     truth = _oracle_tangent(cloud.points, t, cfg.m)
@@ -230,8 +228,8 @@ def run_pipeline(cfg, n, seed):
         stage = "embed"
         # t is recorded even when the embedding parameters are rejected
         t = rec.t = select_diffusion_time(cfg.t0, cfg.iota)
-        params = _embedding_params(cfg)
-        est = embed_points(spec, params, provenance=(n, system.h, seed))
+        params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
+        est = embed_points(spec, params)
 
         if oracle:
             stage = "embed-errors"

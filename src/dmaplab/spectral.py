@@ -92,10 +92,10 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     dm = 1.0 / np.sqrt(system.degree)
 
     if n <= _DENSE_LIMIT:
-        A = dm[:, None] * system.W
+        A = np.multiply(dm[:, None], system.W, order="C")
         A *= dm[None, :]
-        # for a C-ordered W, A.T is Fortran-ordered: eigh works in it
-        # without a copy; its upper triangle is A's lower one
+        # A is C-ordered whatever W's layout, so A.T is Fortran-ordered:
+        # eigh works in it without a copy; its upper triangle is A's lower one
         lam, U = sla.eigh(A.T, lower=False, subset_by_index=[n - m - 1, n - 1],
                           overwrite_a=True)
     else:

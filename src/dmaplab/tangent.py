@@ -40,11 +40,14 @@ class TangentConfig:
 @dataclass
 class TangentEstimate:
     base_index: int
-    projector: np.ndarray
     basis: np.ndarray
     tensors: dict            # degree l -> (n_monomials, m) coefficient rows
     neighbor_count: int
     iterations: int
+
+    @property
+    def projector(self):
+        return self.basis @ self.basis.T
 
 
 SubsampleSize = namedtuple("SubsampleSize", "size theoretical")
@@ -275,7 +278,7 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg):
     for j, (c, _) in enumerate(members):
         if c not in out:
             out[c] = TangentEstimate(
-                base_index=int(c), projector=B[j] @ B[j].T, basis=B[j],
+                base_index=int(c), basis=B[j],
                 tensors={l: b[j, rows] for l, rows, _ in plan.blocks},
                 neighbor_count=int(counts[j]), iterations=int(iters[j]))
     return out

@@ -159,9 +159,7 @@ def test_criterion_08_tangent_oracles():
     # (c) embedded sphere at n=2000, fits at a spread of base points
     n = 2000
     cloud = sample_sphere(n, 2, 1)
-    params = EmbeddingParams(t=0.25, m=8, eps=0.05,
-                             eps_prime=select_eps_prime(0.25, 2, 0.0),
-                             d=2, kappa=0.0, iota=np.pi)
+    params = EmbeddingParams(t=0.25, m=8, d=2)
     emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, 0.25), params)
     cfg = TangentConfig(k=3, max_iter=100)
     batch = estimate_tangents(emb, range(0, n, 4), cfg,

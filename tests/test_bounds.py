@@ -37,6 +37,8 @@ def test_bound_constants_validation():
     assert S2.C1 == pytest.approx(0.408912)
     with pytest.raises(ValueError):
         BoundConstants(C1=-1.0)
+    with pytest.raises(ValueError, match="constant C2 must be positive"):
+        BoundConstants(C2=0.0)
 
 
 def test_li_yau_flat_sphere_value():
@@ -244,11 +246,13 @@ _IN_DOMAIN = {
     diameter_upper: dict(d=2, tau=0.5, f_min=0.1, C_d=1.0),
     eps_cap: dict(d=2),
     weyl_estimate: dict(lam=110.0, d=2, V=4.0 * np.pi),
+    geodesic_euclid_bounds: dict(s=1.0, r0=1.0),
 }
 _OUTSIDE = {"d": (0,), "kappa": (-1.0, np.nan, np.inf),
             "kappa_neg": (-1.0, np.nan, np.inf),
             "t": (0.0, np.nan, np.inf), "t0": (0.0, np.nan, np.inf),
-            "V": (0.0, -1.0, np.nan)}
+            "V": (0.0, -1.0, np.nan), "s": (-1.0, np.nan, np.inf),
+            "r0": (0.0, -1.0, np.nan, np.inf)}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
                  for bad in bads]
@@ -259,8 +263,10 @@ _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
     ids=["%s-%s=%s" % (fn.__name__, k, v) for fn, k, v in _DOMAIN_CASES])
 def test_evaluators_refuse_input_outside_their_domain(fn, key, bad):
     """Each evaluator refuses a dimension below 1, a curvature that is
-    negative or not finite, a time that is not positive and finite, and a
-    volume that is not positive, with a ValueError and no RuntimeWarning."""
+    negative or not finite, a time that is not positive and finite, a
+    volume that is not positive, and an arc length or curvature radius
+    that is negative, zero where it divides, or not finite, with a
+    ValueError and no RuntimeWarning."""
     kw = _IN_DOMAIN[fn]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dmaplab.cli import _BOUND_EVALS, main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
-                               select_diffusion_time, select_eps_prime)
+                               select_diffusion_time)
 from dmaplab.bounds import BoundConstants
 from dmaplab.experiments import ExperimentConfig
 from dmaplab.graph import system_from_cloud
@@ -123,6 +123,11 @@ _BAD_EXPRS = [
      "heat_lower_diag:t=1,d=3,kappa=1e308: overflow encountered"),
     ("heat_lower_diag:t=1,d=1e308,kappa=0",
      "heat_lower_diag:t=1,d=1e308,kappa=0: invalid value encountered"),
+    ("geodesic_euclid_bounds:s=nan,r0=1",
+     "geodesic_euclid_bounds:s=nan,r0=1: s must be finite and >= 0, got nan"),
+    ("geodesic_euclid_bounds:s=1,r0=inf",
+     "geodesic_euclid_bounds:s=1,r0=inf: r0 must be positive and finite, "
+     "got inf"),
 ]
 
 
@@ -288,6 +293,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["C_alpha2", "C_d_diam", "C1_eigen"])
+def test_unread_bound_constants_are_unknown_config_keys(tmp_path,
+                                                         capsys, key):
+    # their evaluators take these constants as plain arguments
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(key + " = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 1: unknown config key %r" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "laplacian"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_nonpositive_n_exits_2(tmp_path, capsys, command, n):
@@ -326,7 +343,8 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
                                      "tangent_t_cap = nan",
                                      "tangent_bandwidth_const = -1",
                                      "gap_tol = -1", "gap_tol = nan",
-                                     "gap_tol = inf"])
+                                     "gap_tol = inf", "eps = -1",
+                                     "eps = nan", "eps = 0.2"])
 def test_pipeline_refuses_bad_config_values(tmp_path, capsys, setting):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(setting + "\n")
@@ -404,8 +422,6 @@ def test_eigen_and_embed_match_library_chain(tmp_path):
     assert np.array_equal(table[:, 1], spec.mu)
     assert np.array_equal(table[:, 3:].T, spec.vec_norm)
     t = select_diffusion_time(cfg.t0, cfg.iota)
-    params = EmbeddingParams(t=t, m=cfg.m, eps=cfg.eps,
-                             eps_prime=select_eps_prime(t, cfg.d, cfg.kappa),
-                             d=cfg.d, kappa=cfg.kappa, iota=cfg.iota)
+    params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
     emb = load_cloud(tmp_path / "embedding.csv")
     assert np.array_equal(emb.points, embed_points(spec, params).points)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,8 @@ from dmaplab.geometry import embedding_scale, s2_oracle_embedding
 from dmaplab.spectral import SpectralSet
 
 
-def _params(**kw):
-    base = dict(t=0.25, m=8, eps=0.05, eps_prime=None, d=2, kappa=0.0,
-                iota=np.pi)
-    base.update(kw)
-    return EmbeddingParams(**base)
+def _params(t=0.25, m=8, d=2):
+    return EmbeddingParams(t=t, m=m, d=d)
 
 
 def test_select_diffusion_time():
@@ -52,15 +51,15 @@ def test_select_eps_prime_refuses_bad_kappa(kappa):
 
 def test_embedding_params_validation():
     _params()
-    with pytest.raises(ValueError):
-        _params(t=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            _params(t=bad)
     with pytest.raises(ValueError):
         _params(m=1)                       # below intrinsic dimension
-    with pytest.raises(ValueError):
-        _params(eps=0.2)                   # above the 1/6 cap at d=2
-    for bad in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            _params(eps_prime=bad)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        _params(d=0)
+    # the coordinates read t, m and d alone; the slacks belong to the bounds
+    assert [f.name for f in fields(EmbeddingParams)] == ["t", "m", "d"]
 
 
 def test_embedded_cloud_rejects_nonfinite():
@@ -83,12 +82,11 @@ def test_embed_points_formula():
     spec = SpectralSet(mu=mu, vec_raw=V.copy(), vec_norm=V.copy(),
                        clusters=[[0], [1, 2, 3]])
     params = _params(m=m)
-    emb = embed_points(spec, params, provenance=(n, 0.5, 1))
+    emb = embed_points(spec, params)
     t = params.t
     for i in range(1, m + 1):
         col = embedding_scale(t, 2) * np.exp(-mu[i] * t / 2.0) * V[:, i]
         assert np.allclose(emb.points[:, i - 1], col, atol=1e-15)
-    assert emb.provenance == (n, 0.5, 1)
     assert emb.n == n
 
 

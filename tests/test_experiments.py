@@ -11,10 +11,10 @@ import dmaplab.spectral as sp
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                embedding_error)
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
-                                 _embedding_params, _oracle_tangent,
-                                 _oracle_tangents, convergence_study,
-                                 format_verify, load_config, run_pipeline,
-                                 sphere_truth, truth_clusters, verify_s2)
+                                 _oracle_tangent, _oracle_tangents,
+                                 convergence_study, format_verify,
+                                 load_config, run_pipeline, sphere_truth,
+                                 truth_clusters, verify_s2)
 from dmaplab.geometry import (s2_oracle_embedding, s2_oracle_tangent,
                               sample_sphere)
 from dmaplab.graph import system_from_cloud
@@ -47,6 +47,8 @@ def test_config_validation():
     for gap_tol in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="gap_tol must be positive"):
             ExperimentConfig(gap_tol=gap_tol)
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        ExperimentConfig(d=0)
     for kw in (dict(tangent_t_cap=-1.0), dict(tangent_t_cap=np.nan),
                dict(tangent_bandwidth_const=-1.0), dict(k=1),
                dict(tangent_max_iter=0), dict(tangent_tol=0.0)):
@@ -66,8 +68,7 @@ def test_load_config_full(tmp_path):
         "tangent_bandwidth_const = 2.0\ntangent_t_cap = auto\n"
         "tangent_max_iter = 30\nstudy_max_iter = 60\n"
         "tangent_tol = 1e-6\noutput_dir = /tmp/somewhere\n"
-        "C1 = 0.5\nC2 = 1.25\nC_alpha2 = 3.0\nC_d_diam = 4.5\n"
-        "C1_eigen = 0.75\n")
+        "C1 = 0.5\nC2 = 1.25\n")
     cfg = load_config(path)
     assert cfg.manifold == "torus"
     assert cfg.k == 4 and cfg.m == 3
@@ -78,23 +79,19 @@ def test_load_config_full(tmp_path):
     assert cfg.tangent_tol == 1e-6
     assert cfg.constants.C1 == 0.5
     assert cfg.constants.C2 == 1.25
-    assert cfg.constants.C_alpha2 == 3.0
-    assert cfg.constants.C_d_diam == 4.5
-    assert cfg.constants.C1_eigen == 0.75
 
 
 def test_load_config_keeps_unset_constants(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("C2 = 1.25\nC_d_diam = unknown\n")
+    path.write_text("C2 = unknown\n")
     cfg = load_config(path)
-    assert cfg.constants.C2 == 1.25
-    assert cfg.constants.C_d_diam is None
+    assert cfg.constants.C2 is None
     assert cfg.constants.C1 == pytest.approx(0.408912)   # untouched
 
 
 @pytest.mark.parametrize("line, tag", [
     ("t0 = fast", "float"), ("m = 2.5", "int"), ("seeds = 1,x", "int_list"),
-    ("tangent_t_cap = wide", "opt_float"), ("C1_eigen = big", "opt_float"),
+    ("tangent_t_cap = wide", "opt_float"), ("C2 = big", "opt_float"),
 ])
 def test_load_config_parse_error_names_type(tmp_path, line, tag):
     path = tmp_path / "exp.cfg"
@@ -226,6 +223,12 @@ def test_run_below_tangent_subsample_size_fails_at_tangent():
 def test_nan_t0_fails_at_embed():
     rec = run_pipeline(ExperimentConfig(t0=np.nan), 200, 1)
     assert rec.status == "embed: t0 and iota must be positive"
+
+
+def test_m_below_d_fails_at_embed_with_t_recorded():
+    rec = run_pipeline(ExperimentConfig(m=1), 200, 1)
+    assert rec.status == "embed: embedding dimension m must be >= d"
+    assert rec.t == 0.25
 
 
 def test_torus_config_needs_d_2():
@@ -382,12 +385,13 @@ def test_verify_s2_rejects_bad_time(t0):
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, 0.2, np.nan])
 def test_verify_s2_rejects_eps_as_embedding_does(eps):
-    with pytest.raises(ValueError) as embedding:
-        EmbeddingParams(t=0.25, m=8, eps=eps, eps_prime=None, d=2,
-                        kappa=0.0, iota=np.pi)
+    """verify_s2 refuses an eps with the message ExperimentConfig, and so
+    every command reading a config, gives for it."""
+    with pytest.raises(ValueError) as config:
+        ExperimentConfig(eps=eps)
     with pytest.raises(ValueError) as verify:
         verify_s2(eps=eps)
-    assert str(verify.value) == str(embedding.value) \
+    assert str(verify.value) == str(config.value) \
         == "eps must lie in (0, 0.166667] for d=2"
 
 
@@ -398,8 +402,8 @@ def _sphere_scores(cloud):
     spec = eigensolve_smallest(system, 8)
     lam, cols = sphere_truth(cloud.points, 8)
     report = eigen_errors(spec, lam, cols)
-    params = _embedding_params(ExperimentConfig())
-    est = embed_points(spec, params, provenance=(cloud.n, system.h, 0))
+    params = EmbeddingParams(t=0.25, m=8, d=2)
+    est = embed_points(spec, params)
     target = s2_oracle_embedding(cloud.points, params.t)
     return (spec.mu, report.value_errors, report.pattern_matched,
             system.ball_counts,

@@ -91,10 +91,13 @@ def test_dense_branch_matches_old_expression(monkeypatch, n):
     assert np.array_equal(lam, lam_old) and np.array_equal(U, U_old)
 
 
-def test_eigensolve_dense_allocates_one_square_array(peak_bytes):
-    # A alone: built in place and handed to eigh without a copy
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_eigensolve_dense_allocates_one_square_array(peak_bytes, order):
+    # A alone: built C-ordered in place and handed to eigh without a copy,
+    # whatever W's layout
     n = 1500
     system = _sphere_system(n, 2)
+    system.W = np.asarray(system.W, order=order)
     assert peak_bytes(lambda: eigensolve_smallest(system, 8)) < 1.25 * 8 * n * n
 
 

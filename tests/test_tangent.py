@@ -384,8 +384,7 @@ def _pin_cloud(d, n=300):
                           d=1, ambient_dim=2, seed=5)
     if d == 3:
         return sample_sphere(n, 3, 5)
-    params = EmbeddingParams(t=0.25, m=8, eps=0.05, eps_prime=0.0125, d=2,
-                             kappa=0.0, iota=np.pi)
+    params = EmbeddingParams(t=0.25, m=8, d=2)
     return EmbeddedCloud(s2_oracle_embedding(sample_sphere(n, 2, 5).points,
                                              0.25), params)
 
