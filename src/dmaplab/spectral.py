@@ -11,7 +11,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
 from .geometry import sphere_area
 
-_DENSE_LIMIT = 2000
+_DENSE_LIMIT = 100
 _EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
 
 
@@ -74,10 +74,11 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     """Smallest m+1 eigenpairs of -L from the largest m+1 eigenvalues lambda
     of its symmetric conjugate A = D^-1/2 W D^-1/2, mu = (1-lambda)/h^2.
 
-    Up to n = 2000 a dense eigh solves A; above, Lanczos solves it from
-    products with W alone (BLAS dsymv).  Both branches read W's lower
-    triangle in every layout, so an asymmetry within laplacian's tolerance
-    is seen by the residual check alone, which uses the full W.
+    Up to n = _DENSE_LIMIT (100), and for the full spectrum (m + 1 = n),
+    which Lanczos cannot return, a dense eigh solves A; otherwise Lanczos
+    solves it from products with W alone (BLAS dsymv).  Both branches read
+    W's lower triangle in every layout, so an asymmetry within laplacian's
+    tolerance is seen by the residual check alone, which uses the full W.
     Eigenvectors are mapped back by u -> D^-1/2 u, l2-normalized, sign-fixed
     (first significant entry positive), checked against the residual
     contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
@@ -91,7 +92,7 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     h = system.h
     dm = 1.0 / np.sqrt(system.degree)
 
-    if n <= _DENSE_LIMIT:
+    if n <= _DENSE_LIMIT or m + 1 == n:
         A = np.multiply(dm[:, None], system.W, order="C")
         A *= dm[None, :]
         # A is C-ordered whatever W's layout, so A.T is Fortran-ordered:

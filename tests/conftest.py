@@ -19,6 +19,12 @@ def force_iterative(monkeypatch):
 
 
 @pytest.fixture
+def force_dense(monkeypatch):
+    """Route every eigensolve_smallest call through the dense eigh branch."""
+    monkeypatch.setattr(sp, "_DENSE_LIMIT", 10 ** 6)
+
+
+@pytest.fixture
 def peak_bytes():
     """peak_bytes(fn): the tracemalloc peak, in bytes, of one call fn()."""
     def measure(fn):

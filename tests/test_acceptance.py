@@ -109,10 +109,11 @@ def test_criterion_06_laplacian_contracts():
         checks.append(null <= 1e-12 and spec.mu[0] <= 1e-8
                       and const <= 1e-6)
     system = system_from_cloud(sample_sphere(500, 2, 500))
-    dense = eigensolve_smallest(system, 6)
     limit = sp._DENSE_LIMIT
-    sp._DENSE_LIMIT = 10
     try:
+        sp._DENSE_LIMIT = 10 ** 6
+        dense = eigensolve_smallest(system, 6)
+        sp._DENSE_LIMIT = 10
         it = eigensolve_smallest(system, 6)
     finally:
         sp._DENSE_LIMIT = limit

@@ -57,8 +57,12 @@ def _cluster_projectors(spec):
     return out
 
 
-def test_eigensolve_dense_vs_iterative(monkeypatch):
-    system = _sphere_system(300, 4)
+@pytest.mark.parametrize("n", [150, 300, 1000])
+def test_eigensolve_dense_vs_iterative(force_dense, monkeypatch, n):
+    """The dense and the Lanczos solve of one system agree in mu, in the
+    clusters and in each cluster's projector, at sizes above the default
+    limit, where Lanczos runs and eigh is the reference."""
+    system = _sphere_system(n, 4)
     dense = eigensolve_smallest(system, 6)
     monkeypatch.setattr(sp, "_DENSE_LIMIT", 10)
     it = eigensolve_smallest(system, 6)
@@ -68,8 +72,38 @@ def test_eigensolve_dense_vs_iterative(monkeypatch):
         assert np.max(np.abs(Pd - Pi)) <= 1e-8
 
 
+def _spy(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_default_limit_switches_branch(monkeypatch):
+    """At the default limit, n = _DENSE_LIMIT runs eigh and one point more
+    runs eigsh."""
+    calls = []
+    monkeypatch.setattr(sp, "sla", type("sla", (), {
+        "eigh": _spy(sla.eigh, calls)}))
+    monkeypatch.setattr(sp, "eigsh", _spy(sp.eigsh, calls))
+    eigensolve_smallest(_sphere_system(sp._DENSE_LIMIT, 1), 8)
+    assert calls == ["eigh"]
+    eigensolve_smallest(_sphere_system(sp._DENSE_LIMIT + 1, 1), 8)
+    assert calls == ["eigh", "eigsh"]
+
+
+def test_full_spectrum_takes_dense_branch(force_iterative):
+    """Lanczos cannot return all n pairs, so m + 1 = n goes to eigh above
+    the limit too, and every pair meets the residual contract."""
+    system = _sphere_system(300, 1)
+    spec = eigensolve_smallest(system, 299)
+    assert spec.mu.shape == (300,) and spec.vec_raw.shape == (300, 300)
+    r = np.linalg.norm(sp._residuals(system, spec.vec_raw, spec.mu), axis=0)
+    assert np.all(r <= 1e-8 * np.maximum(1.0, spec.mu))
+
+
 @pytest.mark.parametrize("n", [300, 2000])
-def test_dense_branch_matches_old_expression(monkeypatch, n):
+def test_dense_branch_matches_old_expression(force_dense, monkeypatch, n):
     """The in-place A of the dense branch, and eigh's lambda and U on it,
     equal bit for bit those of the temporaries-based expression
     dm[:, None] * W * dm[None, :]."""
@@ -92,7 +126,8 @@ def test_dense_branch_matches_old_expression(monkeypatch, n):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_eigensolve_dense_allocates_one_square_array(peak_bytes, order):
+def test_eigensolve_dense_allocates_one_square_array(force_dense, peak_bytes,
+                                                    order):
     # A alone: built C-ordered in place and handed to eigh without a copy,
     # whatever W's layout
     n = 1500
@@ -186,7 +221,7 @@ def test_eigensolve_iterative_reads_one_triangle(force_iterative,
                           lower=lower)[3] == W[400, 3]
 
 
-def test_eigensolve_dense_reads_one_triangle():
+def test_eigensolve_dense_reads_one_triangle(force_dense):
     """The dense eigh reads the triangle the Lanczos products read: with
     W[3, 400] moved, it takes entry (3, 400) from W[400, 3], so the solve
     equals bit for bit the one on W with W[400, 3] put back at (3, 400)
@@ -210,6 +245,7 @@ def test_eigensolve_dense_reads_one_triangle():
 def test_eigensolve_refuses_negative_m(request):
     """m < 0 meets the solver's own error on both branches, not scipy's."""
     system = _sphere_system(300, 1)
+    request.getfixturevalue("force_dense")
     with pytest.raises(ValueError, match="^m must be >= 0, got -1$"):
         eigensolve_smallest(system, -1)
     request.getfixturevalue("force_iterative")
