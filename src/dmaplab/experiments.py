@@ -67,7 +67,11 @@ class ExperimentConfig:
         _check_eps(self.eps, self.d)
         if not 0 < self.gap_tol < np.inf:
             raise ValueError("gap_tol must be positive and finite")
+        if self.m < 0:
+            raise ValueError("m must be >= 0, got %d" % self.m)
+        select_diffusion_time(self.t0, self.iota)
         self.tangent_config()
+        self.tangent_config(max_iter=self.study_max_iter)
 
     def tangent_config(self, max_iter=None):
         return TangentConfig(

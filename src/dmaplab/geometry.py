@@ -4,7 +4,9 @@ Provides uniform samplers for S^d and the standard torus, real spherical
 harmonics up to degree 2, the truncated S^2 heat kernel, the scaled
 heat-kernel coordinate embedding of S^2 into R^8 together with its tangent
 frames, and a finite-difference second-fundamental-form sweep used to
-measure the local reach of embedded surfaces.
+measure the local reach of embedded surfaces.  _opnorms is the lab's one
+sup over unit directions of a polynomial form: the sweep takes it of II,
+the tangent estimator's cap of each correction tensor.
 """
 
 from dataclasses import dataclass
@@ -426,25 +428,59 @@ def _eval_chart(embed, U):
     return out
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _features(xi, E):
+    return np.prod(xi[..., None, :] ** E, axis=-1)
+
+
 # directions over a half circle at which 2-d operator norms are maximized
 _ALPHA = np.linspace(0.0, np.pi, 720, endpoint=False)
-# index pairs (i, j) of the Gram entries of (S11, S12, S22), diagonal first
-# (in this order the verify-s2 sweep radius equals the per-direction loop
-# it replaced bit for bit)
-_PAIRS = (np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2]))
+_UGRID = _frozen(np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1))
+# shifted power rounds that refine the direction max above d = 2
+_ROUNDS, _SHIFT = 50, 0.5
 
 
-def _direction_forms(alpha):
-    """(6, len(alpha)) weights that turn the Gram entries of (S11, S12, S22)
-    into |c0 S11 + c1 S12 + c2 S22|^2 for c = (cos^2 a, 2 cos a sin a,
-    sin^2 a): c_i c_j, doubled off the diagonal."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    c = np.stack([ca * ca, 2 * ca * sa, sa * sa])
-    i, j = _PAIRS
-    return c[i] * c[j] * np.where(i == j, 1.0, 2.0)[:, None]
+def _opnorms(blk, l, E, dirs, M):
+    """sup over unit u of |p(u)|, p(u) = sum_a b_a u^a, for each member b
+    of a stack blk of degree-l blocks with exponent rows E, given the
+    monomials M of the unit directions dirs.  Each member takes its max
+    over dirs as the Gram form diag(M b b^T M^T): exact at d = 1, the
+    720-direction grid max at d = 2.  Above d = 2 all members then climb
+    together from their best three directions by _ROUNDS shifted power
+    steps u <- J(u)^T p(u) / l + _SHIFT |p(u)|^2 u, normalized, J being the
+    Jacobian of p (SS-HOPM, Kolda & Mayo 2011), and the largest value met
+    is returned.  The shift lets the climb settle, so the value is a
+    stable function of the block."""
+    MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
+    G = blk @ blk.transpose(0, 2, 1)
+    sq = G.reshape(len(G), -1) @ MM.T
+    best = np.max(sq, axis=1)
+    d = E.shape[1]
+    if d > 2:
+        u = dirs[np.argpartition(sq, -3, axis=1)[:, -3:]]
+        # d/du_j u^a = a_j u^(a - e_j), as (member, start, j, monomial)
+        Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
+        for _ in range(_ROUNDS):
+            p = _features(u, E) @ blk
+            val = np.sum(p * p, axis=2, keepdims=True)
+            best = np.maximum(best, np.max(val, axis=(1, 2)))
+            dm = E.T * _features(u[:, :, None, :], Ed)
+            g = dm @ (p @ blk.transpose(0, 2, 1))[..., None]
+            v = g[..., 0] / l + _SHIFT * val * u
+            # v = 0 only where p = 0 (u.v = (1 + _SHIFT)|p|^2): keep u
+            np.divide(v, np.linalg.norm(v, axis=2, keepdims=True), out=u,
+                      where=val > 0)
+    return np.sqrt(np.maximum(best, 0.0))
 
 
-_DIRECTION_FORMS = _direction_forms(_ALPHA)
+# exponents (2,0), (1,1), (0,2) of the second fundamental form's block
+# (S11, 2 S12, S22), and their monomials over the direction grid
+_E2 = _frozen(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
+_M2 = _frozen(_features(_UGRID, _E2))
 # chart points per evaluation of the curvature sweep
 _SWEEP_CHUNK = 4096
 
@@ -510,14 +546,11 @@ def _shape_operators(embed, U, step):
 
 def _shape_operator_norms(embed, U, step):
     """Operator norm of the second fundamental form at each chart point,
-    maximized over a 720-point grid of unit tangent directions."""
-    S = _shape_operators(embed, U, step)
-    # the squared norm along each direction is a quadratic form in the six
-    # per-point Gram entries of (S11, S12, S22)
-    gram = np.stack([np.einsum("ij,ij->i", S[i], S[j])
-                     for i, j in zip(*_PAIRS)], axis=1)
-    best = np.max(gram @ _DIRECTION_FORMS, axis=1)
-    return np.sqrt(np.maximum(best, 0.0))
+    maximized over the 720-point grid of unit tangent directions: _opnorms
+    of II(u, u) = u1^2 S11 + u1 u2 (2 S12) + u2^2 S22."""
+    S11, S12, S22 = _shape_operators(embed, U, step)
+    blk = np.stack([S11, 2 * S12, S22], axis=1)
+    return _opnorms(blk, 2, _E2, _UGRID, _M2)
 
 
 def second_fundamental_form(embed, u, step=1e-4):

@@ -1,7 +1,8 @@
 """Tangent-space estimation on point clouds by constrained local
 polynomial fits: a PCA-seeded alternating minimization over (projector,
 correction tensors) with operator-norm caps, plus the subspace angle
-metric and the sample-size / bandwidth rules for the estimator."""
+metric and the sample-size / bandwidth rules for the estimator.  The caps
+take geometry's _opnorms, the lab's one sup over unit directions."""
 
 from collections import namedtuple
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from math import floor
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import _ALPHA
+from .geometry import _UGRID, _features, _frozen, _opnorms
 
 
 @dataclass
@@ -28,8 +29,8 @@ class TangentConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("polynomial order k must be >= 2")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("need max_iter >= 1 and tol > 0")
+        if not (self.max_iter >= 1 and 0 < self.tol < np.inf):
+            raise ValueError("need max_iter >= 1 and a finite tol > 0")
         if not 0 < self.f_min <= self.f_max:
             raise ValueError("need 0 < f_min <= f_max")
         cap = 1.0 if self.t_cap is None else self.t_cap
@@ -81,13 +82,6 @@ def monomial_exponents(d, degrees):
             for c in combinations_with_replacement(range(d), l)]
 
 
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
-_UGRID = _frozen(np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1))
-
 _FitPlan = namedtuple("FitPlan", "expos E dirs blocks")
 
 
@@ -114,10 +108,6 @@ def _fit_plan(d, k):
     return _FitPlan(expos, E, dirs, tuple(blocks))
 
 
-def _features(xi, E):
-    return np.prod(xi[..., None, :] ** E, axis=-1)
-
-
 def _top_d_basis(M, d):
     """Top-d eigenvectors, largest first, of each matrix in a stack of
     symmetric (D, D) matrices, and each one's top-d eigengap."""
@@ -138,43 +128,6 @@ def _lstsq(Phi, rho, rows):
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut[:, None])
     return Vt.transpose(0, 2, 1) @ (inv[:, :, None]
                                     * (U.transpose(0, 2, 1) @ rho))
-
-
-# shifted power rounds that refine the direction max above d = 2
-_ROUNDS, _SHIFT = 50, 0.5
-
-
-def _opnorms(blk, l, E, dirs, M):
-    """sup over unit u of |p(u)|, p(u) = sum_a b_a u^a, for each member b
-    of a stack blk of degree-l blocks with exponent rows E, given the
-    monomials M of the unit directions dirs.  Each member takes its max
-    over dirs as the Gram form diag(M b b^T M^T): exact at d = 1, the
-    720-direction grid max at d = 2.  Above d = 2 all members then climb
-    together from their best three directions by _ROUNDS shifted power
-    steps u <- J(u)^T p(u) / l + _SHIFT |p(u)|^2 u, normalized, J being the
-    Jacobian of p (SS-HOPM, Kolda & Mayo 2011), and the largest value met
-    is returned.  The shift lets the climb settle, so the value is a
-    stable function of the block."""
-    MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
-    G = blk @ blk.transpose(0, 2, 1)
-    sq = G.reshape(len(G), -1) @ MM.T
-    best = np.max(sq, axis=1)
-    d = E.shape[1]
-    if d > 2:
-        u = dirs[np.argpartition(sq, -3, axis=1)[:, -3:]]
-        # d/du_j u^a = a_j u^(a - e_j), as (member, start, j, monomial)
-        Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
-        for _ in range(_ROUNDS):
-            p = _features(u, E) @ blk
-            val = np.sum(p * p, axis=2, keepdims=True)
-            best = np.maximum(best, np.max(val, axis=(1, 2)))
-            dm = E.T * _features(u[:, :, None, :], Ed)
-            g = dm @ (p @ blk.transpose(0, 2, 1))[..., None]
-            v = g[..., 0] / l + _SHIFT * val * u
-            # v = 0 only where p = 0 (u.v = (1 + _SHIFT)|p|^2): keep u
-            np.divide(v, np.linalg.norm(v, axis=2, keepdims=True), out=u,
-                      where=val > 0)
-    return np.sqrt(np.maximum(best, 0.0))
 
 
 def _cap(b, plan, t_cap):

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +53,13 @@ def fits_digest():
             h.update(np.int64(fit.iterations).tobytes())
         return h.hexdigest()
     return digest
+
+
+@pytest.fixture
+def src_env():
+    """The environment for a child Python process, with this checkout's
+    src first on PYTHONPATH, so the child imports the dmaplab under test
+    whether or not a copy is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

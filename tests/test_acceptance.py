@@ -210,11 +210,11 @@ def test_criterion_10_bound_evaluators():
              % (liy, cro, r1, s1, cap))
 
 
-def test_criterion_11_verify_cli(tmp_path):
+def test_criterion_11_verify_cli(tmp_path, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "dmaplab", "verify-s2", "--out",
          str(tmp_path)],
-        capture_output=True, text=True, timeout=180)
+        capture_output=True, text=True, env=src_env, timeout=180)
     ok = proc.returncode == 0 and "overall: pass" in proc.stdout
     _verdict(11, "verify-s2 command end to end",
              ok, "exit=%d" % proc.returncode)

@@ -344,7 +344,11 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
                                      "tangent_bandwidth_const = -1",
                                      "gap_tol = -1", "gap_tol = nan",
                                      "gap_tol = inf", "eps = -1",
-                                     "eps = nan", "eps = 0.2"])
+                                     "eps = nan", "eps = 0.2",
+                                     "tangent_tol = nan",
+                                     "tangent_tol = inf",
+                                     "study_max_iter = 0", "t0 = -1",
+                                     "t0 = nan", "iota = 0", "m = -1"])
 def test_pipeline_refuses_bad_config_values(tmp_path, capsys, setting):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(setting + "\n")

@@ -1,6 +1,5 @@
 """The README's walkthrough scripts run to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
                                     ["sphere_pipeline.py", "300", "1"],
                                     ["tangent_accuracy.py"]],
                          ids=lambda script: script[0])
-def test_demo_exits_0(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
+def test_demo_exits_0(script, src_env):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script[0])]
                           + script[1:], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env=src_env, timeout=300)
     assert proc.returncode == 0, proc.stderr

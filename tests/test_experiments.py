@@ -51,7 +51,10 @@ def test_config_validation():
         ExperimentConfig(d=0)
     for kw in (dict(tangent_t_cap=-1.0), dict(tangent_t_cap=np.nan),
                dict(tangent_bandwidth_const=-1.0), dict(k=1),
-               dict(tangent_max_iter=0), dict(tangent_tol=0.0)):
+               dict(tangent_max_iter=0), dict(tangent_tol=0.0),
+               dict(tangent_tol=np.nan), dict(tangent_tol=np.inf),
+               dict(study_max_iter=0), dict(t0=-1.0), dict(t0=np.nan),
+               dict(iota=0.0), dict(m=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
 
@@ -174,6 +177,31 @@ def test_run_pipeline_reports_lanczos_failure(force_iterative, monkeypatch):
     assert np.isnan(rec.embedding_error)
 
 
+# the record's NaN-default cells in the order run_pipeline fills them
+_NAN_CELLS = ("h", "first_cluster_mean", "t", "embedding_error",
+              "tangent_angle_median", "tangent_angle_max")
+
+
+@pytest.mark.parametrize("stage, callee, filled", [
+    ("laplacian", "system_from_cloud", 0),
+    ("eigen-errors", "eigen_errors", 2),
+    ("embed-errors", "embedding_error", 3),
+    ("tangent-errors", "subspace_angle", 4)])
+def test_run_pipeline_status_names_failing_stage(monkeypatch, stage, callee,
+                                                 filled):
+    """A ValueError in a stage becomes status '<stage>: message'; the cells
+    filled before it keep their values, the later ones their NaN
+    defaults."""
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+    monkeypatch.setattr(X, callee, boom)
+    rec = run_pipeline(ExperimentConfig(), 300, 1)
+    assert rec.status == "%s: boom" % stage
+    cells = [getattr(rec, name) for name in _NAN_CELLS]
+    assert not np.isnan(cells[:filled]).any()
+    assert np.isnan(cells[filled:]).all()
+
+
 def test_run_pipeline_torus_skips_oracle():
     cfg = ExperimentConfig(manifold="torus", torus_R=2.0, torus_r=0.7)
     rec = run_pipeline(cfg, 300, 2)
@@ -221,8 +249,10 @@ def test_run_below_tangent_subsample_size_fails_at_tangent():
 
 
 def test_nan_t0_fails_at_embed():
-    rec = run_pipeline(ExperimentConfig(t0=np.nan), 200, 1)
-    assert rec.status == "embed: t0 and iota must be positive"
+    """The embed stage's diffusion-time rule refuses a NaN t0 when the
+    config is built, before any run samples or solves."""
+    with pytest.raises(ValueError, match="^t0 and iota must be positive$"):
+        ExperimentConfig(t0=np.nan)
 
 
 def test_m_below_d_fails_at_embed_with_t_recorded():
@@ -353,6 +383,13 @@ def test_verify_s2_recomputes_budget():
     assert "0.019894" in rep.checks[1].target
     assert rep.checks[3].passed is None       # sweep pinned at t0 = 1/4
     assert rep.checks[4].passed is None
+
+
+def test_verify_s2_sweep_radius_pinned_bit_for_bit():
+    """The t0 = 1/4 curvature sweep radius, pinned to the last bit; the
+    check itself and criterion 4 allow 1%."""
+    values = {c.check: c.value for c in verify_s2(0.25).checks}
+    assert values["sweep-radius"] == 0.64692445880068639
 
 
 def test_verify_s2_far_time_fails_isometry():
