@@ -58,6 +58,15 @@ class ExperimentConfig:
             raise ValueError("manifold must be 'sphere' or 'torus'")
         if not (self.n_grid and self.seeds and self.ntilde_grid):
             raise ValueError("n_grid, seeds and ntilde_grid must be nonempty")
+        # 3 is the floor of both bandwidth rules, graph and tangent
+        for name, vals, low in (("n_grid", self.n_grid, 3),
+                                ("ntilde_grid", self.ntilde_grid, 3),
+                                ("seeds", self.seeds, 0),
+                                ("min_subsample", (self.min_subsample,), 3)):
+            if not all(isinstance(v, (int, np.integer)) and v >= low
+                       for v in vals):
+                raise ValueError("%s: need whole numbers >= %d, got %s"
+                                 % (name, low, getattr(self, name)))
         if self.manifold == "torus" and not 0 < self.torus_r < self.torus_R:
             raise ValueError("torus radii must satisfy 0 < r < R")
         if self.manifold == "torus" and self.d != 2:

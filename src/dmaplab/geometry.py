@@ -434,7 +434,19 @@ def _frozen(a):
 
 
 def _features(xi, E):
-    return np.prod(xi[..., None, :] ** E, axis=-1)
+    """Monomials xi^a of the exponent rows a of E, whatever E's outer
+    shape: x^0..x^top by repeated products, each monomial's factors
+    gathered from the (..., top+1, d) powers by one fancy index and
+    multiplied left to right."""
+    # exact products, no np.power: its array-exponent kernel is not
+    # correctly rounded, and gave a monomial other bits in a one-row E
+    pw = np.empty((int(E.max(initial=0)) + 1,) + xi.shape)
+    pw[0] = 1.0
+    for p in range(1, len(pw)):
+        np.multiply(pw[p - 1], xi, out=pw[p])
+    pw = pw.transpose(*range(1, xi.ndim), 0, xi.ndim)
+    return np.prod(pw[..., E.astype(np.intp), np.arange(xi.shape[-1])],
+                   axis=-1)
 
 
 # directions over a half circle at which 2-d operator norms are maximized
@@ -468,7 +480,7 @@ def _opnorms(blk, l, E, dirs, M):
             p = _features(u, E) @ blk
             val = np.sum(p * p, axis=2, keepdims=True)
             best = np.maximum(best, np.max(val, axis=(1, 2)))
-            dm = E.T * _features(u[:, :, None, :], Ed)
+            dm = E.T * _features(u, Ed)
             g = dm @ (p @ blk.transpose(0, 2, 1))[..., None]
             v = g[..., 0] / l + _SHIFT * val * u
             # v = 0 only where p = 0 (u.v = (1 + _SHIFT)|p|^2): keep u

@@ -305,8 +305,12 @@ def subspace_angle(U, V):
     if U.shape != V.shape:
         raise ValueError("subspace bases must share a shape")
     for M in (U, V):
-        if np.max(np.abs(M.T @ M - np.eye(M.shape[1]))) > 1e-8:
+        G = M.T @ M
+        G.flat[::G.shape[0] + 1] -= 1.0
+        if np.max(np.abs(G)) > 1e-8:
             raise ValueError("basis columns must be orthonormal")
     resid = U - V @ (V.T @ U)
-    s = np.linalg.norm(resid, 2)
+    # the spectral norm, as norm(resid, 2) takes it: singular values sort
+    # in descending order
+    s = np.linalg.svd(resid, compute_uv=False)[0]
     return float(min(max(s, 0.0), 1.0))

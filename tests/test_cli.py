@@ -338,6 +338,14 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
     assert not (tmp_path / "verify.csv").exists()
 
 
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Make any sample the pipeline draws fail the test."""
+    def refuse(*args):
+        raise AssertionError("sampled before the config was refused")
+    monkeypatch.setattr("dmaplab.experiments.sample_sphere", refuse)
+
+
 @pytest.mark.parametrize("setting", ["kappa = -1", "kappa = nan",
                                      "tangent_t_cap = -1",
                                      "tangent_t_cap = nan",
@@ -348,15 +356,36 @@ def test_verify_s2_refuses_bad_input(tmp_path, capsys, flag):
                                      "tangent_tol = nan",
                                      "tangent_tol = inf",
                                      "study_max_iter = 0", "t0 = -1",
-                                     "t0 = nan", "iota = 0", "m = -1"])
-def test_pipeline_refuses_bad_config_values(tmp_path, capsys, setting):
+                                     "t0 = nan", "iota = 0", "m = -1",
+                                     "min_subsample = 0",
+                                     "min_subsample = 2",
+                                     "min_subsample = -5"])
+def test_pipeline_refuses_bad_config_values(tmp_path, capsys, no_sampling,
+                                            setting):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(setting + "\n")
     out = tmp_path / "out"
     assert main(["pipeline", "--config", str(cfg), "--n", "300",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "runs.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["n_grid = 200,300,0",
+                                     "n_grid = 200,300,2",
+                                     "ntilde_grid = 100,2",
+                                     "seeds = 1,-1"])
+def test_pipeline_refuses_bad_grid_before_any_run(tmp_path, capsys,
+                                                  no_sampling, setting):
+    """A grid size below 3, the floor of both bandwidth rules, or a
+    negative seed exits 2 before the first run and writes nothing."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting.split()[0] in err
+    assert not out.exists()
 
 
 def test_verify_s2_at_huge_t0_reports_finite_values(tmp_path, capsys):

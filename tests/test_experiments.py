@@ -57,6 +57,15 @@ def test_config_validation():
                dict(iota=0.0), dict(m=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
+    for kw in (dict(n_grid=(200, 300, 0)), dict(n_grid=(200, 2)),
+               dict(n_grid=(200.0, 300)), dict(ntilde_grid=(100, 2)),
+               dict(seeds=(1, -1)), dict(seeds=(1.5,)),
+               dict(min_subsample=0), dict(min_subsample=2),
+               dict(min_subsample=10.0)):
+        with pytest.raises(ValueError, match="need whole numbers >= "):
+            ExperimentConfig(**kw)
+    ExperimentConfig(n_grid=(3, np.int64(4)), ntilde_grid=(3,), seeds=(0,),
+                     min_subsample=3)
 
 
 def test_load_config_full(tmp_path):

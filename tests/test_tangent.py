@@ -168,28 +168,67 @@ def _ref_opnorm(b_rows, l, E, dirs, M):
     return float(_opnorms(b_rows[None], l, E, dirs, M)[0])
 
 
+def _scalar_features(xi, E):
+    """The monomials xi^a of the exponent rows a of E by a plain-Python
+    loop over floats: each power by repeated products, then the factors
+    multiplied left to right over the coordinates."""
+    xi, E = np.asarray(xi), np.asarray(E)
+    out = np.empty(xi.shape[:-1] + E.shape[:-1])
+    for i in np.ndindex(xi.shape[:-1]):
+        for r in np.ndindex(E.shape[:-1]):
+            mono = 1.0
+            for x, a in zip(xi[i].tolist(), E[r].tolist()):
+                power = 1.0
+                for _ in range(int(a)):
+                    power *= x
+                mono *= power
+            out[i + r] = mono
+    return out
+
+
 def test_features_and_grid_opnorm_match_old_expressions():
-    """The cached plan gives the same bits as the per-call expressions it
-    replaced, written out here: column-by-column features, and at d = 2
-    the monomials of the 720-direction grid rebuilt from the angles on
-    each call, whose direct max the Gram form of _opnorms gives to
+    """_features gives the bits of the scalar product loop for every plan
+    at d = 1..3 and k = 2..5, on one point and on stacks, and for the
+    derivative exponents of _opnorms' shifted rounds; the d = 2 plan holds
+    the loop's monomials of the 720-direction grid rebuilt from the
+    angles, whose direct max the Gram form of _opnorms gives to
     rounding."""
     rng = np.random.default_rng(7)
-    for d, k in ((1, 4), (2, 3), (2, 5), (3, 4)):
-        plan = _fit_plan(d, k)
-        xi = rng.standard_normal((40, d))
-        old = np.stack([np.prod(xi ** np.asarray(e, dtype=float), axis=1)
-                        for _, e in plan.expos], axis=1)
-        assert np.array_equal(_features(xi, plan.E), old)
+    for d in (1, 2, 3):
+        for k in (2, 3, 4, 5):
+            E = _fit_plan(d, k).E
+            for shape in ((d,), (40, d), (3, 5, d)):
+                xi = rng.standard_normal(shape)
+                assert np.array_equal(_features(xi, E),
+                                      _scalar_features(xi, E))
+            Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
+            u = rng.standard_normal((4, 3, d))
+            assert np.array_equal(_features(u, Ed), _scalar_features(u, Ed))
     plan = _fit_plan(2, 5)
     grid = np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1)
     for l, rows, M in plan.blocks:
         b = rng.standard_normal((rows.stop - rows.start, 8))
-        M_old = np.stack([np.prod(grid ** np.asarray(e, dtype=float), axis=1)
-                          for _, e in plan.expos[rows]], axis=1)
+        M_old = _scalar_features(grid, plan.E[rows])
         assert np.array_equal(M, M_old)
         assert _opnorms(b[None], l, plan.E[rows], plan.dirs, M)[0] == \
             pytest.approx(_grid_max(b, M_old), rel=1e-13, abs=0)
+
+
+@settings(max_examples=100)
+@given(d=st.integers(1, 3), k=st.integers(3, 6),
+       shape=st.sampled_from([(), (1,), (7,), (3, 4)]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_features_rows_together_equal_rows_alone(d, k, shape, scale, seed):
+    """The monomials of all exponent rows at once carry the bits of each
+    row taken alone, so a monomial does not depend on which others share
+    its call."""
+    E = _fit_plan(d, k).E
+    xi = scale * np.random.default_rng(seed).standard_normal(shape + (d,))
+    together = _features(xi, E)
+    for r in range(len(E)):
+        assert np.array_equal(together[..., r],
+                              _features(xi, E[r:r + 1])[..., 0])
 
 
 @pytest.mark.parametrize("d, l", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -355,25 +394,25 @@ def _assert_matches_reference(batch, cloud, h, cfg, proj_tol, tensor_tol):
 def test_sphere_fits_pinned_bit_for_bit(fits_digest):
     """sha256 over every fit's basis, tensors and iteration count on an
     oracle-embedded S^2 sample, which pins run-to-run determinism of the
-    d = 2 fits.  The digest was recorded from the chunked engine: its
-    stacked least squares and Gram-form cap move the last bits of k >= 3
-    fits away from the per-point loop's, which
-    test_engine_matches_reference_fit bounds on this cloud."""
+    d = 2 fits.  The digest was recorded from the chunked engine with
+    exact-product monomials: its stacked least squares and Gram-form cap
+    move the last bits of k >= 3 fits away from the per-point loop's,
+    which test_engine_matches_reference_fit bounds on this cloud."""
     batch = estimate_tangents(*_sphere_case())
     assert not batch.errors
-    assert fits_digest(batch) == ("784362ccab1ab5bc0db5bb941fbea2f7"
-                                  "7a8e41158157a58e8923789979d64328")
+    assert fits_digest(batch) == ("c262e049927de73fb398c32c3df8e834"
+                                  "ba21a1882a38be57824f8633f85123e4")
 
 
 _PINS = {
     (1, 2): "73c75e89381c19411523a611346d9f014d061c4d77a3cd3dd44bab18677192b6",
     (1, 3): "6206b27bad1ff3d81f10d5e5fbc3715d8210c39bad9cf64fdc7eb52c3edcf171",
-    (1, 4): "b457bd24f900de3f0549dee56ea78dd55f30fe9d349932164b976f31d92efdd9",
+    (1, 4): "5eb2d69a66e928e7a74986dd07da92c78630831e1b76401c1f6bd4b57146077a",
     (2, 2): "29ae9a38a6a7bd586834742d2ef203db4dda718a7d63900ef556625b5c5d784f",
-    (2, 3): "d22517eca77e309cbd7f782104f63b514aff3f422b41c4aeefa51bd9c2e532d5",
-    (2, 4): "2bb5c63f4ba1f191c29c0742a510ac45587f36721fc48d36ec0f132ea1c2c2f8",
-    (3, 3): "9edfb6d261abfd5e025e39538245a8094e45e4c8c8dc46c43aa62e053a8dcc43",
-    (3, 4): "2061fecdcb4ee8161a38891b0c1a8c66040b3690a7582e433a090145964cdc48",
+    (2, 3): "c654c38b8fac271e7780e6a0357159d0b3f5b4a30e6e860336ca662cd1e32562",
+    (2, 4): "06130d6e866489d33b1aabeac725605b93b11903d8170372686a6d0e1f34bd0c",
+    (3, 3): "c4e7bdd06d4a21c90ca2d0181f06bc020292441841b4ea21b7b81c9e77a7ac9c",
+    (3, 4): "87674e7e1b8498b7cd74d921c2e7ea8d7054e35a89fe1be2d156b4b2062a964b",
 }
 
 
@@ -398,7 +437,9 @@ def test_fits_pinned_bit_for_bit_at_every_order(fits_digest, d, k):
     Z^T Z bit for bit, so the chunked engine keeps them.  The k >= 3
     digests were recorded from the chunked engine (see
     test_sphere_fits_pinned_bit_for_bit), the d = 3 ones with the shifted
-    power rounds of _opnorms, without which both digests change.  On this
+    power rounds of _opnorms, without which both digests change.  The
+    (1, 3) digest predates the exact-product monomials of _features: its
+    one monomial x^2 was already x * x.  On this
     circle the operator-norm cap does not bind (see
     test_poly_opnorm_d1_is_row_norm for where it does)."""
     cloud = _pin_cloud(d)
