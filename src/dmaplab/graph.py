@@ -1,21 +1,77 @@
 """Kernel affinity matrices, degrees, the normalized graph Laplacian, and
 neighborhood ball counts for point clouds."""
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.spatial import cKDTree
 
 # rows of every row-block pass over W.  A 16-row block (512 KB at n = 4000)
 # stays in L2 through all steps of the kernel pass, and its temporaries stay
 # small (256-row blocks raised the peak RSS by 6 MiB, as malloc kept their
 # 8 MB temporaries on the heap); the division pass took 13 ms in 16-row
-# blocks against 16 ms in 64-row ones.  Tile side of the asymmetry check:
-# 128 was the fastest of 64, 128, 256 and 512 at n = 4000.  With 64 for
-# both the sweeps and the tiles, a run_pipeline call at n = 4000 took 4-9%
-# longer (one BLAS thread).
+# blocks against 16 ms in 64-row ones.  Each worker of _spread takes a
+# contiguous run of whole blocks, so a block is computed the same way at any
+# worker count.  Tile side of the Gram mirror and the asymmetry check: 128
+# was the fastest of 64, 128, 256 and 512 at n = 4000 for the check; the
+# whole Gram build took 81-84 ms in 128-wide tiles, 81-85 ms in 256-wide
+# and 104-116 ms in 64-wide ones (one worker).  With 64 for both the sweeps
+# and the tiles, a run_pipeline call at n = 4000 took 4-9% longer (one BLAS
+# thread, one worker).
 _ROWS = 16
 _TILE = 128
+_BELOW = np.tri(_TILE, k=-1, dtype=bool)     # strict lower triangle of a tile
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_pool():
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# a forked child inherits the pool object but not its threads, and the lock
+# in whatever state another thread left it
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _spread(fn, items):
+    """[fn(share) for share in shares]: items cut into contiguous, nonempty
+    shares, one per CPU this process may run on (at most len(items)), each
+    run on a pool thread.  fn must not call _spread, whose shares would
+    wait for a pool that they fill, nor a public dmaplab function: the span
+    tracer of perfbench keeps one span stack, for the calling thread."""
+    global _pool
+    k = min(_cpus(), len(items))
+    shares = [items[len(items) * i // k:len(items) * (i + 1) // k]
+              for i in range(k)]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                       thread_name_prefix="dmaplab")
+        pool = _pool
+    futures = [pool.submit(fn, share) for share in shares]
+    # every share ends before _spread returns or raises
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def _check_bandwidth(h):
+    if not 0 < h < np.inf:
+        raise ValueError("bandwidth must be positive")
 
 
 @dataclass
@@ -25,8 +81,7 @@ class KernelConfig:
     d: int
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("bandwidth must be positive")
+        _check_bandwidth(self.h)
         if self.n < 2:
             raise ValueError("need at least two points")
 
@@ -62,25 +117,61 @@ def _blocks(n, size):
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
+def _upper_tiles(n):
+    """Tile pairs (I, J), I <= J, that cover the upper triangle of an n x n
+    array, in row-major order."""
+    tiles = _blocks(n, _TILE)
+    return [(I, J) for k, I in enumerate(tiles) for J in tiles[k:]]
+
+
+def _gram(x):
+    """x @ x.T, bit for bit, for a C-ordered x: the BLAS syrk call numpy
+    makes for it (on x.T, which is Fortran-ordered), which fills the upper
+    triangle, then the lower one mirrored tile by tile.  numpy mirrors it
+    element by element along whole columns: 66 ms of its 111 ms at
+    n = 4000, one BLAS thread."""
+    G = dsyrk(1.0, x.T, trans=1, lower=1).T
+
+    def mirror(pairs):
+        for I, J in pairs:
+            if I == J:
+                T = G[I, I]
+                k = T.shape[0]
+                np.copyto(T, T.T, where=_BELOW[:k, :k])
+            else:
+                # transposing a contiguous copy of the tile reads 128 KB, not
+                # 128 rows of G: 38 ms against 55 ms at n = 4000, one worker
+                G[J, I] = G[I, J].copy().T
+
+    _spread(mirror, _upper_tiles(G.shape[0]))
+    return G
+
+
 def _asymmetry(W):
     """max |W - W^T|, taken over the tile pairs that cover the upper
     triangle, without an n x n temporary."""
-    tiles = _blocks(W.shape[0], _TILE)
-    return max(np.max(np.abs(W[I, J] - W[J, I].T))
-               for k, I in enumerate(tiles) for J in tiles[k:])
+    def share_max(pairs):
+        return max(np.max(np.abs(W[I, J] - W[J, I].T)) for I, J in pairs)
+
+    return max(_spread(share_max, _upper_tiles(W.shape[0])))
 
 
 def _row_stats(W):
     """W.sum(axis=1), W.max() and W.min() of a finite W, bit for bit, from
     one pass over row blocks."""
     deg = np.empty(W.shape[0])
-    hi, lo = -np.inf, np.inf
-    for b in _blocks(W.shape[0], _ROWS):
-        rows = W[b]
-        deg[b] = rows.sum(axis=1)
-        hi = max(hi, rows.max())
-        lo = min(lo, rows.min())
-    return deg, hi, lo
+
+    def stats(blocks):
+        hi, lo = -np.inf, np.inf
+        for b in blocks:
+            rows = W[b]
+            deg[b] = rows.sum(axis=1)
+            hi = max(hi, rows.max())
+            lo = min(lo, rows.min())
+        return hi, lo
+
+    his, los = zip(*_spread(stats, _blocks(W.shape[0], _ROWS)))
+    return deg, max(his), min(los)
 
 
 def bandwidth(n, d):
@@ -92,8 +183,7 @@ def bandwidth(n, d):
 
 def gaussian_kernel(x, y, h):
     """exp(-|x-y|^2 / (4 h^2))."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(h)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -107,26 +197,35 @@ def build_affinity(cloud, h):
 
     Returns (W, q) with q_i = sum_j k_h(x_i, x_j) (self term included) and
     W_ij = k_h(x_i, x_j) / (q_i q_j), built in place over row blocks (peak:
-    W and one block of rows).  The kernel and q take one pass over W, the
-    division by q_i q_j a second.
+    W and one block of rows per worker).  The Gram matrix x x^T takes one
+    pass over W, the kernel and q a second, the division by q_i q_j a third.
     """
+    _check_bandwidth(h)
     x = cloud.points
     if x.shape[0] < 2:
         raise ValueError("need at least two points")
     sq = np.sum(x * x, axis=1)
-    W = x @ x.T
+    W = _gram(x)
     q = np.empty(W.shape[0])
-    for b in _blocks(W.shape[0], _ROWS):
-        K = W[b]
-        # (-2 g) + s is s - 2 g bit for bit: scaling by -2 is exact
-        K *= -2.0
-        K += sq[b, None] + sq[None, :]
-        np.maximum(K, 0.0, out=K)
-        K /= -4.0 * h * h
-        np.exp(K, out=K)
-        q[b] = K.sum(axis=1)
-    for b in _blocks(W.shape[0], _ROWS):
-        W[b] /= np.outer(q[b], q)
+
+    def kernel(blocks):
+        for b in blocks:
+            K = W[b]
+            # (-2 g) + s is s - 2 g bit for bit: scaling by -2 is exact
+            K *= -2.0
+            K += sq[b, None] + sq[None, :]
+            np.maximum(K, 0.0, out=K)
+            K /= -4.0 * h * h
+            np.exp(K, out=K)
+            q[b] = K.sum(axis=1)
+
+    def divide(blocks):
+        for b in blocks:
+            W[b] /= np.outer(q[b], q)
+
+    blocks = _blocks(W.shape[0], _ROWS)
+    _spread(kernel, blocks)
+    _spread(divide, blocks)
     return W, q
 
 
@@ -137,8 +236,7 @@ def laplacian(W, h, ball_counts=None, d=None):
     W must be finite and symmetric with positive diagonal; rows of L sum to
     zero and -L is PSD (it is conjugate to a symmetric PSD form).
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_bandwidth(h)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
@@ -162,11 +260,14 @@ def laplacian(W, h, ball_counts=None, d=None):
 def ball_counts(cloud, h):
     """Number of sample points strictly within distance h of each point,
     the center itself included."""
+    _check_bandwidth(h)
     x = cloud.points
     tree = cKDTree(x)
     # query_ball_point includes the boundary; shrink to make the ball open
     r = np.nextafter(h, 0.0)
-    counts = tree.query_ball_point(x, r, return_length=True)
+    # as many query threads as _spread has shares
+    counts = tree.query_ball_point(x, r, return_length=True,
+                                   workers=_cpus())
     return np.asarray(counts, dtype=int)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import dmaplab.graph as gr
 import dmaplab.spectral as sp
 
 # every property test repeats the same examples on every run
@@ -24,6 +25,12 @@ def force_iterative(monkeypatch):
 def force_dense(monkeypatch):
     """Route every eigensolve_smallest call through the dense eigh branch."""
     monkeypatch.setattr(sp, "_DENSE_LIMIT", 10 ** 6)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run every _spread call as one share and ball_counts on one thread."""
+    monkeypatch.setattr(gr, "_cpus", lambda: 1)
 
 
 @pytest.fixture

@@ -1,3 +1,11 @@
+import importlib
+import inspect
+import os
+import pkgutil
+import signal
+import sys
+import threading
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmaplab
+from dmaplab import cli
+from dmaplab.experiments import ExperimentConfig, run_pipeline
 from dmaplab.geometry import PointCloud, sample_sphere
 import dmaplab.graph as gr
 from dmaplab.graph import (KernelConfig, LaplacianSystem, ball_counts,
@@ -36,6 +47,20 @@ def test_kernel_config_validation():
         KernelConfig(h=0.0, n=10, d=2)
     with pytest.raises(ValueError):
         KernelConfig(h=0.5, n=1, d=2)
+
+
+@pytest.mark.parametrize("h", [-1.0, 0.0, -np.inf, np.nan, np.inf])
+def test_graph_layer_refuses_a_bandwidth_not_finite_and_positive(h):
+    cloud = sample_sphere(50, 2, 1)
+    x = cloud.points
+    calls = [lambda: KernelConfig(h=h, n=10, d=2),
+             lambda: gaussian_kernel(x[0], x[1], h),
+             lambda: build_affinity(cloud, h),
+             lambda: ball_counts(cloud, h),
+             lambda: laplacian(np.ones((3, 3)), h)]
+    for call in calls:
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            call()
 
 
 def test_gaussian_kernel_values():
@@ -258,3 +283,127 @@ def test_sphere_system_invariances(n, seed, rot_seed):
     S = -(r[:, None] * L / r[None, :])
     assert np.max(np.abs(S - S.T)) <= 1e-12
     assert np.linalg.eigvalsh(0.5 * (S + S.T))[0] >= -1e-10
+
+
+def test_spread_cuts_contiguous_nonempty_shares_in_order(monkeypatch):
+    monkeypatch.setattr(gr, "_cpus", lambda: 3)
+    assert gr._spread(list, list(range(10))) == [[0, 1, 2], [3, 4, 5],
+                                                 [6, 7, 8, 9]]
+    assert gr._spread(list, range(2)) == [[0], [1]]
+    assert gr._spread(len, []) == []
+
+
+def _worker_sensitive_results(n):
+    cloud = sample_sphere(n, 2, 5)
+    system = system_from_cloud(cloud)
+    W, q = build_affinity(cloud, system.h)
+    spec = eigensolve_smallest(system, 8)
+    rng = np.random.default_rng(n)
+    bent = W * (1.0 + 1e-9 * rng.standard_normal(W.shape))
+    return [system.W, q, system.degree, system.ball_counts, spec.mu,
+            spec.vec_raw, *gr._row_stats(bent), gr._asymmetry(bent)]
+
+
+# with two or more workers, each n ends the 16-row passes in a partial
+# block inside the last share (130 = 8*16 + 2, 300 = 18*16 + 12,
+# 1001 = 62*16 + 9) and the 128-wide tiles in a partial tile
+@pytest.mark.parametrize("n", [130, 300, 1001])
+def test_one_worker_and_the_default_give_the_same_bits(n, request):
+    default = _worker_sensitive_results(n)
+    request.getfixturevalue("one_worker")
+    assert gr._cpus() == 1
+    for a, b in zip(default, _worker_sensitive_results(n), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_more_shares_than_cpus_under_fast_thread_switching(monkeypatch):
+    # workers write disjoint slices of W, q and the degrees; five shares on
+    # a pool of at most os.cpu_count() threads, switching every 10 us, must
+    # still give the one-worker bits
+    monkeypatch.setattr(gr, "_cpus", lambda: 1)
+    reference = _worker_sensitive_results(300)
+    monkeypatch.setattr(gr, "_cpus", lambda: 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _worker_sensitive_results(300)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(reference, results, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [130, 300])
+def test_faults_in_the_last_share_are_caught_and_the_pool_survives(n):
+    # the last row block and the last diagonal tile fall in the last share
+    # at any worker count
+    W, _ = build_affinity(sample_sphere(n, 2, 3), 0.8)
+    bad = W.copy()
+    bad[n - 1, n - 2] = bad[n - 2, n - 1] = np.nan
+    with pytest.raises(ValueError, match="W must be finite"):
+        laplacian(bad, 0.8)
+    bad = W.copy()
+    bad[n - 1, n - 2] += 1e-9
+    with pytest.raises(ValueError, match="W must be symmetric"):
+        laplacian(bad, 0.8)
+    with pytest.raises(ZeroDivisionError):
+        gr._spread(lambda share: 1 / 0, range(4))
+    assert np.array_equal(laplacian(W, 0.8).degree, W.sum(axis=1))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_spreads_on_a_pool_of_its_own():
+    # one busy share per CPU: the parent's pool starts every thread it may,
+    # and they all sit idle at the fork
+    gr._spread(lambda share: time.sleep(0.05), list(range(10)))
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if sum(gr._spread(len, list(range(10)))) == 10 else 1)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child waited on the parent's pool threads")
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_every_public_call_runs_on_the_main_thread(monkeypatch, tmp_path):
+    """Wrap every public function of the dmaplab modules on each binding
+    that holds it, as the benchmark's span tracer does; its one span stack
+    needs every public call on the caller's thread, never in a pool task."""
+    modules = [importlib.import_module("dmaplab." + info.name)
+               for info in pkgutil.iter_modules(dmaplab.__path__)
+               if info.name != "__main__"]
+    holders = [dmaplab] + modules
+    calls, off_main = [], []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in modules:
+        for attr, fn in list(vars(mod).items()):
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != mod.__name__):
+                continue
+            wrapped = wrap("%s.%s" % (mod.__name__, attr), fn)
+            for holder in holders:
+                for key, val in list(vars(holder).items()):
+                    if val is fn:
+                        monkeypatch.setattr(holder, key, wrapped)
+    run_pipeline(ExperimentConfig(), 300, 1)
+    assert cli.main(["laplacian", "--n", "300", "--out", str(tmp_path)]) == 0
+    assert {"dmaplab.graph.build_affinity", "dmaplab.graph.ball_counts",
+            "dmaplab.graph.laplacian",
+            "dmaplab.spectral.eigensolve_smallest",
+            "dmaplab.io.save_matrix_coo"} <= set(calls)
+    assert off_main == []
