@@ -29,7 +29,7 @@ class BoundConstants:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError("constant %s must be positive" % f.name)
 
 
@@ -63,7 +63,7 @@ def rate_exponents(d, k):
     """Convergence-rate exponents in (log n / n)^rho for intrinsic
     dimension d and estimator order k, plus the subsample exponent
     b_star = (8d+16)k/d and the bandwidth exponent 1/(4d+13)."""
-    if d < 1 or k < 2:
+    if not (d >= 1 and k >= 2):
         raise ValueError("need d >= 1 and k >= 2")
     return RateExponents(
         eigenvalue_rate=3.0 / (8 * d + 26),
@@ -88,6 +88,13 @@ def _check_domain(d=None, kappa=None, **times):
                              % (name, t))
 
 
+def _not_nan(**args):
+    """Refuse a NaN among arguments that have no other rule."""
+    for name, v in args.items():
+        if v is not None and np.isnan(v):
+            raise ValueError("%s must be a number, got nan" % name)
+
+
 def _beta(kappa, d):
     _check_domain(d, kappa)
     return np.sqrt(kappa) * (d - 1)
@@ -100,7 +107,7 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
     the nonnegative-curvature bound (d+4) d^(1-2/d) ((m+1) omega(d-1)/V)^(2/d),
     otherwise the parity-split sinh bounds, which need the diameter.
     """
-    if d < 1 or m < 0:
+    if not (d >= 1 and m >= 0):
         raise ValueError("need d >= 1 and m >= 0")
     if not V > 0:
         raise ValueError("volume must be positive")
@@ -110,7 +117,7 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
     if kappa_neg == 0:
         return float((d + 4) * d ** (1.0 - 2.0 / d)
                      * ((m + 1) * om / V) ** (2.0 / d))
-    if diam is None or diam <= 0:
+    if diam is None or not diam > 0:
         raise ValueError("negative-curvature branch needs a positive diam")
     x = np.sqrt(kappa_neg) * diam
     sinh_fac = (np.sinh(x) / x) ** ((2.0 * d - 2.0) / d)
@@ -130,7 +137,8 @@ def eigen_lower_power(k_idx, d, kappa, diam, C1_eigen):
     if C1_eigen is None:
         raise ValueError("constant C1_eigen is unknown; supply it explicitly")
     _check_domain(d, kappa)
-    if diam <= 0:
+    _not_nan(k_idx=k_idx, C1_eigen=C1_eigen)
+    if not diam > 0:
         raise ValueError("diameter must be positive")
     return float(C1_eigen ** (1.0 + diam * np.sqrt(kappa))
                  * diam ** (-2.0) * k_idx ** (2.0 / d))
@@ -147,6 +155,7 @@ def croke_constant(d):
 def heat_upper(t, dist, d, kappa, consts):
     """Heat kernel upper bound C1 t^(-d/2) exp(C2 kappa t - 2 dist^2/(9t))."""
     _check_domain(d, kappa, t=t)
+    _not_nan(dist=dist)
     C1 = _need(consts, "C1")
     expo = -2.0 * dist * dist / (9.0 * t)
     if kappa > 0:
@@ -166,10 +175,11 @@ def heat_upper_liyau(t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2,
         raise ValueError("alpha1 must lie in (1, 2)")
     if not 0.0 < alpha2 < 1.0:
         raise ValueError("alpha2 must lie in (0, 1)")
-    if vol_p <= 0 or vol_q <= 0:
+    if not (vol_p > 0 and vol_q > 0):
         raise ValueError("ball volumes must be positive")
-    if C_alpha2 is None or C_alpha2 <= 0:
+    if C_alpha2 is None or not C_alpha2 > 0:
         raise ValueError("constant C_alpha2 is unknown; supply it explicitly")
+    _not_nan(dist=dist, c_d=c_d)
     expo = -dist * dist / ((4.0 + alpha2) * t)
     if kappa > 0:
         if c_d is None:
@@ -197,7 +207,8 @@ def heat_lower_offdiag(t, dist, d, kappa, sigma):
     heat_lower_diag.
     """
     _check_domain(t=t)
-    if sigma < 0:
+    _not_nan(dist=dist)
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     b = _beta(kappa, d)
     if sigma == 0:
@@ -253,8 +264,9 @@ def star_check(tau_l, t0, eps, d, kappa, consts):
     """Reach condition 8 tau_l^2 >= (9 (1+eps)^2 t0 / 2) * bracket, with
     the same bracket as s1_min.  Returns both sides and the verdict."""
     _check_domain(t0=t0)
-    if tau_l < 0:
+    if not tau_l >= 0:
         raise ValueError("need tau_l >= 0")
+    _not_nan(eps=eps)
     lhs = 8.0 * tau_l * tau_l
     rhs = 4.5 * (1.0 + eps) ** 2 * t0 * _bracket(t0, d, kappa, consts)
     return StarResult(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs >= rhs))
@@ -265,7 +277,8 @@ def diameter_upper(d, tau, f_min, C_d):
     if C_d is None:
         raise ValueError("constant C_d is unknown; supply it explicitly")
     _check_domain(d)
-    if tau <= 0 or f_min <= 0:
+    _not_nan(C_d=C_d)
+    if not (tau > 0 and f_min > 0):
         raise ValueError("reach and density floor must be positive")
     return float(C_d / (tau ** (d - 1) * f_min))
 
@@ -298,7 +311,7 @@ def eps_cap(d):
 def weyl_estimate(lam, d, V):
     """Asymptotic eigenvalue count nu_d V lambda^(d/2) / (2 pi)^d with nu_d
     the unit-ball volume.  Asymptotic only: no finite-lambda guarantee."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("eigenvalue level must be nonnegative")
     _check_domain(d)
     if not V > 0:

@@ -20,13 +20,20 @@ from . import io as dio
 from .embedding import (EmbeddingParams, embed_points,
                         select_diffusion_time, select_eps_prime)
 from .geometry import PointCloud
-from .graph import system_from_cloud
-from .spectral import _residuals, eigensolve_smallest
+from .graph import _residuals, system_from_cloud
+from .spectral import eigensolve_smallest
 
 
 def _positive_int(text):
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError("%s is not a positive integer" % text)
+    return int(text)
+
+
+def _non_negative_int(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("%s is not a non-negative integer"
+                                         % text)
     return int(text)
 
 
@@ -39,7 +46,7 @@ def _common(sub, name, fn, summary):
     p.add_argument("--out", metavar="DIR",
                    help="directory for CSV artifacts (default: config "
                         "output_dir)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--n", type=_positive_int, default=500)
     return p
 

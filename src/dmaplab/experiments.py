@@ -117,7 +117,7 @@ def _parse_value(kind, raw, path, lineno):
 def load_config(path):
     """Build an ExperimentConfig from a key=value file whose keys are the
     field names of ExperimentConfig and BoundConstants; unknown keys are
-    rejected with their line number."""
+    rejected with their line number, a repeated key with both."""
     const_names = {f.name for f in fields(BoundConstants)}
     kinds = dict.fromkeys(const_names, "opt_float")
     for f in fields(ExperimentConfig):
@@ -129,10 +129,15 @@ def load_config(path):
             kinds[f.name] = f.type.__name__
     kwargs = {}
     consts = {}
+    seen = {}
     for lineno, key, raw in read_kv(path):
         if key not in kinds:
             raise ValueError("%s line %d: unknown config key %r"
                              % (path, lineno, key))
+        if key in seen:
+            raise ValueError("%s line %d: config key %r already set on "
+                             "line %d" % (path, lineno, key, seen[key]))
+        seen[key] = lineno
         val = _parse_value(kinds[key], raw, path, lineno)
         if key in const_names:
             consts[key] = val

@@ -2,8 +2,7 @@
 neighborhood ball counts for point clouds."""
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +25,6 @@ _ROWS = 16
 _TILE = 128
 _BELOW = np.tri(_TILE, k=-1, dtype=bool)     # strict lower triangle of a tile
 
-_pool = None
-_pool_lock = threading.Lock()
-
 
 def _cpus():
     """Number of CPUs this process may run on."""
@@ -38,35 +34,18 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _forget_pool():
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child inherits the pool object but not its threads, and the lock
-# in whatever state another thread left it
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _spread(fn, items):
     """[fn(share) for share in shares]: items cut into contiguous, nonempty
     shares, one per CPU this process may run on (at most len(items)), each
-    run on a pool thread.  fn must not call _spread, whose shares would
-    wait for a pool that they fill, nor a public dmaplab function: the span
-    tracer of perfbench keeps one span stack, for the calling thread."""
-    global _pool
+    run on a thread of its own that is joined before _spread returns or
+    raises.  fn must not call a public dmaplab function: the span tracer of
+    perfbench keeps one span stack, for the calling thread."""
     k = min(_cpus(), len(items))
     shares = [items[len(items) * i // k:len(items) * (i + 1) // k]
               for i in range(k)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                                       thread_name_prefix="dmaplab")
-        pool = _pool
-    futures = [pool.submit(fn, share) for share in shares]
-    # every share ends before _spread returns or raises
-    wait(futures)
-    return [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=max(k, 1),
+                            thread_name_prefix="dmaplab") as pool:
+        return list(pool.map(fn, shares))
 
 
 def _check_bandwidth(h):
@@ -110,6 +89,23 @@ class LaplacianSystem:
         L = self.W / self.degree[:, None]
         L[np.diag_indices_from(L)] -= 1.0
         return np.divide(L, self.h * self.h, out=L)
+
+
+def _residuals(system, V, mu):
+    """-L V - V diag(mu) from products with W: -L V = (V - (W V)/deg)/h^2.
+    Each worker takes W V over a run of whole _ROWS blocks, so every share
+    but the last starts on a multiple of 16 rows and BLAS groups the rows as
+    in the whole product (split at arbitrary rows, W 1 moved in its last
+    bits at n = 130 and 300)."""
+    W = system.W
+    WV = np.empty((system.n, V.shape[1]))
+
+    def rows(blocks):
+        r = slice(blocks[0].start, blocks[-1].stop)
+        np.matmul(W[r], V, out=WV[r])
+
+    _spread(rows, _blocks(system.n, _ROWS))
+    return (V - WV / system.degree[:, None]) / system.h**2 - V * mu
 
 
 def _blocks(n, size):

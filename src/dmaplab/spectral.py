@@ -10,7 +10,7 @@ from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
 from .geometry import sphere_area
-from .graph import _ROWS, _blocks, _spread
+from .graph import _residuals
 
 _DENSE_LIMIT = 100
 _EXACT_REPEAT_TOL = 1e-9    # gap that still counts as a repeated exact value
@@ -64,23 +64,6 @@ def cluster_eigenvalues(mu, gap_tol):
         else:
             clusters.append([i])
     return clusters
-
-
-def _residuals(system, V, mu):
-    """-L V - V diag(mu) from products with W: -L V = (V - (W V)/deg)/h^2.
-    Each worker takes W V over a run of whole _ROWS blocks, so every share
-    but the last starts on a multiple of 16 rows and BLAS groups the rows as
-    in the whole product (split at arbitrary rows, W 1 moved in its last
-    bits at n = 130 and 300)."""
-    W = system.W
-    WV = np.empty((system.n, V.shape[1]))
-
-    def rows(blocks):
-        r = slice(blocks[0].start, blocks[-1].stop)
-        np.matmul(W[r], V, out=WV[r])
-
-    _spread(rows, _blocks(system.n, _ROWS))
-    return (V - WV / system.degree[:, None]) / system.h**2 - V * mu
 
 
 def eigensolve_smallest(system, m, gap_tol=0.25):

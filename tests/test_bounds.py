@@ -248,11 +248,15 @@ _IN_DOMAIN = {
     weyl_estimate: dict(lam=110.0, d=2, V=4.0 * np.pi),
     geodesic_euclid_bounds: dict(s=1.0, r0=1.0),
 }
-_OUTSIDE = {"d": (0,), "kappa": (-1.0, np.nan, np.inf),
+_OUTSIDE = {"d": (0, np.nan), "kappa": (-1.0, np.nan, np.inf),
             "kappa_neg": (-1.0, np.nan, np.inf),
             "t": (0.0, np.nan, np.inf), "t0": (0.0, np.nan, np.inf),
             "V": (0.0, -1.0, np.nan), "s": (-1.0, np.nan, np.inf),
-            "r0": (0.0, -1.0, np.nan, np.inf)}
+            "r0": (0.0, -1.0, np.nan, np.inf),
+            **dict.fromkeys(("m", "diam", "k_idx", "C1_eigen", "dist",
+                             "vol_p", "vol_q", "C_alpha2", "c_d", "sigma",
+                             "tau_l", "eps", "tau", "f_min", "C_d", "lam"),
+                            (np.nan,))}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
                  for bad in bads]
@@ -265,8 +269,8 @@ def test_evaluators_refuse_input_outside_their_domain(fn, key, bad):
     """Each evaluator refuses a dimension below 1, a curvature that is
     negative or not finite, a time that is not positive and finite, a
     volume that is not positive, and an arc length or curvature radius
-    that is negative, zero where it divides, or not finite, with a
-    ValueError and no RuntimeWarning."""
+    that is negative, zero where it divides, or not finite, and a NaN in
+    any argument, with a ValueError and no RuntimeWarning."""
     kw = _IN_DOMAIN[fn]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -225,7 +225,8 @@ _MALFORMED_LINES = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bad=_MALFORMED_LINES,
        good=st.lists(st.sampled_from(["d = 2", "k = 3", "# note", "",
-                                      "seeds = 1,2"]), max_size=3),
+                                      "seeds = 1,2"]), max_size=3,
+                     unique=True),
        at=st.integers(0, 3))
 def test_malformed_config_line_exits_2(tmp_path, capsys, bad, good, at):
     cfg = tmp_path / "bad.cfg"
@@ -293,6 +294,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("m = 3\nm = 8\n", "line 2: config key 'm' already set on line 1"),
+    ("C1 = 1\n# again\nC1 = 2\n",
+     "line 3: config key 'C1' already set on line 1")])
+def test_repeated_config_key_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["C_alpha2", "C_d_diam", "C1_eigen"])
 def test_unread_bound_constants_are_unknown_config_keys(tmp_path,
                                                          capsys, key):
@@ -344,6 +358,18 @@ def no_sampling(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled before the config was refused")
     monkeypatch.setattr("dmaplab.experiments.sample_sphere", refuse)
+
+
+@pytest.mark.parametrize("command", [["pipeline", "--n", "300"],
+                                     ["sample", "--n", "50"]])
+def test_negative_seed_exits_2(tmp_path, capsys, no_sampling, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: -1 is not a non-negative integer" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("setting", ["kappa = -1", "kappa = nan",

@@ -372,6 +372,21 @@ def test_a_forked_child_spreads_on_a_pool_of_its_own():
     assert os.waitstatus_to_exitcode(status) == 0
 
 
+def _dmaplab_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("dmaplab")]
+
+
+def test_no_thread_outlives_the_call(tmp_path):
+    run_pipeline(ExperimentConfig(), 300, 1)
+    assert _dmaplab_threads() == []
+    assert cli.main(["laplacian", "--n", "300", "--out", str(tmp_path)]) == 0
+    assert _dmaplab_threads() == []
+    with pytest.raises(ZeroDivisionError):
+        gr._spread(lambda share: 1 / 0, range(4))
+    assert _dmaplab_threads() == []
+
+
 def test_every_public_call_runs_on_the_main_thread(monkeypatch, tmp_path):
     """Wrap every public function of the dmaplab modules on each binding
     that holds it, as the benchmark's span tracer does; its one span stack
