@@ -152,19 +152,17 @@ def cmd_tangent(args):
     return 0 if not batch.errors else 1
 
 
-_WHOLE_ARGS = ("m", "d")    # whole numbers wherever they appear
-
-
 def _exposed(fn):
     """fn's command-line entry, read from its signature: its arguments
-    without a default in order, int when whole-number and float otherwise,
-    and whether a trailing consts takes the constants table."""
+    without a default in order, int when bounds rules the name a whole
+    number and float otherwise, and whether a trailing consts takes the
+    constants table."""
     args = [p.name for p in inspect.signature(fn).parameters.values()
             if p.default is p.empty]
     takes_consts = args[-1:] == ["consts"]
     if takes_consts:
         args.pop()
-    sig = tuple((a, int if a in _WHOLE_ARGS else float) for a in args)
+    sig = tuple((a, int if a in B._WHOLE else float) for a in args)
     return fn, sig, takes_consts
 
 

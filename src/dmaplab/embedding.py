@@ -19,7 +19,7 @@ class EmbeddingParams:
     d: int
 
     def __post_init__(self):
-        _check_domain(self.d, t=self.t)
+        _check_domain(d=self.d, t=self.t)
         if self.m < self.d:
             raise ValueError("embedding dimension m must be >= d")
 

@@ -347,11 +347,18 @@ def s2_oracle_embedding(p, t, d=2):
     the fixed harmonic order of s2_harmonics.  Accepts a single point or an
     array of points.
     """
+    return s2_harmonics(_on_sphere(p)) * _damp(t, d)
+
+
+def _on_sphere(p):
     p = np.asarray(p, dtype=float)
     if np.max(np.abs(np.linalg.norm(np.atleast_2d(p), axis=-1) - 1.0)) > 1e-12:
         raise ValueError("points must lie on the unit sphere")
-    damp = embedding_scale(t, d) * np.exp(-_L8 * t / 2.0)
-    return s2_harmonics(p) * damp
+    return p
+
+
+def _damp(t, d):
+    return embedding_scale(t, d) * np.exp(-_L8 * t / 2.0)
 
 
 def _sphere_chart(u):
@@ -384,11 +391,9 @@ def s2_oracle_tangent(p, t, method="analytic"):
     (step 1e-5).  Charts degenerate within 1e-6 of a pole are rotated
     before differencing.
     """
-    p = np.asarray(p, dtype=float)
-    if np.max(np.abs(np.linalg.norm(np.atleast_2d(p), axis=-1) - 1.0)) > 1e-12:
-        raise ValueError("base point must be on the unit sphere")
-    base = s2_oracle_embedding(p, t)
-    damp = embedding_scale(t, 2) * np.exp(-_L8 * t / 2.0)
+    p = _on_sphere(p)
+    damp = _damp(t, 2)
+    base = s2_harmonics(p) * damp
     if method == "analytic":
         t1, t2 = _sphere_frame(p)
         G = s2_harmonic_gradients(p)              # (..., 8, 3)

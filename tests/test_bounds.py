@@ -1,8 +1,13 @@
+import inspect
 import warnings
+from dataclasses import astuple, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dmaplab import bounds
 from dmaplab.bounds import (BoundConstants, croke_constant, diameter_upper,
                             eigen_lower_power, eps_cap,
                             geodesic_euclid_bounds, heat_lower_diag,
@@ -39,6 +44,10 @@ def test_bound_constants_validation():
         BoundConstants(C1=-1.0)
     with pytest.raises(ValueError, match="constant C2 must be positive"):
         BoundConstants(C2=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="constant C1 must be positive "
+                                             "and finite"):
+            BoundConstants(C1=bad)
 
 
 def test_li_yau_flat_sphere_value():
@@ -225,8 +234,8 @@ def test_weyl_estimate():
 
 CURVED = BoundConstants(C2=1.0)
 
-# every evaluator that takes d, kappa, a time or a volume, with arguments
-# inside its domain; each case below moves one of them outside it
+# every public evaluator, with all of its arguments inside their domains;
+# each case below moves one of them outside, by the rule its name has
 _IN_DOMAIN = {
     rate_exponents: dict(d=2, k=3),
     li_yau_upper: dict(m=3, d=2, V=7.0, kappa_neg=0.1, diam=2.0),
@@ -248,15 +257,15 @@ _IN_DOMAIN = {
     weyl_estimate: dict(lam=110.0, d=2, V=4.0 * np.pi),
     geodesic_euclid_bounds: dict(s=1.0, r0=1.0),
 }
-_OUTSIDE = {"d": (0, np.nan), "kappa": (-1.0, np.nan, np.inf),
-            "kappa_neg": (-1.0, np.nan, np.inf),
-            "t": (0.0, np.nan, np.inf), "t0": (0.0, np.nan, np.inf),
-            "V": (0.0, -1.0, np.nan), "s": (-1.0, np.nan, np.inf),
-            "r0": (0.0, -1.0, np.nan, np.inf),
-            **dict.fromkeys(("m", "diam", "k_idx", "C1_eigen", "dist",
-                             "vol_p", "vol_q", "C_alpha2", "c_d", "sigma",
-                             "tau_l", "eps", "tau", "f_min", "C_d", "lam"),
-                            (np.nan,))}
+_OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
+            "k": (1, np.nan, 2.5), "k_idx": (-1, np.nan, 2.5),
+            "alpha1": (1.0, 2.0, np.nan), "alpha2": (0.0, 1.0, np.nan),
+            **dict.fromkeys(("kappa", "kappa_neg", "dist", "s", "lam",
+                             "sigma", "tau_l"), (-1.0, np.nan, np.inf)),
+            **dict.fromkeys(("t", "t0", "V", "diam", "vol_p", "vol_q",
+                             "tau", "f_min", "eps", "r0", "C1_eigen",
+                             "C_alpha2", "c_d", "C_d"),
+                            (0.0, -1.0, np.nan, np.inf))}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
                  for bad in bads]
@@ -266,17 +275,88 @@ _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
     "fn, key, bad", _DOMAIN_CASES,
     ids=["%s-%s=%s" % (fn.__name__, k, v) for fn, k, v in _DOMAIN_CASES])
 def test_evaluators_refuse_input_outside_their_domain(fn, key, bad):
-    """Each evaluator refuses a dimension below 1, a curvature that is
-    negative or not finite, a time that is not positive and finite, a
-    volume that is not positive, and an arc length or curvature radius
-    that is negative, zero where it divides, or not finite, and a NaN in
-    any argument, with a ValueError and no RuntimeWarning."""
+    """Each evaluator refuses a whole-number argument below its least
+    value or not whole, an alpha outside its open interval, a curvature,
+    distance, arc length or level that is negative or not finite, and any
+    other argument that is not positive and finite, with a ValueError and
+    no RuntimeWarning."""
     kw = _IN_DOMAIN[fn]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fn(**kw)
         with pytest.raises(ValueError):
             fn(**dict(kw, **{key: bad}))
+
+
+def test_every_evaluator_argument_has_values_outside_its_domain():
+    public = {fn for name, fn in vars(bounds).items()
+              if inspect.isfunction(fn) and fn.__module__ == bounds.__name__
+              and not name.startswith("_")}
+    assert public == set(_IN_DOMAIN)
+    for fn, kw in _IN_DOMAIN.items():
+        assert set(kw) == set(inspect.signature(fn).parameters)
+        assert set(kw) - {"consts"} <= set(_OUTSIDE)
+
+
+# calls that gave nan, or a negative lower bound, before every argument had
+# a domain of its own; the last gives nan from finite input (-inf + inf)
+_ONCE_ACCEPTED = [
+    (li_yau_upper, (3, 2, 7.0, 0.1), dict(diam=np.inf)),
+    (eigen_lower_power, (6, 2, 0.5, np.pi), dict(C1_eigen=-0.5)),
+    (eigen_lower_power, (-6, 2, 0.5, np.pi, 0.5), {}),
+    (heat_upper_liyau, (0.25, np.inf, 2, 0.5, 1.0, 2.0, 1.5, 0.5, 1.0),
+     dict(c_d=np.inf)),
+    (diameter_upper, (2, 0.5), dict(f_min=np.inf, C_d=np.inf)),
+    (heat_lower_offdiag, (0.25, 0, 2, 0), dict(sigma=np.inf)),
+    (li_yau_upper, (2.5, 2, 7.0, 0.0), {}),
+    (croke_constant, (2.5,), {}),
+    (heat_upper_liyau, (1.0, 1e200, 2, 1e308, 1, 1, 1.5, 0.5, 1),
+     dict(c_d=1e308)),
+]
+
+
+@pytest.mark.parametrize("fn, args, kw", _ONCE_ACCEPTED)
+def test_calls_that_gave_nan_or_a_negative_bound_are_refused(fn, args, kw):
+    with pytest.raises(ValueError):
+        fn(*args, **kw)
+
+
+# typed as the command line types them: whole-number names may be ints,
+# huge ones too; the rest are floats
+_REALS = st.floats() | st.sampled_from([1e-300, 1e308])
+_WHOLES = st.integers(-3, 10 ** 6) | st.just(int(1e308)) | _REALS
+
+
+@st.composite
+def _calls(draw):
+    fn = draw(st.sampled_from(sorted(_IN_DOMAIN, key=lambda f: f.__name__)))
+    kw = {}
+    for name, p in inspect.signature(fn).parameters.items():
+        values = (st.sampled_from([S2, CURVED]) if name == "consts"
+                  else _WHOLES if name in ("d", "m", "k", "k_idx")
+                  else _REALS)
+        if p.default is None:
+            values = values | st.none()
+        kw[name] = draw(values)
+    return fn, kw
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(call=_calls())
+def test_evaluators_raise_or_return_a_number(call):
+    """Called directly with any numbers, an evaluator raises ValueError or
+    ArithmeticError, or returns no NaN, and no negative lower bound from
+    eigen_lower_power."""
+    fn, kw = call
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            res = fn(**kw)
+    except (ValueError, ArithmeticError):
+        return
+    values = astuple(res) if is_dataclass(res) else np.atleast_1d(res)
+    assert not np.isnan(np.array(values, dtype=float)).any()
+    if fn is eigen_lower_power:
+        assert res >= 0
 
 
 def test_select_eps_prime_is_an_eighth_of_heat_lower_diag():

@@ -88,13 +88,14 @@ _BAD_EXPRS = [
     ("star_check:tau_l=1,t0=1,eps=0,d=2.5,kappa=0",
      "star_check: argument d=2.5 is not a whole"),
     ("li_yau_upper:m=-3,d=3,V=1,kappa_neg=0",
-     "li_yau_upper:m=-3,d=3,V=1,kappa_neg=0: need d >= 1 and m >= 0"),
+     "li_yau_upper:m=-3,d=3,V=1,kappa_neg=0: m must be >= 0, got -3"),
     ("r1_value:t0=0.25,d=-3,kappa=1",
      "r1_value:t0=0.25,d=-3,kappa=1: d must be >= 1, got -3"),
     ("weyl_estimate:lam=1,d=-2,V=1",
      "weyl_estimate:lam=1,d=-2,V=1: d must be >= 1, got -2"),
     ("weyl_estimate:lam=110,d=2,V=-1",
-     "weyl_estimate:lam=110,d=2,V=-1: volume V must be positive, got -1.0"),
+     "weyl_estimate:lam=110,d=2,V=-1: V must be positive and finite, "
+     "got -1.0"),
     ("heat_lower_diag:t=0.25,d=0,kappa=0",
      "heat_lower_diag:t=0.25,d=0,kappa=0: d must be >= 1, got 0"),
     ("r1_value:t0=0.25,d=2,kappa=-1",
