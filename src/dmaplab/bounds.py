@@ -5,8 +5,8 @@ reach threshold machinery, and the convergence-rate exponent table.
 Unnamed analytic constants are explicit inputs.  Evaluators refuse to run
 when a required constant is missing instead of guessing, refuse input
 outside the domain their bound holds on (one rule per argument name, in
-_check_domain), and refuse a NaN result; the only built-in default is the
-unit-sphere heat-kernel constant C1 = 0.408912.
+geometry's table), and refuse a NaN result; the only built-in default is
+the unit-sphere heat-kernel constant C1 = 0.408912.
 """
 
 from collections import namedtuple
@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .geometry import sphere_area
+from .geometry import _WHOLE, _check_domain, sphere_area  # cli reads _WHOLE
 
 C1_S2 = 0.408912
 
@@ -40,35 +40,6 @@ def _need(name, v):
         raise ValueError("constant %s is unknown; supply it explicitly"
                          % name)
     return v
-
-
-# each bound argument's domain, by its name: whole numbers with their least
-# value, open intervals, finite and >= 0; any other name is positive and
-# finite.  None passes: the evaluator says itself when it needs the value.
-_WHOLE = {"d": 1, "m": 0, "k": 2, "k_idx": 0}
-_OPEN = {"alpha1": (1, 2), "alpha2": (0, 1)}
-_NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
-
-
-def _check_domain(**args):
-    """Refuse any argument outside the domain its name rules."""
-    for name, v in args.items():
-        if v is None:
-            continue
-        x = float(v)        # a whole number from the CLI may be a huge int
-        if name in _WHOLE:
-            rule, ok = ">= %d" % _WHOLE[name], x >= _WHOLE[name]
-            if ok:
-                rule, ok = "a whole number", x.is_integer()
-        elif name in _OPEN:
-            lo, hi = _OPEN[name]
-            rule, ok = "in (%d, %d)" % (lo, hi), lo < x < hi
-        elif name in _NONNEG:
-            rule, ok = "finite and >= 0", 0 <= x < np.inf
-        else:
-            rule, ok = "positive and finite", 0 < x < np.inf
-        if not ok:
-            raise ValueError("%s must be %s, got %s" % (name, rule, v))
 
 
 def _number(v):
@@ -269,7 +240,7 @@ def star_check(tau_l, t0, eps, d, kappa, consts):
 def diameter_upper(d, tau, f_min, C_d):
     """Diameter bound C_d / (tau^(d-1) f_min)."""
     _check_domain(d=d, tau=tau, f_min=f_min, C_d=C_d)
-    return _number(_need("C_d", C_d) / (tau ** (d - 1) * f_min))
+    return _number(_need("C_d", C_d) / (tau ** (d - 1.0) * f_min))
 
 
 GeodesicBounds = namedtuple("GeodesicBounds", "lo hi short_arc")

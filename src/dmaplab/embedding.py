@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_domain, heat_lower_diag
-from .geometry import embedding_scale
+from .bounds import heat_lower_diag
+from .geometry import _check_domain, embedding_scale
 from .spectral import _procrustes
 
 
@@ -19,7 +19,7 @@ class EmbeddingParams:
     d: int
 
     def __post_init__(self):
-        _check_domain(d=self.d, t=self.t)
+        _check_domain(d=self.d, t=self.t, m=self.m)
         if self.m < self.d:
             raise ValueError("embedding dimension m must be >= d")
 
@@ -45,8 +45,7 @@ class EmbeddedCloud:
 
 def select_diffusion_time(t0, iota):
     """t = min(t0, 4, iota^2/4)."""
-    if not (t0 > 0 and iota > 0):
-        raise ValueError("t0 and iota must be positive")
+    _check_domain(t0=t0, iota=iota)
     return float(min(t0, 4.0, iota * iota / 4.0))
 
 

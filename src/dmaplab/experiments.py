@@ -7,12 +7,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.linalg import block_diag
 
-from .bounds import (BoundConstants, _check_domain, eps_cap,
-                     heat_lower_diag, rate_exponents, star_check)
+from .bounds import (BoundConstants, eps_cap, heat_lower_diag,
+                     rate_exponents, star_check)
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .geometry import (_L8, _sphere_chart, local_reach_numeric,
+from .geometry import (_L8, _check_domain, _sphere_chart, local_reach_numeric,
                        s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
                        s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
                        sample_sphere, sample_torus)
@@ -67,18 +67,15 @@ class ExperimentConfig:
                        for v in vals):
                 raise ValueError("%s: need whole numbers >= %d, got %s"
                                  % (name, low, getattr(self, name)))
-        if self.manifold == "torus" and not 0 < self.torus_r < self.torus_R:
-            raise ValueError("torus radii must satisfy 0 < r < R")
+        _check_domain(d=self.d, k=self.k, t0=self.t0, m=self.m,
+                      gap_tol=self.gap_tol, kappa=self.kappa, iota=self.iota,
+                      R=self.torus_R, r=self.torus_r)
+        if self.manifold == "torus" and not self.torus_r < self.torus_R:
+            raise ValueError("torus radii must satisfy r < R")
         if self.manifold == "torus" and self.d != 2:
             raise ValueError("the torus is a surface: need d = 2, got d = %d"
                              % self.d)
-        _check_domain(kappa=self.kappa)
         _check_eps(self.eps, self.d)
-        if not 0 < self.gap_tol < np.inf:
-            raise ValueError("gap_tol must be positive and finite")
-        if self.m < 0:
-            raise ValueError("m must be >= 0, got %d" % self.m)
-        select_diffusion_time(self.t0, self.iota)
         self.tangent_config()
         self.tangent_config(max_iter=self.study_max_iter)
 
@@ -151,7 +148,8 @@ def load_config(path):
 def sphere_truth(points, m=8):
     """Exact Laplacian eigenvalues (with multiplicity) and eigenfunction
     columns for S^2 up to index m <= 8."""
-    if not 0 <= m <= 8:
+    _check_domain(m=m)
+    if m > 8:
         raise ValueError("sphere truth is tabulated for m <= 8")
     lam = np.concatenate([[0.0], _L8])[:m + 1]
     n = points.shape[0]

@@ -6,7 +6,8 @@ heat-kernel coordinate embedding of S^2 into R^8 together with its tangent
 frames, and a finite-difference second-fundamental-form sweep used to
 measure the local reach of embedded surfaces.  _opnorms is the lab's one
 sup over unit directions of a polynomial form: the sweep takes it of II,
-the tangent estimator's cap of each correction tensor.
+the tangent estimator's cap of each correction tensor.  _check_domain is
+the package's one rule, by name, for the values a scalar argument takes.
 """
 
 from dataclasses import dataclass
@@ -37,6 +38,36 @@ __all__ = [
     "pushforward_density",
 ]
 
+# each scalar argument's domain, by its name, for every layer: whole numbers
+# with their least value, open intervals, finite and >= 0; any other name is
+# positive and finite.  None passes: the caller says when it needs the value.
+_WHOLE = {"d": 1, "m": 0, "k": 2, "k_idx": 0, "n": 1, "l": 0, "l_max": 0,
+          "max_iter": 1, "grid": 32, "min_size": 1}
+_OPEN = {"alpha1": (1, 2), "alpha2": (0, 1)}
+_NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
+
+
+def _check_domain(**args):
+    """Refuse any argument outside the domain its name rules."""
+    for name, v in args.items():
+        if v is None:
+            continue
+        x = float(v)        # a whole number from the CLI may be a huge int
+        if name in _WHOLE:
+            rule, ok = ">= %d" % _WHOLE[name], x >= _WHOLE[name]
+            if ok:
+                rule, ok = "a whole number", x.is_integer()
+        elif name in _OPEN:
+            lo, hi = _OPEN[name]
+            rule, ok = "in (%d, %d)" % (lo, hi), lo < x < hi
+        elif name in _NONNEG:
+            rule, ok = "finite and >= 0", 0 <= x < np.inf
+        else:
+            rule, ok = "positive and finite", 0 < x < np.inf
+        if not ok:
+            raise ValueError("%s must be %s, got %s" % (name, rule, v))
+
+
 # eigenvalue of the sphere Laplacian for harmonic degree l
 def _lam(l):
     return l * (l + 1.0)
@@ -56,8 +87,9 @@ class PointCloud:
         if self.points.shape[1] != self.ambient_dim:
             raise ValueError("point width %d != ambient_dim %d"
                              % (self.points.shape[1], self.ambient_dim))
-        if not (0 < self.d <= self.ambient_dim):
-            raise ValueError("need 0 < d <= ambient_dim")
+        _check_domain(d=self.d)
+        if self.d > self.ambient_dim:
+            raise ValueError("need d <= ambient_dim")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("non-finite coordinates in cloud")
 
@@ -84,16 +116,16 @@ class ManifoldDescriptor:
     f_max: float
 
     def __post_init__(self):
-        if not (0 < self.vol_lo <= self.vol_hi):
-            raise ValueError("need 0 < vol_lo <= vol_hi")
-        if self.tau_min <= 0:
-            raise ValueError("tau_min must be positive")
+        _check_domain(d=self.d, kappa=self.kappa, tau_min=self.tau_min,
+                      vol_lo=self.vol_lo, vol_hi=self.vol_hi, k=self.k,
+                      iota=self.iota, diam=self.diam, f_min=self.f_min,
+                      f_max=self.f_max)
+        if self.vol_lo > self.vol_hi:
+            raise ValueError("need vol_lo <= vol_hi")
         if self.iota < np.pi * self.tau_min - 1e-12:
             raise ValueError("iota must be >= pi * tau_min")
-        if not (0 < self.f_min <= self.f_max):
-            raise ValueError("need 0 < f_min <= f_max")
-        if self.k < 2:
-            raise ValueError("smoothness order k must be >= 2")
+        if self.f_min > self.f_max:
+            raise ValueError("need f_min <= f_max")
 
 
 @dataclass
@@ -127,8 +159,7 @@ def sphere_area(k):
 
 def sample_sphere(n, d, seed):
     """Draw n i.i.d. uniform points on the unit sphere S^d in R^(d+1)."""
-    if n < 1 or d < 1:
-        raise ValueError("sample_sphere needs n >= 1 and d >= 1")
+    _check_domain(n=n, d=d)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d + 1))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -141,10 +172,9 @@ def sample_torus(n, R, r, seed):
     Rejection sampling in the minor angle compensates the area element
     R + r*cos(v); the reach of this surface is min(r, R - r).
     """
-    if not R > r > 0:
-        raise ValueError("sample_torus needs R > r > 0")
-    if n < 1:
-        raise ValueError("sample_torus needs n >= 1")
+    _check_domain(n=n, R=R, r=r)
+    if not r < R:
+        raise ValueError("sample_torus needs r < R")
     rng = np.random.default_rng(seed)
     out = np.empty((n, 3))
     got = 0
@@ -182,8 +212,7 @@ def true_tangent_sphere(p):
 
 def legendre_p(l, x):
     """Legendre polynomial P_l(x) on [-1, 1] by the three-term recurrence."""
-    if l < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_domain(l=l)
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("legendre_p defined on [-1, 1]")
@@ -298,10 +327,7 @@ def s2_harmonic_gradients(points):
 def s2_heat_kernel(t, cosd, l_max):
     """Truncated S^2 heat kernel via the addition theorem:
     sum_{l<=l_max} (2l+1)/(4pi) e^{-l(l+1)t} P_l(cos d)."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
+    _check_domain(t=t, l_max=l_max)
     cosd = np.asarray(cosd, dtype=float)
     if np.any(np.abs(cosd) > 1.0 + 1e-14):
         raise ValueError("cosd outside [-1, 1]")
@@ -321,6 +347,7 @@ def s2_tail_sum(t, l_start, l_stop):
 
 def embedding_scale(t, d=2):
     """Coordinate prefactor t^((d+2)/4) * sqrt(2) * (4 pi)^(d/4)."""
+    _check_domain(t=t, d=d)
     return t ** ((d + 2) / 4.0) * np.sqrt(2.0) * (4.0 * np.pi) ** (d / 4.0)
 
 
@@ -332,6 +359,7 @@ def s2_embedding_norm_sq(t, l_max=2):
     Constant over base points and unit directions; near 1 exactly when the
     map is a near-isometry.
     """
+    _check_domain(t=t, l_max=l_max)
     s = sum(_lam(l) * (2 * l + 1) * np.exp(-2.0 * _lam(l) * t)
             for l in range(1, l_max + 1))
     return float(4.0 * t * t * s) if s else 0.0   # not inf * 0 at huge t
@@ -588,8 +616,7 @@ def local_reach_numeric(embed, grid, step=1e-4,
     spherical (theta, phi) rectangle) and returns the minimum of the
     reciprocal shape-operator norms.
     """
-    if grid < 32:
-        raise ValueError("grid must be at least 32 per axis")
+    _check_domain(grid=grid)
     (a0, a1), (b0, b1) = domain
     th = a0 + (np.arange(grid) + 0.5) * (a1 - a0) / grid
     ph = b0 + (np.arange(2 * grid) + 0.5) * (b1 - b0) / (2 * grid)
@@ -604,8 +631,7 @@ def local_reach_numeric(embed, grid, step=1e-4,
 def pushforward_density(J, f):
     """Density of a pushforward along a map with Jacobian J (columns in
     orthonormal tangent coordinates): f / sqrt(det(J^T J))."""
-    if f <= 0:
-        raise ValueError("density must be positive")
+    _check_domain(f=f)
     J = np.asarray(J, dtype=float)
     det = np.linalg.det(J.T @ J)
     if det <= 1e-300:

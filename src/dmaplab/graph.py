@@ -9,6 +9,8 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.spatial import cKDTree
 
+from .geometry import _check_domain
+
 # rows of every row-block pass over W.  A 16-row block (512 KB at n = 4000)
 # stays in L2 through all steps of the kernel pass, and its temporaries stay
 # small (256-row blocks raised the peak RSS by 6 MiB, as malloc kept their
@@ -48,11 +50,6 @@ def _spread(fn, items):
         return list(pool.map(fn, shares))
 
 
-def _check_bandwidth(h):
-    if not 0 < h < np.inf:
-        raise ValueError("bandwidth must be positive")
-
-
 @dataclass
 class KernelConfig:
     h: float
@@ -60,7 +57,7 @@ class KernelConfig:
     d: int
 
     def __post_init__(self):
-        _check_bandwidth(self.h)
+        _check_domain(h=self.h, n=self.n, d=self.d)
         if self.n < 2:
             raise ValueError("need at least two points")
 
@@ -172,6 +169,7 @@ def _row_stats(W):
 
 def bandwidth(n, d):
     """Kernel bandwidth rule h = (log n / n)^(1/(4d+13))."""
+    _check_domain(n=n, d=d)
     if n < 3:
         raise ValueError("bandwidth rule needs n >= 3")
     return float((np.log(n) / n) ** (1.0 / (4 * d + 13)))
@@ -179,7 +177,7 @@ def bandwidth(n, d):
 
 def gaussian_kernel(x, y, h):
     """exp(-|x-y|^2 / (4 h^2))."""
-    _check_bandwidth(h)
+    _check_domain(h=h)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
@@ -196,7 +194,7 @@ def build_affinity(cloud, h):
     W and one block of rows per worker).  The Gram matrix x x^T takes one
     pass over W, the kernel and q a second, the division by q_i q_j a third.
     """
-    _check_bandwidth(h)
+    _check_domain(h=h)
     x = cloud.points
     if x.shape[0] < 2:
         raise ValueError("need at least two points")
@@ -232,7 +230,7 @@ def laplacian(W, h, ball_counts=None, d=None):
     W must be finite and symmetric with positive diagonal; rows of L sum to
     zero and -L is PSD (it is conjugate to a symmetric PSD form).
     """
-    _check_bandwidth(h)
+    _check_domain(h=h, d=d)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ValueError("W must be square")
@@ -256,7 +254,7 @@ def laplacian(W, h, ball_counts=None, d=None):
 def ball_counts(cloud, h):
     """Number of sample points strictly within distance h of each point,
     the center itself included."""
-    _check_bandwidth(h)
+    _check_domain(h=h)
     x = cloud.points
     tree = cKDTree(x)
     # query_ball_point includes the boundary; shrink to make the ball open

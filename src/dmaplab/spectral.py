@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import LinearOperator, eigsh, ArpackNoConvergence
 
-from .geometry import sphere_area
+from .geometry import _check_domain, sphere_area
 from .graph import _residuals
 
 _DENSE_LIMIT = 100
@@ -43,6 +43,7 @@ def l2_invdensity_norm(vec, ball_counts, h, d):
     """Norm sqrt( (omega(d-1) h^d / d) * sum_i vec_i^2 / N_i ) where N_i are
     h-ball occupation counts; the prefactor is the volume of a radius-h
     ball in R^d, making 1/N_i a local inverse-density weight."""
+    _check_domain(h=h, d=d)
     vec = np.asarray(vec, dtype=float)
     counts = np.asarray(ball_counts, dtype=float)
     if np.any(counts < 1):
@@ -54,8 +55,7 @@ def l2_invdensity_norm(vec, ball_counts, h, d):
 def cluster_eigenvalues(mu, gap_tol):
     """Group ascending eigenvalues into contiguous clusters, splitting where
     the gap to the next value is >= gap_tol * max(1, next value)."""
-    if not 0 < gap_tol < np.inf:
-        raise ValueError("gap_tol must be positive and finite")
+    _check_domain(gap_tol=gap_tol)
     mu = np.asarray(mu, dtype=float)
     clusters = []
     for i in range(len(mu)):
@@ -80,9 +80,8 @@ def eigensolve_smallest(system, m, gap_tol=0.25):
     contract |(-L)v - mu v| <= 1e-8 max(1, mu), and normalized in l2(1/p-hat)
     when the system carries ball counts and an intrinsic dimension.
     """
+    _check_domain(m=m, gap_tol=gap_tol)
     n = system.n
-    if m < 0:
-        raise ValueError("m must be >= 0, got %d" % m)
     if m + 1 > n:
         raise ValueError("asked for %d pairs from an n=%d system" % (m + 1, n))
     h = system.h

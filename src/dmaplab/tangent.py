@@ -13,7 +13,7 @@ from math import floor
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import _UGRID, _features, _frozen, _opnorms
+from .geometry import _UGRID, _check_domain, _features, _frozen, _opnorms
 
 
 @dataclass
@@ -27,15 +27,11 @@ class TangentConfig:
     f_max: float = 1.0 / (4.0 * np.pi)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("polynomial order k must be >= 2")
-        if not (self.max_iter >= 1 and 0 < self.tol < np.inf):
-            raise ValueError("need max_iter >= 1 and a finite tol > 0")
-        if not 0 < self.f_min <= self.f_max:
-            raise ValueError("need 0 < f_min <= f_max")
-        cap = 1.0 if self.t_cap is None else self.t_cap
-        if not (0 < self.bandwidth_const < np.inf and 0 < cap < np.inf):
-            raise ValueError("need a finite bandwidth_const > 0 and t_cap > 0")
+        _check_domain(k=self.k, bandwidth_const=self.bandwidth_const,
+                      t_cap=self.t_cap, max_iter=self.max_iter, tol=self.tol,
+                      f_min=self.f_min, f_max=self.f_max)
+        if self.f_min > self.f_max:
+            raise ValueError("need f_min <= f_max")
 
 
 @dataclass
@@ -57,6 +53,7 @@ SubsampleSize = namedtuple("SubsampleSize", "size theoretical")
 def subsample_size(n, d, k, min_size=10):
     """Estimator subsample size n^(d/((8d+16)k)), floored and clamped below
     by min_size; the exact theoretical value is returned alongside."""
+    _check_domain(n=n, d=d, k=k, min_size=min_size)
     if n < 2:
         raise ValueError("need n >= 2")
     theo = float(n) ** (d / ((8.0 * d + 16.0) * k))
@@ -67,6 +64,7 @@ def subsample_size(n, d, k, min_size=10):
 def tangent_bandwidth(n_eff, d, cfg):
     """Fit radius (C f_max^2 log(n)/(f_min^3 (n-1)))^(1/d) with C the
     configured bandwidth constant."""
+    _check_domain(n_eff=n_eff, d=d)
     if n_eff < 3:
         raise ValueError("need n_eff >= 3")
     C = cfg.bandwidth_const
@@ -275,6 +273,7 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     each fit is the same, up to rounding, whichever points share its
     chunk.
     """
+    _check_domain(h_tilde=h_tilde)
     if h_tilde is None:
         h_tilde = tangent_bandwidth(cloud.n, cloud.d, cfg)
     base_indices = list(base_indices)

@@ -1,4 +1,7 @@
+import ast
 import inspect
+import pathlib
+import re
 import warnings
 from dataclasses import astuple, is_dataclass
 
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmaplab import bounds
+import dmaplab
+from dmaplab import bounds, geometry
 from dmaplab.bounds import (BoundConstants, croke_constant, diameter_upper,
                             eigen_lower_power, eps_cap,
                             geodesic_euclid_bounds, heat_lower_diag,
@@ -15,8 +19,22 @@ from dmaplab.bounds import (BoundConstants, croke_constant, diameter_upper,
                             heat_upper_liyau, li_yau_upper, r1_value,
                             rate_exponents, s1_min, star_check,
                             weyl_estimate)
-from dmaplab.embedding import select_eps_prime
-from dmaplab.geometry import s2_heat_kernel, sphere_area
+from dmaplab.embedding import (EmbeddingParams, select_diffusion_time,
+                               select_eps_prime)
+from dmaplab.experiments import ExperimentConfig, run_pipeline, sphere_truth
+from dmaplab.geometry import (ManifoldDescriptor, PointCloud, _sphere_chart,
+                              embedding_scale, legendre_p,
+                              local_reach_numeric, pushforward_density,
+                              s2_embedding_norm_sq, s2_heat_kernel,
+                              s2_oracle_embedding, s2_oracle_tangent,
+                              sample_sphere, sample_torus, sphere_area)
+from dmaplab.graph import (KernelConfig, ball_counts, bandwidth,
+                           build_affinity, gaussian_kernel, laplacian,
+                           system_from_cloud)
+from dmaplab.spectral import (cluster_eigenvalues, eigensolve_smallest,
+                              l2_invdensity_norm)
+from dmaplab.tangent import (TangentConfig, estimate_tangents,
+                             subsample_size, tangent_bandwidth)
 
 S2 = BoundConstants()                      # C1 defaults to the S^2 value
 
@@ -199,6 +217,12 @@ def test_diameter_upper():
         diameter_upper(3, 0.5, 0.1, None)
 
 
+def test_diameter_upper_with_a_huge_whole_d_overflows_at_once():
+    # an int tau to an int power was an exact integer power: no return
+    with pytest.raises(OverflowError):
+        diameter_upper(10**6, int(1e308), 1.0, 1.0)
+
+
 def test_geodesic_euclid_bounds():
     res = geodesic_euclid_bounds(1.0, 1.0)
     assert res.lo == pytest.approx(1.0 - 1.0 / 24.0, rel=1e-15)
@@ -257,14 +281,21 @@ _IN_DOMAIN = {
     weyl_estimate: dict(lam=110.0, d=2, V=4.0 * np.pi),
     geodesic_euclid_bounds: dict(s=1.0, r0=1.0),
 }
+# values outside the domain of every name geometry's table rules
 _OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
             "k": (1, np.nan, 2.5), "k_idx": (-1, np.nan, 2.5),
+            "n": (0, np.nan, 2.5), "l": (-1, np.nan, 2.5),
+            "l_max": (-1, np.nan, 2.5), "max_iter": (0, np.nan, 2.5),
+            "grid": (31, np.nan, 40.5), "min_size": (0, np.nan, 2.5),
             "alpha1": (1.0, 2.0, np.nan), "alpha2": (0.0, 1.0, np.nan),
             **dict.fromkeys(("kappa", "kappa_neg", "dist", "s", "lam",
                              "sigma", "tau_l"), (-1.0, np.nan, np.inf)),
             **dict.fromkeys(("t", "t0", "V", "diam", "vol_p", "vol_q",
                              "tau", "f_min", "eps", "r0", "C1_eigen",
-                             "C_alpha2", "c_d", "C_d"),
+                             "C_alpha2", "c_d", "C_d", "h", "tol",
+                             "gap_tol", "iota", "bandwidth_const", "t_cap",
+                             "f_max", "f", "R", "r", "tau_min", "vol_lo",
+                             "vol_hi", "n_eff", "h_tilde"),
                             (0.0, -1.0, np.nan, np.inf))}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
@@ -319,6 +350,128 @@ _ONCE_ACCEPTED = [
 def test_calls_that_gave_nan_or_a_negative_bound_are_refused(fn, args, kw):
     with pytest.raises(ValueError):
         fn(*args, **kw)
+
+
+_CLOUD = sample_sphere(40, 2, 1)
+_POLE = np.array([0.0, 0.0, 1.0])
+
+
+def _chart(u):
+    # the image of the S^2 map at t0 = 0.25, as verify-s2 sweeps it
+    return s2_oracle_embedding(_sphere_chart(u), 0.5)
+
+
+# every public callable and config outside bounds that rules scalar
+# arguments by geometry's table, with all of its arguments in their domains
+_LAYER_IN_DOMAIN = {
+    PointCloud: dict(points=np.eye(3), d=2, ambient_dim=3, seed=0),
+    ManifoldDescriptor: dict(d=2, kappa=0.0, tau_min=1.0, vol_lo=12.0,
+                             vol_hi=13.0, k=3, iota=np.pi, diam=np.pi,
+                             f_min=0.05, f_max=0.1),
+    sample_sphere: dict(n=5, d=2, seed=1),
+    sample_torus: dict(n=5, R=2.0, r=1.0, seed=1),
+    legendre_p: dict(l=2, x=0.5),
+    s2_heat_kernel: dict(t=0.25, cosd=0.5, l_max=3),
+    embedding_scale: dict(t=0.25, d=2),
+    s2_oracle_embedding: dict(p=_POLE, t=0.25),
+    s2_oracle_tangent: dict(p=_POLE, t=0.25),
+    s2_embedding_norm_sq: dict(t=0.25, l_max=2),
+    local_reach_numeric: dict(embed=_chart, grid=32),
+    pushforward_density: dict(J=np.eye(2), f=0.5),
+    KernelConfig: dict(h=0.5, n=10, d=2),
+    bandwidth: dict(n=100, d=2),
+    gaussian_kernel: dict(x=_POLE, y=-_POLE, h=0.5),
+    build_affinity: dict(cloud=_CLOUD, h=0.5),
+    laplacian: dict(W=np.ones((3, 3)), h=0.5, d=2),
+    ball_counts: dict(cloud=_CLOUD, h=0.5),
+    l2_invdensity_norm: dict(vec=np.ones(3), ball_counts=np.ones(3), h=0.5,
+                             d=2),
+    cluster_eigenvalues: dict(mu=np.arange(3.0), gap_tol=0.25),
+    eigensolve_smallest: dict(system=system_from_cloud(_CLOUD), m=3,
+                              gap_tol=0.25),
+    EmbeddingParams: dict(t=0.25, m=3, d=2),
+    select_diffusion_time: dict(t0=0.25, iota=np.pi),
+    TangentConfig: dict(k=3, bandwidth_const=1.0, t_cap=2.0, max_iter=20,
+                        tol=1e-8, f_min=0.05, f_max=0.1),
+    subsample_size: dict(n=100, d=2, k=3, min_size=10),
+    tangent_bandwidth: dict(n_eff=100, d=2, cfg=TangentConfig()),
+    estimate_tangents: dict(cloud=_CLOUD, base_indices=[0],
+                            cfg=TangentConfig(), h_tilde=1.0),
+    ExperimentConfig: dict(d=2, k=3, t0=0.25, m=8, gap_tol=0.25, kappa=0.0,
+                           iota=np.pi, torus_R=2.0, torus_r=1.0,
+                           tangent_bandwidth_const=1.0, tangent_t_cap=2.0,
+                           tangent_max_iter=20, study_max_iter=100,
+                           tangent_tol=1e-8),
+    sphere_truth: dict(points=_CLOUD.points, m=8),
+}
+# config fields that reach the table under another name
+_RULED_AS = {"torus_R": "R", "torus_r": "r",
+             "tangent_bandwidth_const": "bandwidth_const",
+             "tangent_t_cap": "t_cap", "tangent_max_iter": "max_iter",
+             "study_max_iter": "max_iter", "tangent_tol": "tol"}
+_LAYER_CASES = [(fn, key, bad) for fn, kw in _LAYER_IN_DOMAIN.items()
+                for key in kw if _RULED_AS.get(key, key) in _OUTSIDE
+                for bad in _OUTSIDE[_RULED_AS.get(key, key)]]
+
+
+@pytest.mark.parametrize(
+    "fn, key, bad", _LAYER_CASES,
+    ids=["%s-%s=%s" % (fn.__name__, k, v) for fn, k, v in _LAYER_CASES])
+def test_layers_refuse_input_outside_the_domain_of_its_name(fn, key, bad):
+    """Every layer refuses a scalar argument outside the domain its name
+    has in geometry's table, with the table's message."""
+    kw = _LAYER_IN_DOMAIN[fn]
+    fn(**kw)
+    name = _RULED_AS.get(key, key)
+    with pytest.raises(ValueError, match="^%s must be [^,]+, got %s$"
+                       % (name, re.escape(str(bad)))):
+        fn(**dict(kw, **{key: bad}))
+
+
+# calls that returned a number, ran a config no command should run, or
+# failed with another error before the table ruled every layer
+_ONCE_RAN = [
+    (lambda: ExperimentConfig(t0=np.inf), "t0 must be positive and finite"),
+    (lambda: run_pipeline(ExperimentConfig(m=2.5), 300, 1),
+     "m must be a whole number"),
+    (lambda: local_reach_numeric(_chart, grid=40.5),
+     "grid must be a whole number"),
+    (lambda: s2_oracle_embedding(_POLE, -1.0),
+     "t must be positive and finite"),
+    (lambda: bandwidth(100, -4), "d must be >= 1"),
+    (lambda: TangentConfig(k=2.5), "k must be a whole number"),
+    (lambda: tangent_bandwidth(100, 0, TangentConfig()), "d must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", _ONCE_RAN,
+                         ids=[m for _, m in _ONCE_RAN])
+def test_calls_that_ran_outside_the_table_are_refused(call, message):
+    with pytest.raises(ValueError, match="^%s, got " % message):
+        call()
+
+
+def test_every_ruled_name_has_values_outside_its_domain():
+    """Every keyword that the package passes to _check_domain, and every
+    name the table lists, has an _OUTSIDE entry; the table is defined in
+    geometry alone."""
+    src = pathlib.Path(dmaplab.__file__).parent
+    ruled, callers, defined = set(), set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "_check_domain":
+                ruled.update(kw.arg for kw in node.keywords)
+                callers.add(path.stem)
+            if isinstance(node, ast.FunctionDef) and \
+                    node.name == "_check_domain":
+                defined.append(path.name)
+    assert defined == ["geometry.py"]
+    assert callers == {"geometry", "graph", "spectral", "embedding",
+                       "tangent", "experiments", "bounds"}
+    assert ruled | set(geometry._WHOLE) | set(geometry._OPEN) \
+        | set(geometry._NONNEG) <= set(_OUTSIDE)
+    assert bounds._WHOLE is geometry._WHOLE
 
 
 # typed as the command line types them: whole-number names may be ints,

@@ -398,6 +398,25 @@ def test_pipeline_refuses_bad_config_values(tmp_path, capsys, no_sampling,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["embed"], ["pipeline", "--n", "300"],
+                                     ["verify-s2"]])
+@pytest.mark.parametrize("name", ["t0", "iota"])
+def test_infinite_time_or_radius_in_config_exits_2(tmp_path, capsys,
+                                                   no_sampling, command,
+                                                   name):
+    """t0 = inf or iota = inf in a config is refused by every command with
+    the table's message, before anything is sampled or written."""
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("%s = inf\n" % name)
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s must be positive and finite, got " \
+                           "inf\n" % name
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("setting", ["n_grid = 200,300,0",
                                      "n_grid = 200,300,2",
                                      "ntilde_grid = 100,2",

@@ -21,7 +21,8 @@ def test_select_diffusion_time():
     assert select_diffusion_time(10.0, 100.0) == 4.0
     with pytest.raises(ValueError):
         select_diffusion_time(0.0, 1.0)
-    with pytest.raises(ValueError, match="t0 and iota must be positive"):
+    with pytest.raises(ValueError,
+                       match="^t0 must be positive and finite, got nan$"):
         select_diffusion_time(np.nan, 1.0)
 
 

@@ -260,7 +260,8 @@ def test_run_below_tangent_subsample_size_fails_at_tangent():
 def test_nan_t0_fails_at_embed():
     """The embed stage's diffusion-time rule refuses a NaN t0 when the
     config is built, before any run samples or solves."""
-    with pytest.raises(ValueError, match="^t0 and iota must be positive$"):
+    with pytest.raises(ValueError,
+                       match="^t0 must be positive and finite, got nan$"):
         ExperimentConfig(t0=np.nan)
 
 

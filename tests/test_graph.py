@@ -59,7 +59,8 @@ def test_graph_layer_refuses_a_bandwidth_not_finite_and_positive(h):
              lambda: ball_counts(cloud, h),
              lambda: laplacian(np.ones((3, 3)), h)]
     for call in calls:
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
+        with pytest.raises(ValueError, match="^h must be positive and "
+                                             "finite, got %s$" % h):
             call()
 
 

@@ -47,7 +47,9 @@ def test_tangent_config_validation():
                dict(t_cap=np.inf), dict(bandwidth_const=-1.0),
                dict(bandwidth_const=0.0), dict(bandwidth_const=np.nan),
                dict(bandwidth_const=np.inf)):
-        with pytest.raises(ValueError, match="finite bandwidth_const"):
+        (name, bad), = kw.items()
+        with pytest.raises(ValueError, match="^%s must be positive and "
+                                             "finite, got %s$" % (name, bad)):
             TangentConfig(**kw)
     TangentConfig(t_cap=2.0, bandwidth_const=0.5)
 
