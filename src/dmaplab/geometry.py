@@ -42,7 +42,8 @@ __all__ = [
 # with their least value, open intervals, finite and >= 0; any other name is
 # positive and finite.  None passes: the caller says when it needs the value.
 _WHOLE = {"d": 1, "m": 0, "k": 2, "k_idx": 0, "n": 1, "l": 0, "l_max": 0,
-          "max_iter": 1, "grid": 32, "min_size": 1}
+          "l_start": 0, "l_stop": 0, "max_iter": 1, "grid": 32,
+          "min_size": 1}
 _OPEN = {"alpha1": (1, 2), "alpha2": (0, 1)}
 _NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
 
@@ -341,6 +342,7 @@ def s2_heat_kernel(t, cosd, l_max):
 def s2_tail_sum(t, l_start, l_stop):
     """sum_{l=l_start}^{l_stop} (2l+1) e^{-l(l+1)t} / (4pi) — the sup-norm
     allowance of dropping harmonics of degree >= l_start."""
+    _check_domain(t=t, l_start=l_start, l_stop=l_stop)
     ls = np.arange(l_start, l_stop + 1, dtype=float)
     return float(np.sum((2 * ls + 1) * np.exp(-ls * (ls + 1) * t)) / (4 * np.pi))
 
@@ -604,6 +606,7 @@ def second_fundamental_form(embed, u, step=1e-4):
     embed maps R^2 chart coordinates to R^m; derivatives are taken by
     central differences (step/10 for first order, step for second).
     """
+    _check_domain(step=step)
     u = np.asarray(u, dtype=float).reshape(1, 2)
     return float(_shape_operator_norms(embed, u, step)[0])
 
@@ -616,7 +619,7 @@ def local_reach_numeric(embed, grid, step=1e-4,
     spherical (theta, phi) rectangle) and returns the minimum of the
     reciprocal shape-operator norms.
     """
-    _check_domain(grid=grid)
+    _check_domain(grid=grid, step=step)
     (a0, a1), (b0, b1) = domain
     th = a0 + (np.arange(grid) + 0.5) * (a1 - a0) / grid
     ph = b0 + (np.arange(2 * grid) + 0.5) * (b1 - b0) / (2 * grid)

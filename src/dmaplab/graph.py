@@ -38,16 +38,23 @@ def _cpus():
 
 def _spread(fn, items):
     """[fn(share) for share in shares]: items cut into contiguous, nonempty
-    shares, one per CPU this process may run on (at most len(items)), each
-    run on a thread of its own that is joined before _spread returns or
-    raises.  fn must not call a public dmaplab function: the span tracer of
-    perfbench keeps one span stack, for the calling thread."""
+    shares, one per CPU this process may run on (at most len(items)).  The
+    calling thread runs the last share, and k shares start k - 1 threads,
+    each joined before _spread returns or raises; one share starts none.
+    fn must not call a public dmaplab function, on a pool thread as on the
+    caller: the span tracer of perfbench keeps one span stack, for the
+    calling thread.  The passes here and tangent's _neighbors and
+    _fit_chunk call none."""
     k = min(_cpus(), len(items))
     shares = [items[len(items) * i // k:len(items) * (i + 1) // k]
               for i in range(k)]
-    with ThreadPoolExecutor(max_workers=max(k, 1),
+    if k <= 1:
+        return [fn(share) for share in shares]
+    with ThreadPoolExecutor(max_workers=k - 1,
                             thread_name_prefix="dmaplab") as pool:
-        return list(pool.map(fn, shares))
+        futures = [pool.submit(fn, share) for share in shares[:-1]]
+        last = fn(shares[-1])
+        return [f.result() for f in futures] + [last]
 
 
 @dataclass

@@ -29,7 +29,9 @@ def force_dense(monkeypatch):
 
 @pytest.fixture
 def one_worker(monkeypatch):
-    """Run every _spread call as one share and ball_counts on one thread."""
+    """Run every _spread call as one share on the calling thread, which
+    starts no thread: the graph layer's passes and the tangent engine's
+    stacks alike; ball_counts queries on one thread."""
     monkeypatch.setattr(gr, "_cpus", lambda: 1)
 
 

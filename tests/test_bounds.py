@@ -27,7 +27,8 @@ from dmaplab.geometry import (ManifoldDescriptor, PointCloud, _sphere_chart,
                               local_reach_numeric, pushforward_density,
                               s2_embedding_norm_sq, s2_heat_kernel,
                               s2_oracle_embedding, s2_oracle_tangent,
-                              sample_sphere, sample_torus, sphere_area)
+                              s2_tail_sum, sample_sphere, sample_torus,
+                              second_fundamental_form, sphere_area)
 from dmaplab.graph import (KernelConfig, ball_counts, bandwidth,
                            build_affinity, gaussian_kernel, laplacian,
                            system_from_cloud)
@@ -285,7 +286,8 @@ _IN_DOMAIN = {
 _OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
             "k": (1, np.nan, 2.5), "k_idx": (-1, np.nan, 2.5),
             "n": (0, np.nan, 2.5), "l": (-1, np.nan, 2.5),
-            "l_max": (-1, np.nan, 2.5), "max_iter": (0, np.nan, 2.5),
+            "l_max": (-1, np.nan, 2.5), "l_start": (-1, np.nan, 2.5),
+            "l_stop": (-1, np.nan, 2.5), "max_iter": (0, np.nan, 2.5),
             "grid": (31, np.nan, 40.5), "min_size": (0, np.nan, 2.5),
             "alpha1": (1.0, 2.0, np.nan), "alpha2": (0.0, 1.0, np.nan),
             **dict.fromkeys(("kappa", "kappa_neg", "dist", "s", "lam",
@@ -296,7 +298,8 @@ _OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
                              "gap_tol", "iota", "bandwidth_const", "t_cap",
                              "f_max", "f", "R", "r", "tau_min", "vol_lo",
                              "vol_hi", "n_eff", "h_tilde"),
-                            (0.0, -1.0, np.nan, np.inf))}
+                            (0.0, -1.0, np.nan, np.inf)),
+            "step": (0.0, -1e-4, np.nan, np.inf)}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
                  for bad in bads]
@@ -376,7 +379,9 @@ _LAYER_IN_DOMAIN = {
     s2_oracle_embedding: dict(p=_POLE, t=0.25),
     s2_oracle_tangent: dict(p=_POLE, t=0.25),
     s2_embedding_norm_sq: dict(t=0.25, l_max=2),
-    local_reach_numeric: dict(embed=_chart, grid=32),
+    s2_tail_sum: dict(t=0.25, l_start=3, l_stop=50),
+    second_fundamental_form: dict(embed=_chart, u=(1.0, 1.0), step=1e-4),
+    local_reach_numeric: dict(embed=_chart, grid=32, step=1e-4),
     pushforward_density: dict(J=np.eye(2), f=0.5),
     KernelConfig: dict(h=0.5, n=10, d=2),
     bandwidth: dict(n=100, d=2),
@@ -436,6 +441,9 @@ _ONCE_RAN = [
      "m must be a whole number"),
     (lambda: local_reach_numeric(_chart, grid=40.5),
      "grid must be a whole number"),
+    (lambda: local_reach_numeric(_chart, grid=32, step=np.nan),
+     "step must be positive and finite"),
+    (lambda: s2_tail_sum(0.25, -3, 50), "l_start must be >= 0"),
     (lambda: s2_oracle_embedding(_POLE, -1.0),
      "t must be positive and finite"),
     (lambda: bandwidth(100, -4), "d must be >= 1"),

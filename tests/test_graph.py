@@ -294,6 +294,41 @@ def test_spread_cuts_contiguous_nonempty_shares_in_order(monkeypatch):
     assert gr._spread(len, []) == []
 
 
+def test_spread_runs_one_share_on_the_caller_and_the_last_share_there(
+        monkeypatch):
+    def where(share):
+        return threading.current_thread(), _dmaplab_threads(), list(share)
+
+    main = threading.current_thread()
+    monkeypatch.setattr(gr, "_cpus", lambda: 1)
+    assert gr._spread(where, range(4)) == [(main, [], [0, 1, 2, 3])]
+    monkeypatch.setattr(gr, "_cpus", lambda: 3)
+    ran = gr._spread(where, range(7))
+    assert [share for _, _, share in ran] == [[0, 1], [2, 3], [4, 5, 6]]
+    assert ran[-1][0] is main
+    assert all(t is not main and t.name.startswith("dmaplab")
+               for t, _, _ in ran[:-1])
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_spread_joins_every_share_when_one_raises(monkeypatch, bad):
+    # a pool share (0) or the caller's share (2) raises at once while the
+    # other shares still sleep
+    monkeypatch.setattr(gr, "_cpus", lambda: 3)
+    finished = []
+
+    def fn(share):
+        if share[0] == bad:
+            raise KeyError(bad)
+        time.sleep(0.05)
+        finished.append(share[0])
+
+    with pytest.raises(KeyError):
+        gr._spread(fn, range(3))
+    assert sorted(finished) == sorted({0, 1, 2} - {bad})
+    assert _dmaplab_threads() == []
+
+
 def _worker_sensitive_results(n):
     cloud = sample_sphere(n, 2, 5)
     system = system_from_cloud(cloud)
@@ -418,8 +453,11 @@ def test_every_public_call_runs_on_the_main_thread(monkeypatch, tmp_path):
                         monkeypatch.setattr(holder, key, wrapped)
     run_pipeline(ExperimentConfig(), 300, 1)
     assert cli.main(["laplacian", "--n", "300", "--out", str(tmp_path)]) == 0
+    # three tangent stacks, spread like the graph layer's passes
+    assert cli.main(["tangent", "--n", "300", "--out", str(tmp_path)]) == 0
     assert {"dmaplab.graph.build_affinity", "dmaplab.graph.ball_counts",
             "dmaplab.graph.laplacian",
             "dmaplab.spectral.eigensolve_smallest",
-            "dmaplab.io.save_matrix_coo"} <= set(calls)
+            "dmaplab.io.save_matrix_coo",
+            "dmaplab.tangent.estimate_tangents"} <= set(calls)
     assert off_main == []

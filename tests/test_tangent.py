@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import dmaplab.graph as gr
 from dmaplab.embedding import EmbeddedCloud, EmbeddingParams
 from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
                               s2_oracle_tangent, sample_sphere)
@@ -408,7 +411,7 @@ def test_sphere_fits_pinned_bit_for_bit(fits_digest):
 
 _PINS = {
     (1, 2): "73c75e89381c19411523a611346d9f014d061c4d77a3cd3dd44bab18677192b6",
-    (1, 3): "6206b27bad1ff3d81f10d5e5fbc3715d8210c39bad9cf64fdc7eb52c3edcf171",
+    (1, 3): "2b6720226eaab3e482a91f2d242d137fc44cd51ba9bbba2d802ace49e97edddb",
     (1, 4): "5eb2d69a66e928e7a74986dd07da92c78630831e1b76401c1f6bd4b57146077a",
     (2, 2): "29ae9a38a6a7bd586834742d2ef203db4dda718a7d63900ef556625b5c5d784f",
     (2, 3): "c654c38b8fac271e7780e6a0357159d0b3f5b4a30e6e860336ca662cd1e32562",
@@ -440,14 +443,37 @@ def test_fits_pinned_bit_for_bit_at_every_order(fits_digest, d, k):
     digests were recorded from the chunked engine (see
     test_sphere_fits_pinned_bit_for_bit), the d = 3 ones with the shifted
     power rounds of _opnorms, without which both digests change.  The
-    (1, 3) digest predates the exact-product monomials of _features: its
-    one monomial x^2 was already x * x.  On this
+    (1, 3) digest was recorded with 128-member stacks: their padding moved
+    one tensor entry of one of its 300 fits by 2.8e-17, and no basis or
+    iteration count.  On this
     circle the operator-norm cap does not bind (see
     test_poly_opnorm_d1_is_row_norm for where it does)."""
     cloud = _pin_cloud(d)
     batch = estimate_tangents(cloud, range(cloud.n), TangentConfig(k=k))
     assert not batch.errors
     assert fits_digest(batch) == _PINS[d, k]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("d, k", [(1, 3), (2, 3), (3, 4)])
+def test_fits_are_the_same_bits_for_any_worker_count(fits_digest, request,
+                                                    monkeypatch, d, k, cpus):
+    """The 300 points of a pin cloud make three stacks: two or three
+    workers, switching threads every 10 us, fit them with the bits that
+    one worker gives.  On the d = 1 and d = 3 clouds other stacks give
+    other bits."""
+    cloud, cfg = _pin_cloud(d), TangentConfig(k=k)
+    assert -(-cloud.n // _CHUNK) == 3
+    monkeypatch.setattr(gr, "_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        spread = fits_digest(estimate_tangents(cloud, range(cloud.n), cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    request.getfixturevalue("one_worker")
+    one = fits_digest(estimate_tangents(cloud, range(cloud.n), cfg))
+    assert one == spread == _PINS[d, k]
 
 
 @pytest.mark.parametrize("d", [1, 2])
