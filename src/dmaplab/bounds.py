@@ -95,7 +95,8 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
     the nonnegative-curvature bound (d+4) d^(1-2/d) ((m+1) omega(d-1)/V)^(2/d),
     otherwise the parity-split sinh bounds, which need the diameter.
     """
-    _check_domain(m=m, d=d, V=V, kappa_neg=kappa_neg, diam=diam)
+    m, d, V, kappa_neg, diam = _check_domain(m=m, d=d, V=V,
+                                             kappa_neg=kappa_neg, diam=diam)
     om = sphere_area(d - 1)
     if kappa_neg == 0:
         return _number((d + 4) * d ** (1.0 - 2.0 / d)
@@ -118,8 +119,8 @@ def li_yau_upper(m, d, V, kappa_neg, diam=None):
 def eigen_lower_power(k_idx, d, kappa, diam, C1_eigen):
     """Lower bound C1^(1 + diam sqrt(kappa)) * diam^-2 * k^(2/d) on the
     k-th eigenvalue."""
-    _check_domain(k_idx=k_idx, d=d, kappa=kappa, diam=diam,
-                  C1_eigen=C1_eigen)
+    k_idx, d, kappa, diam, C1_eigen = _check_domain(
+        k_idx=k_idx, d=d, kappa=kappa, diam=diam, C1_eigen=C1_eigen)
     return _number(_need("C1_eigen", C1_eigen)
                    ** (1.0 + diam * np.sqrt(kappa))
                    * diam ** (-2.0) * k_idx ** (2.0 / d))
@@ -135,7 +136,7 @@ def croke_constant(d):
 
 def heat_upper(t, dist, d, kappa, consts):
     """Heat kernel upper bound C1 t^(-d/2) exp(C2 kappa t - 2 dist^2/(9t))."""
-    _check_domain(t=t, dist=dist, d=d, kappa=kappa)
+    t, dist, d, kappa = _check_domain(t=t, dist=dist, d=d, kappa=kappa)
     C1 = _need("C1", consts.C1)
     expo = -2.0 * dist * dist / (9.0 * t)
     if kappa > 0:
@@ -150,8 +151,10 @@ def heat_upper_liyau(t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2,
     - dist^2/((4+a2) t)); a1 = 3/2, a2 = 1/2 reproduce the 2 dist^2/(9t)
     exponent shape.  The curvature term needs the dimensional constant c_d.
     """
-    _check_domain(t=t, dist=dist, d=d, kappa=kappa, vol_p=vol_p, vol_q=vol_q,
-                  alpha1=alpha1, alpha2=alpha2, C_alpha2=C_alpha2, c_d=c_d)
+    t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2, C_alpha2, c_d = \
+        _check_domain(t=t, dist=dist, d=d, kappa=kappa, vol_p=vol_p,
+                      vol_q=vol_q, alpha1=alpha1, alpha2=alpha2,
+                      C_alpha2=C_alpha2, c_d=c_d)
     C = _need("C_alpha2", C_alpha2)
     expo = -dist * dist / ((4.0 + alpha2) * t)
     if kappa > 0:
@@ -162,7 +165,7 @@ def heat_upper_liyau(t, dist, d, kappa, vol_p, vol_q, alpha1, alpha2,
 def heat_lower_diag(t, d, kappa):
     """On-diagonal heat kernel lower bound
     (4 pi t)^(-d/2) exp(-beta^2 t/4 - 2 sqrt(3d) beta sqrt(t)/3)."""
-    _check_domain(t=t, d=d, kappa=kappa)
+    t, d, kappa = _check_domain(t=t, d=d, kappa=kappa)
     b = _beta(kappa, d)
     return _number((4 * np.pi * t) ** (-d / 2.0)
                    * np.exp(-b * b * t / 4.0
@@ -177,7 +180,8 @@ def heat_lower_offdiag(t, dist, d, kappa, sigma):
     At sigma^2 = 3 beta^2/(8d) and dist = 0 this collapses to
     heat_lower_diag.
     """
-    _check_domain(t=t, dist=dist, d=d, kappa=kappa, sigma=sigma)
+    t, dist, d, kappa, sigma = _check_domain(t=t, dist=dist, d=d,
+                                             kappa=kappa, sigma=sigma)
     b = _beta(kappa, d)
     if sigma == 0:
         if b > 0:
@@ -208,7 +212,7 @@ def s1_min(t0, d, kappa, consts):
     """Geodesic distance threshold: square root of
     (9 t0/2) (C2 kappa t0 + beta^2 t0/4 + 2 sqrt(3 d t0) beta/3
     + log(2 (4 pi)^(d/2) C1))."""
-    _check_domain(t0=t0, d=d, kappa=kappa)
+    t0, d, kappa = _check_domain(t0=t0, d=d, kappa=kappa)
     val = _bracket(t0, d, kappa, consts)
     if val <= 0:
         raise ValueError("threshold undefined: bracket nonpositive "
@@ -219,7 +223,7 @@ def s1_min(t0, d, kappa, consts):
 def r1_value(t0, d, kappa):
     """r1 = sqrt(t0) exp(-beta^2 t0/8 - sqrt(3 d t0) beta/3); the global
     reach is bounded below by r1/2."""
-    _check_domain(t0=t0, d=d, kappa=kappa)
+    t0, d, kappa = _check_domain(t0=t0, d=d, kappa=kappa)
     b = _beta(kappa, d)
     return _number(np.sqrt(t0) * np.exp(-b * b * t0 / 8.0
                                         - np.sqrt(3.0 * d * t0) * b / 3.0))
@@ -231,7 +235,8 @@ StarResult = namedtuple("StarResult", "lhs rhs holds")
 def star_check(tau_l, t0, eps, d, kappa, consts):
     """Reach condition 8 tau_l^2 >= (9 (1+eps)^2 t0 / 2) * bracket, with
     the same bracket as s1_min.  Returns both sides and the verdict."""
-    _check_domain(tau_l=tau_l, t0=t0, eps=eps, d=d, kappa=kappa)
+    tau_l, t0, eps, d, kappa = _check_domain(tau_l=tau_l, t0=t0, eps=eps,
+                                             d=d, kappa=kappa)
     lhs = _number(8.0 * tau_l * tau_l)
     rhs = _number(4.5 * (1.0 + eps) ** 2 * t0 * _bracket(t0, d, kappa, consts))
     return StarResult(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
@@ -239,7 +244,7 @@ def star_check(tau_l, t0, eps, d, kappa, consts):
 
 def diameter_upper(d, tau, f_min, C_d):
     """Diameter bound C_d / (tau^(d-1) f_min)."""
-    _check_domain(d=d, tau=tau, f_min=f_min, C_d=C_d)
+    d, tau, f_min, C_d = _check_domain(d=d, tau=tau, f_min=f_min, C_d=C_d)
     return _number(_need("C_d", C_d) / (tau ** (d - 1.0) * f_min))
 
 
@@ -250,7 +255,7 @@ def geodesic_euclid_bounds(s, r0):
     """Euclidean-chord bounds for geodesic distance s at curvature radius
     r0: s - s^3/(24 r0^2) <= |p - q| <= s.  short_arc reports s <= 2 sqrt(2)
     r0, the regime in which the lower bound is at least 2s/3."""
-    _check_domain(s=s, r0=r0)
+    s, r0 = _check_domain(s=s, r0=r0)
     lo = s - s ** 3 / (24.0 * r0 * r0)
     return GeodesicBounds(lo=_number(lo), hi=_number(s),
                           short_arc=bool(s <= 2.0 * np.sqrt(2.0) * r0))
@@ -268,6 +273,6 @@ def eps_cap(d):
 def weyl_estimate(lam, d, V):
     """Asymptotic eigenvalue count nu_d V lambda^(d/2) / (2 pi)^d with nu_d
     the unit-ball volume.  Asymptotic only: no finite-lambda guarantee."""
-    _check_domain(lam=lam, d=d, V=V)
+    lam, d, V = _check_domain(lam=lam, d=d, V=V)
     nu = np.pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
     return _number(nu * V * lam ** (d / 2.0) / (2.0 * np.pi) ** d)

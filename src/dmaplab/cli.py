@@ -153,21 +153,19 @@ def cmd_tangent(args):
 
 
 def _exposed(fn):
-    """fn's command-line entry, read from its signature: its arguments
-    without a default in order, int when bounds rules the name a whole
-    number and float otherwise, and whether a trailing consts takes the
-    constants table."""
-    args = [p.name for p in inspect.signature(fn).parameters.values()
-            if p.default is p.empty]
-    takes_consts = args[-1:] == ["consts"]
-    if takes_consts:
-        args.pop()
-    sig = tuple((a, int if a in B._WHOLE else float) for a in args)
-    return fn, sig, takes_consts
+    """fn's command-line entry, read from its signature: its arguments in
+    order, each int when bounds rules the name a whole number and float
+    otherwise, and required unless it has a default; and whether it takes
+    the constants table as consts."""
+    params = inspect.signature(fn).parameters
+    sig = tuple((p.name, int if p.name in B._WHOLE else float,
+                 p.default is p.empty)
+                for p in params.values() if p.name != "consts")
+    return fn, sig, "consts" in params
 
 
 # bound evaluators exposed on the command line: name -> (callable,
-# ordered (arg, type) pairs, whether the constants table is appended)
+# ordered (arg, type, required) triples, whether it takes the constants)
 _BOUND_EVALS = {fn.__name__: _exposed(fn) for fn in (
     B.croke_constant, B.eps_cap, B.r1_value, B.s1_min, B.star_check,
     B.heat_upper, B.heat_lower_diag, B.heat_lower_offdiag, B.li_yau_upper,
@@ -203,19 +201,19 @@ def _eval_bound(expr, consts):
     if name not in _BOUND_EVALS:
         raise ValueError("unknown bound evaluator %r" % name)
     fn, sig, wants_consts = _BOUND_EVALS[name]
-    missing = [k for k, _ in sig if k not in raw]
+    missing = [k for k, _, required in sig if required and k not in raw]
     if missing:
         raise ValueError("%s: missing argument(s) %s"
                          % (name, ", ".join(missing)))
-    extra = set(raw) - {k for k, _ in sig}
+    extra = set(raw) - {k for k, _, _ in sig}
     if extra:
         raise ValueError("%s: unknown argument(s) %s"
                          % (name, ", ".join(sorted(extra))))
-    inputs = {k: _bound_arg(name, k, raw[k], typ) for k, typ in sig}
-    args = list(inputs.values()) + ([consts] if wants_consts else [])
+    inputs = {k: _bound_arg(name, k, raw[k], typ)
+              for k, typ, _ in sig if k in raw}
     try:
         with np.errstate(all="raise", under="ignore"):
-            res = fn(*args)
+            res = fn(**inputs, **({"consts": consts} if wants_consts else {}))
     except (ValueError, ArithmeticError) as err:
         # the evaluator refuses input outside its domain itself
         raise ValueError("%s: %s" % (expr, err)) from None

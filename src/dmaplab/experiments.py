@@ -15,7 +15,7 @@ from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
 from .geometry import (_L8, _check_domain, _sphere_chart, local_reach_numeric,
                        s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
                        s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
-                       sample_sphere, sample_torus)
+                       sample_sphere)
 from .graph import system_from_cloud
 from .io import RunRecord, read_kv
 from .spectral import (_EXACT_REPEAT_TOL, cluster_eigenvalues, eigen_errors,
@@ -42,8 +42,6 @@ class ExperimentConfig:
     n_grid: tuple = (500, 1000, 2000, 4000)
     seeds: tuple = (1, 2, 3, 4, 5)
     ntilde_grid: tuple = (250, 500, 1000, 2000)
-    torus_R: float = 2.0
-    torus_r: float = 1.0
     min_subsample: int = 10
     tangent_bandwidth_const: float = 1.0
     tangent_t_cap: float = None
@@ -54,8 +52,8 @@ class ExperimentConfig:
     constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
-        if self.manifold not in ("sphere", "torus"):
-            raise ValueError("manifold must be 'sphere' or 'torus'")
+        if self.manifold != "sphere":
+            raise ValueError("manifold must be 'sphere'")
         if not (self.n_grid and self.seeds and self.ntilde_grid):
             raise ValueError("n_grid, seeds and ntilde_grid must be nonempty")
         # 3 is the floor of both bandwidth rules, graph and tangent
@@ -68,13 +66,7 @@ class ExperimentConfig:
                 raise ValueError("%s: need whole numbers >= %d, got %s"
                                  % (name, low, getattr(self, name)))
         _check_domain(d=self.d, k=self.k, t0=self.t0, m=self.m,
-                      gap_tol=self.gap_tol, kappa=self.kappa, iota=self.iota,
-                      R=self.torus_R, r=self.torus_r)
-        if self.manifold == "torus" and not self.torus_r < self.torus_R:
-            raise ValueError("torus radii must satisfy r < R")
-        if self.manifold == "torus" and self.d != 2:
-            raise ValueError("the torus is a surface: need d = 2, got d = %d"
-                             % self.d)
+                      gap_tol=self.gap_tol, kappa=self.kappa, iota=self.iota)
         _check_eps(self.eps, self.d)
         self.tangent_config()
         self.tangent_config(max_iter=self.study_max_iter)
@@ -166,15 +158,17 @@ def truth_clusters(lam):
     return cluster_eigenvalues(lam[1:], _EXACT_REPEAT_TOL)
 
 
-def _scored(cfg):
-    """Whether the S^2 oracle can align, and so score, runs of cfg."""
-    return cfg.manifold == "sphere" and cfg.d == 2 and cfg.m in _WHOLE_DEGREES
+def _require_oracle(d, m, aligned=True):
+    """Refuse (d, m) outside the S^2 oracle's scope: d = 2, and m in
+    _WHOLE_DEGREES where eigenvectors are aligned to it, 2 <= m <= 8 where
+    only tangents are compared."""
+    if d != 2 or m not in (_WHOLE_DEGREES if aligned else range(2, 9)):
+        raise ValueError("the S^2 oracle scores d = 2 at m = 3 or 8 (tangents "
+                         "alone at 2 <= m <= 8), got d = %s, m = %s" % (d, m))
 
 
 def _sample(cfg, n, seed):
-    if cfg.manifold == "sphere":
-        return sample_sphere(n, cfg.d, seed)
-    return sample_torus(n, cfg.torus_R, cfg.torus_r, seed)
+    return sample_sphere(n, cfg.d, seed)
 
 
 def _dense_sample(cfg, n, seed):
@@ -197,6 +191,7 @@ def _oracle_tangents(cfg, n, seed, tcfg):
     """Tangent fits at every point of an oracle-embedded S^2 sample, then
     each fit's angle to the analytic tangent in index order: (batch, angles
     by base index, h_tilde)."""
+    _require_oracle(cfg.d, cfg.m, aligned=False)
     t = select_diffusion_time(cfg.t0, cfg.iota)
     cloud = sample_sphere(n, 2, seed)
     emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
@@ -211,12 +206,14 @@ def _oracle_tangents(cfg, n, seed, tcfg):
 
 def run_pipeline(cfg, n, seed):
     """One full pass: sample -> graph Laplacian -> eigenpairs -> spectral
-    embedding, then, where the S^2 oracle scores the run, its errors and
-    tangent fits on a subsample; an unscored run fits no tangents.
+    embedding, each scored against the S^2 oracle, then tangent fits on a
+    subsample, scored the same way.  A (d, m) outside the oracle's scope is
+    refused before sampling.
 
     Failures are reported through the record's status field as
     'stage: message'; later fields keep their NaN defaults.
     """
+    _require_oracle(cfg.d, cfg.m)
     rec = RunRecord(n=n, seed=seed, m=cfg.m)
     start = time.perf_counter()
     stage = "sample"
@@ -232,51 +229,46 @@ def run_pipeline(cfg, n, seed):
         if len(spec.clusters) > 1:
             rec.first_cluster_mean = float(np.mean(spec.mu[spec.clusters[1]]))
 
-        oracle = _scored(cfg)
-        if oracle:
-            stage = "eigen-errors"
-            lam, cols = sphere_truth(cloud.points, cfg.m)
-            report = eigen_errors(spec, lam, cols)
-            rec.eigenvalue_errors = report.value_errors
-            rec.eigenvector_sup_errors = report.vector_sup_errors
-            rec.pattern_matched = report.pattern_matched
+        stage = "eigen-errors"
+        lam, cols = sphere_truth(cloud.points, cfg.m)
+        report = eigen_errors(spec, lam, cols)
+        rec.eigenvalue_errors = report.value_errors
+        rec.eigenvector_sup_errors = report.vector_sup_errors
+        rec.pattern_matched = report.pattern_matched
 
         stage = "embed"
-        # t is recorded even when the embedding parameters are rejected
         t = rec.t = select_diffusion_time(cfg.t0, cfg.iota)
         params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
         est = embed_points(spec, params)
 
-        if oracle:
-            stage = "embed-errors"
-            clusters = truth_clusters(lam)
-            target = s2_oracle_embedding(cloud.points, t)[:, :cfg.m]
-            rec.embedding_error = embedding_error(est.points, target,
-                                                  clusters)
-            # truth clusters are contiguous and ascending: one block map
-            R = block_diag(*(subspace_align(est.points[:, g], target[:, g])[0]
-                             for g in clusters))
+        stage = "embed-errors"
+        clusters = truth_clusters(lam)
+        target = s2_oracle_embedding(cloud.points, t)[:, :cfg.m]
+        rec.embedding_error = embedding_error(est.points, target, clusters)
+        # truth clusters are contiguous and ascending: one block map
+        R = block_diag(*(subspace_align(est.points[:, g], target[:, g])[0]
+                         for g in clusters))
 
-            stage = "tangent"
-            size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
-            if size > n:
-                raise ValueError("n=%d is below the tangent subsample size %d"
-                                 % (n, size))
-            rng = np.random.default_rng((seed, n, 17))
-            pick = np.sort(rng.choice(n, size=size, replace=False))
-            batch = estimate_tangents(EmbeddedCloud(est.points[pick], params),
-                                      range(size), cfg.tangent_config())
-            if batch.errors:
-                k0 = min(batch.errors)
-                raise ValueError("%d of %d fits failed; first: %s"
-                                 % (len(batch.errors), size, batch.errors[k0]))
+        stage = "tangent"
+        size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
+        if size > n:
+            raise ValueError("n=%d is below the tangent subsample size %d"
+                             % (n, size))
+        rng = np.random.default_rng((seed, n, 17))
+        pick = np.sort(rng.choice(n, size=size, replace=False))
+        batch = estimate_tangents(EmbeddedCloud(est.points[pick], params),
+                                  range(size), cfg.tangent_config())
+        if batch.errors:
+            k0 = min(batch.errors)
+            raise ValueError("%d of %d fits failed; first: %s"
+                             % (len(batch.errors), size, batch.errors[k0]))
 
-            stage = "tangent-errors"
-            truth = R @ _oracle_tangent(cloud.points[pick], t, cfg.m)
-            angles = [subspace_angle(batch.fits[j].basis, truth[j])
-                      for j in range(size)]
-            rec.tangent_angle_median = float(np.median(angles))
-            rec.tangent_angle_max = float(np.max(angles))
+        stage = "tangent-errors"
+        truth = R @ _oracle_tangent(cloud.points[pick], t, cfg.m)
+        angles = [subspace_angle(batch.fits[j].basis, truth[j])
+                  for j in range(size)]
+        rec.tangent_angle_median = float(np.median(angles))
+        rec.tangent_angle_max = float(np.max(angles))
     except (ValueError, RuntimeError) as err:
         rec.status = "%s: %s" % (stage, err)
     rec.wall_time = time.perf_counter() - start
@@ -306,9 +298,7 @@ def convergence_study(cfg):
     log(error) against log(log n / n) next to the theoretical exponents."""
     if len(cfg.n_grid) < 3:
         raise ValueError("need at least 3 grid sizes to fit a slope")
-    if not _scored(cfg):
-        raise ValueError("the convergence study scores the d = 2 sphere "
-                         "at m in %s only" % sorted(_WHOLE_DEGREES))
+    _require_oracle(cfg.d, cfg.m)
     records, rows = [], []
     for n in cfg.n_grid:
         per_seed = [run_pipeline(cfg, n, s) for s in cfg.seeds]
@@ -378,8 +368,7 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
     that is not positive and finite, or an eps outside (0, eps_cap(2)], is
     refused before any check runs.
     """
-    if m not in _WHOLE_DEGREES:
-        raise ValueError("verification supports m = 3 (degree 1) or 8")
+    _require_oracle(2, m)
     _check_domain(t0=t0)
     _check_eps(eps, 2)
     l_embed = _WHOLE_DEGREES[m]

@@ -49,9 +49,13 @@ _NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
 
 
 def _check_domain(**args):
-    """Refuse any argument outside the domain its name rules."""
+    """Refuse any argument outside the domain its name rules; return the
+    arguments in order, whole numbers as given and the rest as the floats
+    ruled, so no huge int reaches numpy."""
+    out = []
     for name, v in args.items():
         if v is None:
+            out.append(None)
             continue
         x = float(v)        # a whole number from the CLI may be a huge int
         if name in _WHOLE:
@@ -67,6 +71,8 @@ def _check_domain(**args):
             rule, ok = "positive and finite", 0 < x < np.inf
         if not ok:
             raise ValueError("%s must be %s, got %s" % (name, rule, v))
+        out.append(v if name in _WHOLE else x)
+    return out
 
 
 # eigenvalue of the sphere Laplacian for harmonic degree l
@@ -489,6 +495,8 @@ _ALPHA = np.linspace(0.0, np.pi, 720, endpoint=False)
 _UGRID = _frozen(np.stack([np.cos(_ALPHA), np.sin(_ALPHA)], axis=1))
 # shifted power rounds that refine the direction max above d = 2
 _ROUNDS, _SHIFT = 50, 0.5
+# members per Gram-form product, which bounds its (rows x directions) array
+_OPNORM_ROWS = 256
 
 
 def _opnorms(blk, l, E, dirs, M):
@@ -501,14 +509,19 @@ def _opnorms(blk, l, E, dirs, M):
     steps u <- J(u)^T p(u) / l + _SHIFT |p(u)|^2 u, normalized, J being the
     Jacobian of p (SS-HOPM, Kolda & Mayo 2011), and the largest value met
     is returned.  The shift lets the climb settle, so the value is a
-    stable function of the block."""
+    stable function of the block.  The Gram form is evaluated over chunks
+    of _OPNORM_ROWS members."""
     MM = (M[:, :, None] * M[:, None, :]).reshape(len(M), -1)
-    G = blk @ blk.transpose(0, 2, 1)
-    sq = G.reshape(len(G), -1) @ MM.T
-    best = np.max(sq, axis=1)
+    G = (blk @ blk.transpose(0, 2, 1)).reshape(len(blk), -1)
+    best, top = np.empty(len(G)), np.empty((len(G), 3), dtype=np.intp)
     d = E.shape[1]
+    for i in range(0, len(G), _OPNORM_ROWS):
+        sq = G[i:i + _OPNORM_ROWS] @ MM.T
+        best[i:i + _OPNORM_ROWS] = np.max(sq, axis=1)
+        if d > 2:
+            top[i:i + _OPNORM_ROWS] = np.argpartition(sq, -3, axis=1)[:, -3:]
     if d > 2:
-        u = dirs[np.argpartition(sq, -3, axis=1)[:, -3:]]
+        u = dirs[top]
         # d/du_j u^a = a_j u^(a - e_j), as (member, start, j, monomial)
         Ed = np.maximum(E - np.eye(d)[:, None, :], 0.0)
         for _ in range(_ROUNDS):

@@ -403,15 +403,13 @@ _LAYER_IN_DOMAIN = {
     estimate_tangents: dict(cloud=_CLOUD, base_indices=[0],
                             cfg=TangentConfig(), h_tilde=1.0),
     ExperimentConfig: dict(d=2, k=3, t0=0.25, m=8, gap_tol=0.25, kappa=0.0,
-                           iota=np.pi, torus_R=2.0, torus_r=1.0,
-                           tangent_bandwidth_const=1.0, tangent_t_cap=2.0,
-                           tangent_max_iter=20, study_max_iter=100,
-                           tangent_tol=1e-8),
+                           iota=np.pi, tangent_bandwidth_const=1.0,
+                           tangent_t_cap=2.0, tangent_max_iter=20,
+                           study_max_iter=100, tangent_tol=1e-8),
     sphere_truth: dict(points=_CLOUD.points, m=8),
 }
 # config fields that reach the table under another name
-_RULED_AS = {"torus_R": "R", "torus_r": "r",
-             "tangent_bandwidth_const": "bandwidth_const",
+_RULED_AS = {"tangent_bandwidth_const": "bandwidth_const",
              "tangent_t_cap": "t_cap", "tangent_max_iter": "max_iter",
              "study_max_iter": "max_iter", "tangent_tol": "tol"}
 _LAYER_CASES = [(fn, key, bad) for fn, kw in _LAYER_IN_DOMAIN.items()
@@ -530,3 +528,27 @@ def test_select_eps_prime_is_an_eighth_of_heat_lower_diag():
             for kappa in (0.0, 0.1, 0.5, 2.0):
                 assert (select_eps_prime(t, d, kappa)
                         == heat_lower_diag(t, d, kappa) / 8.0)
+
+
+_HUGE_CASES = [(fn, key) for fn, kw in _IN_DOMAIN.items() for key in kw
+               if key not in geometry._WHOLE and key != "consts"]
+
+
+@pytest.mark.parametrize(
+    "fn, key", _HUGE_CASES,
+    ids=["%s-%s" % (fn.__name__, key) for fn, key in _HUGE_CASES])
+def test_evaluators_take_a_huge_int_for_a_real_argument(fn, key):
+    """A Python int too large for numpy's integer loops, passed for an
+    argument that is not a whole number, is computed with as the float
+    the table ruled: a ValueError or ArithmeticError, or a number.  The
+    other arguments with whole values come as ints, as a library caller
+    may pass them, so that two ints can meet in one product."""
+    kw = {k: int(v) if isinstance(v, float) and v.is_integer() else v
+          for k, v in _IN_DOMAIN[fn].items()}
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            res = fn(**dict(kw, **{key: 10 ** 200}))
+    except (ValueError, ArithmeticError):
+        return
+    values = astuple(res) if is_dataclass(res) else np.atleast_1d(res)
+    assert not np.isnan(np.array(values, dtype=float)).any()

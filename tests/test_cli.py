@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import dmaplab.bounds as B
 from dmaplab.cli import _BOUND_EVALS, main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                select_diffusion_time)
@@ -77,6 +78,20 @@ def test_bounds_rejects_missing_argument(tmp_path, capsys):
     assert "missing argument" in capsys.readouterr().err
 
 
+def test_bounds_takes_an_optional_argument(tmp_path, capsys):
+    """A defaulted argument is an optional key: li_yau_upper's
+    negative-curvature branch needs its diam, and reads it from the
+    command line."""
+    expr = "li_yau_upper:m=3,d=2,V=7,kappa_neg=0.1"
+    assert main(["bounds", "--out", str(tmp_path / "no"), expr]) == 2
+    assert capsys.readouterr().err == ("error: %s: negative-curvature branch "
+                                       "needs diam\n" % expr)
+    assert main(["bounds", "--out", str(tmp_path), expr + ",diam=2"]) == 0
+    value = B.li_yau_upper(3, 2, 7.0, 0.1, diam=2.0)
+    assert "li_yau_upper,m=3;d=2;V=7.0;kappa_neg=0.1;diam=2.0,%r\n" % value \
+        in (tmp_path / "bounds.csv").read_text()
+
+
 _BAD_EXPRS = [
     ("star_check:tau_l=1", "star_check: missing argument(s) t0, eps, d, kappa"),
     ("geodesic_euclid_bounds:s=1,r0=1,bogus=3",
@@ -140,23 +155,32 @@ def test_bounds_rejects_bad_expression(tmp_path, capsys, expr, message):
     assert list(tmp_path.iterdir()) == []
 
 
-# each evaluator's command-line arguments and whether it takes the constants
+# each evaluator's command-line arguments, typed and marked required, and
+# whether it takes the constants
 _EXPOSED = {
-    "croke_constant": ((("d", int),), False),
-    "eps_cap": ((("d", int),), False),
-    "r1_value": ((("t0", float), ("d", int), ("kappa", float)), False),
-    "s1_min": ((("t0", float), ("d", int), ("kappa", float)), True),
-    "star_check": ((("tau_l", float), ("t0", float), ("eps", float),
-                    ("d", int), ("kappa", float)), True),
-    "heat_upper": ((("t", float), ("dist", float), ("d", int),
-                    ("kappa", float)), True),
-    "heat_lower_diag": ((("t", float), ("d", int), ("kappa", float)), False),
-    "heat_lower_offdiag": ((("t", float), ("dist", float), ("d", int),
-                            ("kappa", float), ("sigma", float)), False),
-    "li_yau_upper": ((("m", int), ("d", int), ("V", float),
-                      ("kappa_neg", float)), False),
-    "weyl_estimate": ((("lam", float), ("d", int), ("V", float)), False),
-    "geodesic_euclid_bounds": ((("s", float), ("r0", float)), False),
+    "croke_constant": ((("d", int, True),), False),
+    "eps_cap": ((("d", int, True),), False),
+    "r1_value": ((("t0", float, True), ("d", int, True),
+                  ("kappa", float, True)), False),
+    "s1_min": ((("t0", float, True), ("d", int, True),
+                ("kappa", float, True)), True),
+    "star_check": ((("tau_l", float, True), ("t0", float, True),
+                    ("eps", float, True), ("d", int, True),
+                    ("kappa", float, True)), True),
+    "heat_upper": ((("t", float, True), ("dist", float, True),
+                    ("d", int, True), ("kappa", float, True)), True),
+    "heat_lower_diag": ((("t", float, True), ("d", int, True),
+                         ("kappa", float, True)), False),
+    "heat_lower_offdiag": ((("t", float, True), ("dist", float, True),
+                            ("d", int, True), ("kappa", float, True),
+                            ("sigma", float, True)), False),
+    "li_yau_upper": ((("m", int, True), ("d", int, True), ("V", float, True),
+                      ("kappa_neg", float, True), ("diam", float, False)),
+                     False),
+    "weyl_estimate": ((("lam", float, True), ("d", int, True),
+                       ("V", float, True)), False),
+    "geodesic_euclid_bounds": ((("s", float, True), ("r0", float, True)),
+                               False),
 }
 
 
@@ -165,7 +189,8 @@ def test_bound_evaluators_expose_their_arguments():
             in _BOUND_EVALS.items()} == _EXPOSED
 
 
-_ARG_NAMES = sorted({k for _, sig, _ in _BOUND_EVALS.values() for k, _ in sig})
+_ARG_NAMES = sorted({k for _, sig, _ in _BOUND_EVALS.values()
+                     for k, _, _ in sig})
 _VALUES = st.one_of(
     st.integers(-4, 4).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -177,7 +202,7 @@ _VALUES = st.one_of(
 @st.composite
 def _bound_exprs(draw):
     name = draw(st.sampled_from(sorted(_BOUND_EVALS) + ["nonsense"]))
-    own = [k for k, _ in _BOUND_EVALS.get(name, (None, (), False))[1]]
+    own = [k for k, _, _ in _BOUND_EVALS.get(name, (None, (), False))[1]]
     keys = draw(st.permutations(own)
                 | st.lists(st.sampled_from(own + _ARG_NAMES + ["bogus"]),
                            unique=True, max_size=len(own) + 1))
@@ -280,12 +305,38 @@ def test_tangent_command_with_three_coordinates(tmp_path, capsys):
     assert "median" in capsys.readouterr().out
 
 
-def test_torus_config_with_d_3_exits_2(tmp_path, capsys):
+_COMMANDS = ("sample", "laplacian", "eigen", "embed", "tangent", "bounds",
+             "pipeline", "rates", "verify-s2", "tangent-study")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("text, message", [
+    ("manifold = torus\n", "manifold must be 'sphere'"),
+    ("torus_R = 2.0\n", "line 1: unknown config key 'torus_R'"),
+    ("torus_r = 1.0\n", "line 1: unknown config key 'torus_r'")])
+def test_torus_config_exits_2(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "torus.cfg"
-    cfg.write_text("manifold = torus\nd = 3\n")
-    assert main(["sample", "--config", str(cfg), "--n", "10",
-                 "--out", str(tmp_path)]) == 2
-    assert "torus is a surface" in capsys.readouterr().err
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["d = 3", "m = 9"])
+@pytest.mark.parametrize("command, artifact", [
+    ("sample", "cloud.csv"), ("laplacian", "affinity.csv"),
+    ("eigen", "eigen.csv"), ("embed", "embedding.csv")])
+def test_unscored_commands_run_outside_the_oracle(tmp_path, setting,
+                                                  command, artifact):
+    """The oracle's scope binds only the commands that score: the others
+    run at any d and m."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--n", "60",
+                 "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [artifact]
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -468,16 +519,40 @@ def test_tangent_study_table(tmp_path):
     assert [line.split(",")[0] for line in lines[2:]] == ["60", "80"]
 
 
-@pytest.mark.parametrize("setting", ["manifold = torus", "d = 3", "m = 5"])
-def test_study_refuses_unscored_config(tmp_path, capsys, setting):
+_SCORING = {"pipeline-n": ["pipeline", "--n", "600"],
+            "pipeline": ["pipeline"],
+            "tangent": ["tangent", "--n", "200"],
+            "tangent-study": ["tangent-study"]}
+_REFUSALS = [(name, d, m) for name in _SCORING
+             for d, m in ((3, 8), (2, 9)) + (((2, 5),) if "pipeline" in name
+                                             else ())]
+
+
+@pytest.mark.parametrize("name, d, m", _REFUSALS,
+                         ids=["%s-d%d-m%d" % case for case in _REFUSALS])
+def test_scoring_commands_refuse_what_the_oracle_cannot_score(
+        tmp_path, capsys, no_sampling, name, d, m):
     cfg = tmp_path / "grid.cfg"
-    cfg.write_text("n_grid = 200,300,400\nseeds = 1\n%s\n" % setting)
+    cfg.write_text("n_grid = 200,300,400\nseeds = 1\nntilde_grid = 60,80\n"
+                   "d = %d\nm = %d\n" % (d, m))
     out = tmp_path / "out"
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: the convergence study scores")
-    assert "Traceback" not in err
+    assert main(_SCORING[name] + ["--config", str(cfg),
+                                  "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the S^2 oracle scores d = 2 at m = 3 or 8 "
+                            "(tangents alone at 2 <= m <= 8), got d = %d, "
+                            "m = %d\n" % (d, m))
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["tangent", "tangent-study"])
+def test_tangent_commands_score_a_cut_eigenspace(tmp_path, name):
+    """The tangents alone are compared at m = 5, which pipeline refuses."""
+    cfg = tmp_path / "m5.cfg"
+    cfg.write_text("ntilde_grid = 60,80\nseeds = 1\nm = 5\n")
+    assert main(_SCORING[name] + ["--config", str(cfg),
+                                  "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("command", ["laplacian", "eigen", "embed"])

@@ -39,8 +39,8 @@ def test_config_validation():
         ExperimentConfig(n_grid=())
     with pytest.raises(ValueError, match="ntilde_grid must be nonempty"):
         ExperimentConfig(ntilde_grid=())
-    with pytest.raises(ValueError):
-        ExperimentConfig(manifold="torus", torus_R=1.0, torus_r=1.0)
+    with pytest.raises(ValueError, match="^manifold must be 'sphere'$"):
+        ExperimentConfig(manifold="torus")
     for kappa in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="kappa must be finite"):
             ExperimentConfig(kappa=kappa)
@@ -72,17 +72,17 @@ def test_load_config_full(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(
         "# experiment\n"
-        "manifold = torus\n"
+        "manifold = sphere\n"
         "d = 2\nk = 4\nt0 = 0.5\nm = 3\neps = 0.04\n"
         "gap_tol = 0.3\nkappa = 0.1\niota = 2.0\n"
         "n_grid = 100,200,400\nseeds = 7,8\nntilde_grid = 50,100\n"
-        "torus_R = 3.0\ntorus_r = 1.0\nmin_subsample = 12\n"
+        "min_subsample = 12\n"
         "tangent_bandwidth_const = 2.0\ntangent_t_cap = auto\n"
         "tangent_max_iter = 30\nstudy_max_iter = 60\n"
         "tangent_tol = 1e-6\noutput_dir = /tmp/somewhere\n"
         "C1 = 0.5\nC2 = 1.25\n")
     cfg = load_config(path)
-    assert cfg.manifold == "torus"
+    assert cfg.manifold == "sphere"
     assert cfg.k == 4 and cfg.m == 3
     assert cfg.n_grid == (100, 200, 400)
     assert cfg.seeds == (7, 8)
@@ -211,15 +211,6 @@ def test_run_pipeline_status_names_failing_stage(monkeypatch, stage, callee,
     assert np.isnan(cells[filled:]).all()
 
 
-def test_run_pipeline_torus_skips_oracle():
-    cfg = ExperimentConfig(manifold="torus", torus_R=2.0, torus_r=0.7)
-    rec = run_pipeline(cfg, 300, 2)
-    assert rec.status == "ok"
-    assert rec.eigenvalue_errors == []
-    assert np.isnan(rec.embedding_error)
-    assert np.isnan(rec.tangent_angle_median)
-
-
 def _count_tangent_fits(monkeypatch):
     """A list that gains one entry per estimate_tangents call made by
     run_pipeline."""
@@ -232,14 +223,21 @@ def _count_tangent_fits(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kw", [dict(d=3), dict(manifold="torus"),
-                                dict(m=5)], ids=["d3", "torus", "m5"])
-def test_unscored_run_fits_no_tangents(monkeypatch, kw):
-    calls = _count_tangent_fits(monkeypatch)
-    rec = run_pipeline(ExperimentConfig(**kw), 300, 1)
-    assert rec.status == "ok"
-    assert calls == []
-    assert np.isnan(rec.tangent_angle_median)
+# the shared refusal of a (d, m) outside the S^2 oracle's scope
+_OUT_OF_SCOPE = (r"^the S\^2 oracle scores d = 2 at m = 3 or 8 \(tangents "
+                 r"alone at 2 <= m <= 8\), got d = %s, m = %s$")
+
+
+@pytest.mark.parametrize("d, m", [(3, 8), (2, 1), (2, 2), (2, 5), (2, 9)])
+def test_run_pipeline_refuses_what_the_oracle_cannot_score(monkeypatch, d,
+                                                           m):
+    """Every record run_pipeline writes is scored: a (d, m) the oracle
+    cannot align is refused before anything is sampled."""
+    def no_sample(*args):
+        raise AssertionError("sampled")
+    monkeypatch.setattr(X, "sample_sphere", no_sample)
+    with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (d, m)):
+        run_pipeline(ExperimentConfig(d=d, m=m), 300, 1)
 
 
 @pytest.mark.parametrize("m", [3, 8])
@@ -265,24 +263,13 @@ def test_nan_t0_fails_at_embed():
         ExperimentConfig(t0=np.nan)
 
 
-def test_m_below_d_fails_at_embed_with_t_recorded():
-    rec = run_pipeline(ExperimentConfig(m=1), 200, 1)
-    assert rec.status == "embed: embedding dimension m must be >= d"
-    assert rec.t == 0.25
-
-
-def test_torus_config_needs_d_2():
-    with pytest.raises(ValueError, match="torus is a surface"):
-        ExperimentConfig(manifold="torus", d=3)
-
-
 def test_oracle_tangent_comparison_below_eight_coordinates():
     """With m < 8 the fits live in R^m and are compared with the tangent
     of the m-coordinate map; at m = 8 the truth is the analytic basis.
     run_pipeline scores only m = 3 and 8, whose coordinates fill whole
     harmonic eigenspaces: at any other m the solver's basis of a cut
-    eigenspace cannot be aligned to the truth, so the run is left
-    unscored."""
+    eigenspace cannot be aligned to the truth, so the run is refused;
+    the tangents alone are compared at every 2 <= m <= 8."""
     p = sample_sphere(1, 2, 4).points[0]
     assert np.array_equal(_oracle_tangent(p, 0.25, 8),
                           s2_oracle_tangent(p, 0.25).basis)
@@ -294,12 +281,19 @@ def test_oracle_tangent_comparison_below_eight_coordinates():
     assert rec.status == "ok"
     assert 0.0 <= rec.tangent_angle_median <= rec.tangent_angle_max <= 1
     for m in (2, 4, 5, 6, 7):
-        rec = run_pipeline(ExperimentConfig(m=m), 400, 1)
-        assert rec.status == "ok"
-        assert rec.eigenvalue_errors == rec.eigenvector_sup_errors == []
-        assert np.isnan([rec.embedding_error, rec.tangent_angle_median,
-                         rec.tangent_angle_max]).all()
-        assert rec.pattern_matched is False
+        cfg = ExperimentConfig(m=m)
+        batch, angles, _ = _oracle_tangents(cfg, 300, 1,
+                                            cfg.tangent_config())
+        assert not batch.errors and len(angles) == 300
+        with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (2, m)):
+            run_pipeline(cfg, 400, 1)
+
+
+@pytest.mark.parametrize("d, m", [(3, 8), (2, 1), (2, 9)])
+def test_oracle_tangents_refuse_what_the_oracle_cannot_score(d, m):
+    cfg = ExperimentConfig(d=d, m=m)
+    with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (d, m)):
+        _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
 
 
 def test_oracle_tangent_stacked_at_every_m():
@@ -375,15 +369,14 @@ def test_convergence_study_needs_three_sizes():
         convergence_study(ExperimentConfig(n_grid=(100, 200)))
 
 
-@pytest.mark.parametrize("kw", [dict(manifold="torus"), dict(d=3),
-                                dict(m=5)])
+@pytest.mark.parametrize("kw", [dict(d=3), dict(m=5), dict(m=9)])
 def test_convergence_study_refuses_unscored_config(monkeypatch, kw):
     """Refused before the first run, not after the whole grid."""
     def no_run(*args):
         raise AssertionError("run_pipeline called")
     monkeypatch.setattr(X, "run_pipeline", no_run)
     cfg = ExperimentConfig(n_grid=(200, 300, 400), seeds=(1,), **kw)
-    with pytest.raises(ValueError, match="scores the d = 2 sphere"):
+    with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (cfg.d, cfg.m)):
         convergence_study(cfg)
 
 
@@ -420,7 +413,7 @@ def test_verify_s2_degree_one_truncation_too_coarse():
 
 
 def test_verify_s2_rejects_other_m():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (2, 5)):
         verify_s2(m=5)
 
 

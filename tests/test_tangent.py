@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import dmaplab.geometry as geo
 import dmaplab.graph as gr
 from dmaplab.embedding import EmbeddedCloud, EmbeddingParams
 from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
@@ -250,6 +251,21 @@ def test_poly_opnorm_reaches_dense_reference(d, l):
     b = rng.standard_normal((50, E.shape[0], 5))
     ref = np.array([_grid_max(x, dense) for x in b])
     assert np.all(_opnorms(b, l, E, plan.dirs, M) >= (1 - 1e-9) * ref)
+
+
+@pytest.mark.parametrize("d, l", [(2, 2), (2, 4), (3, 2), (3, 3)])
+def test_opnorms_by_row_chunks_give_the_bits_of_one_product(monkeypatch, d,
+                                                             l):
+    """The Gram form taken over chunks of _OPNORM_ROWS members gives each
+    member the bits, and above d = 2 the start directions, that one
+    product over the whole stack gives."""
+    plan = _fit_plan(d, l + 1)
+    _, rows, M = plan.blocks[-1]
+    E = plan.E[rows]
+    b = np.random.default_rng(d + l).standard_normal((600, E.shape[0], 5))
+    chunked = _opnorms(b, l, E, plan.dirs, M)
+    monkeypatch.setattr(geo, "_OPNORM_ROWS", len(b))
+    assert np.array_equal(chunked, _opnorms(b, l, E, plan.dirs, M))
 
 
 def _loop_climb(b_rows, l, E, dirs, M):
