@@ -7,10 +7,10 @@ by t0=4 the embedding has collapsed to norm 0.0066; both reports flag
 the failure.
 """
 
-from dmaplab import format_verify, verify_s2
+from dmaplab import ExperimentConfig, format_verify, verify_s2
 
 for t0 in (0.25, 0.5, 4.0):
     print("=" * 60)
     print("diffusion time t0 = %g" % t0)
-    print(format_verify(verify_s2(t0=t0)))
+    print(format_verify(verify_s2(ExperimentConfig(t0=t0))))
     print()

@@ -10,7 +10,7 @@ the unit-sphere heat-kernel constant C1 = 0.408912.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -28,11 +28,7 @@ class BoundConstants:
     C2: float = None
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is not None and not 0 < v < np.inf:
-                raise ValueError("constant %s must be positive and finite, "
-                                 "got %s" % (f.name, v))
+        _check_domain(C1=self.C1, C2=self.C2)
 
 
 def _need(name, v):

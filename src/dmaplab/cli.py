@@ -10,7 +10,7 @@ import argparse
 import inspect
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import experiments as X
 from . import io as dio
 from .embedding import (EmbeddingParams, embed_points,
                         select_diffusion_time, select_eps_prime)
-from .geometry import PointCloud
+from .geometry import PointCloud, sample_sphere
 from .graph import _residuals, system_from_cloud
 from .spectral import eigensolve_smallest
 
@@ -54,9 +54,7 @@ def _common(sub, name, fn, summary):
 def _load_cfg(args):
     cfg = X.load_config(args.config) if args.config \
         else X.ExperimentConfig()
-    out = args.out if args.out else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    return cfg, out
+    return cfg, args.out if args.out else cfg.output_dir
 
 
 def _setting(args, cfg, name):
@@ -79,7 +77,7 @@ def _path(out, name):
 
 def cmd_sample(args):
     cfg, out = _load_cfg(args)
-    cloud = X._sample(cfg, args.n, args.seed)
+    cloud = sample_sphere(args.n, cfg.d, args.seed)
     dio.save_cloud(cloud, _path(out, "cloud.csv"))
     radii = np.linalg.norm(cloud.points, axis=1)
     print("sampled %d %s points in R^%d (seed %d)"
@@ -289,11 +287,11 @@ def cmd_rates(args):
 
 def cmd_verify_s2(args):
     cfg, out = _load_cfg(args)
-    report = X.verify_s2(**{k: _setting(args, cfg, k)
-                            for k in ("t0", "m", "eps")})
+    report = X.verify_s2(replace(cfg, **{k: _setting(args, cfg, k)
+                                         for k in ("t0", "m", "eps")}))
     dio.save_table(_path(out, "verify.csv"),
                    [f.name for f in fields(X.CheckResult)],
-                   [(c.check, c.value, c.target.replace(",", ";"),
+                   [(c.check, c.value, c.target,
                      "skip" if c.passed is None else int(c.passed))
                     for c in report.checks])
     print(X.format_verify(report))

@@ -67,7 +67,10 @@ class ExperimentConfig:
                                  % (name, low, getattr(self, name)))
         _check_domain(d=self.d, k=self.k, t0=self.t0, m=self.m,
                       gap_tol=self.gap_tol, kappa=self.kappa, iota=self.iota)
-        _check_eps(self.eps, self.d)
+        cap = eps_cap(self.d)
+        if not 0 < self.eps <= cap + 1e-12:
+            raise ValueError("eps must lie in (0, %.6f] for d=%d"
+                             % (cap, self.d))
         self.tangent_config()
         self.tangent_config(max_iter=self.study_max_iter)
 
@@ -77,13 +80,6 @@ class ExperimentConfig:
             t_cap=self.tangent_t_cap,
             max_iter=self.tangent_max_iter if max_iter is None else max_iter,
             tol=self.tangent_tol)
-
-
-def _check_eps(eps, d):
-    """Refuse an isometry slack outside (0, eps_cap(d)]."""
-    cap = eps_cap(d)
-    if not 0 < eps <= cap + 1e-12:
-        raise ValueError("eps must lie in (0, %.6f] for d=%d" % (cap, d))
 
 
 def _parse_value(kind, raw, path, lineno):
@@ -167,16 +163,12 @@ def _require_oracle(d, m, aligned=True):
                          "alone at 2 <= m <= 8), got d = %s, m = %s" % (d, m))
 
 
-def _sample(cfg, n, seed):
-    return sample_sphere(n, cfg.d, seed)
-
-
 def _dense_sample(cfg, n, seed):
     """A sample for the dense graph pipeline, refused before sampling when
     n is too large for the n x n matrices that pipeline builds."""
     if n > 2 * 10 ** 4:
         raise ValueError("dense pipeline is capped at n = 20000")
-    return _sample(cfg, n, seed)
+    return sample_sphere(n, cfg.d, seed)
 
 
 def _oracle_tangent(p, t, m):
@@ -356,22 +348,21 @@ class VerifyReport:
         return all(c.passed is not False for c in self.checks)
 
 
-def verify_s2(t0=0.25, m=8, eps=0.05):
-    """Closed-form battery for the truncated S^2 spectral map.
+def verify_s2(cfg):
+    """Closed-form battery for the truncated S^2 spectral map at the
+    config's t0, m and eps, with its bound constants and kappa = 0.
 
     Checks: (a) near-isometric directional norm, (b) spectral tail below
     the truncation budget, (c) the flat-case budget identity 1/(32 pi t0),
     (d) curvature-sweep radius of the image surface, (e) the radius
     inequality protecting the first-order chart, (f) the truncated kernel
     against the flat on-diagonal value.  (d) and (e) depend on a
-    sweep constant pinned at t0 = 0.25 and are skipped elsewhere.  A t0
-    that is not positive and finite, or an eps outside (0, eps_cap(2)], is
-    refused before any check runs.
+    sweep constant pinned at t0 = 0.25 and are skipped elsewhere.  A
+    (d, m) outside the oracle's scope is refused before any check runs.
     """
-    _require_oracle(2, m)
-    _check_domain(t0=t0)
-    _check_eps(eps, 2)
-    l_embed = _WHOLE_DEGREES[m]
+    _require_oracle(cfg.d, cfg.m)
+    t0, eps = cfg.t0, cfg.eps
+    l_embed = _WHOLE_DEGREES[cfg.m]
     checks = []
 
     norm = float(np.sqrt(s2_embedding_norm_sq(t0, l_embed)))
@@ -398,7 +389,7 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
         checks.append(CheckResult(
             "sweep-radius", reach, "%.6f within 1%%" % REACH_S2,
             bool(abs(reach - REACH_S2) <= 0.01 * REACH_S2)))
-        star = star_check(REACH_S2, t0, eps, 2, 0.0, BoundConstants())
+        star = star_check(REACH_S2, t0, eps, 2, 0.0, cfg.constants)
         checks.append(CheckResult(
             "radius-inequality", star.lhs, ">= %.9g" % star.rhs,
             bool(star.holds)))
@@ -414,7 +405,7 @@ def verify_s2(t0=0.25, m=8, eps=0.05):
         "kernel-diagonal", abs(diag - flat),
         "|trunc - %.9g| <= eps'" % flat,
         bool(abs(diag - flat) <= eps_prime)))
-    return VerifyReport(t0=t0, m=m, eps=eps, checks=checks)
+    return VerifyReport(t0=t0, m=cfg.m, eps=eps, checks=checks)
 
 
 def format_verify(report):

@@ -11,6 +11,7 @@ subnormal, non-finite, in %g's fixed-notation range, or near a rounding
 tie) is written by `_F` itself.
 """
 
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,11 +54,11 @@ RUN_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def _cell(v):
-    """One CSV cell: strings pass through, bools and ints stay integral,
-    lists and tuples join their cells with ';', anything else is a
+    """One CSV cell: strings with each ',' written as ';', bools and ints
+    integral, lists and tuples their cells joined with ';', anything else a
     17-digit float."""
     if isinstance(v, str):
-        return v
+        return v.replace(",", ";")
     if isinstance(v, (bool, np.bool_)):
         return "%d" % int(v)
     if isinstance(v, (int, np.integer)):
@@ -69,7 +70,9 @@ def _cell(v):
 
 def _write(path, tag, header, lines):
     """The one artifact layout: version tag, comma-joined header names, then
-    the newline-terminated data lines."""
+    the newline-terminated data lines.  The file's directory is made here,
+    so a command refused before its first artifact leaves nothing behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%s\n%s\n" % (tag, ",".join(header)))
         fh.writelines(lines)

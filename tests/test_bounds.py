@@ -61,12 +61,14 @@ def test_bound_constants_validation():
     assert S2.C1 == pytest.approx(0.408912)
     with pytest.raises(ValueError):
         BoundConstants(C1=-1.0)
-    with pytest.raises(ValueError, match="constant C2 must be positive"):
+    with pytest.raises(ValueError,
+                       match="^C2 must be positive and finite, got 0.0$"):
         BoundConstants(C2=0.0)
     for bad in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="constant C1 must be positive "
-                                             "and finite"):
+        with pytest.raises(ValueError, match="^C1 must be positive "
+                                             "and finite, got "):
             BoundConstants(C1=bad)
+    assert BoundConstants(C1=None).C1 is None
 
 
 def test_li_yau_flat_sphere_value():
@@ -297,7 +299,7 @@ _OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
                              "C_alpha2", "c_d", "C_d", "h", "tol",
                              "gap_tol", "iota", "bandwidth_const", "t_cap",
                              "f_max", "f", "R", "r", "tau_min", "vol_lo",
-                             "vol_hi", "n_eff", "h_tilde"),
+                             "vol_hi", "n_eff", "h_tilde", "C1", "C2"),
                             (0.0, -1.0, np.nan, np.inf)),
             "step": (0.0, -1e-4, np.nan, np.inf)}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()

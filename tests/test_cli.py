@@ -382,7 +382,7 @@ def test_nonpositive_n_exits_2(tmp_path, capsys, command, n):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_s2_reads_config(tmp_path):
+def test_verify_s2_reads_config(tmp_path, capsys):
     cfg = tmp_path / "half.cfg"
     cfg.write_text("t0 = 0.5\n")
     tables = {}
@@ -392,6 +392,21 @@ def test_verify_s2_reads_config(tmp_path):
         assert main(["verify-s2", "--out", str(out)] + extra) in (0, 1)
         tables[label] = (out / "verify.csv").read_text()
     assert tables["config"] == tables["flag"] != tables["default"]
+    # the radius inequality reads the config's C1, as bounds does
+    c1 = tmp_path / "c1.cfg"
+    c1.write_text("C1 = 0.05\n")
+    for command in ("verify-s2", "bounds"):
+        assert main([command, "--config", str(c1),
+                     "--out", str(tmp_path / "c1")]) in (0, 1)
+    capsys.readouterr()
+    rhs = [row.split(",")[2] for row in
+           (tmp_path / "c1" / "bounds.csv").read_text().splitlines()
+           if row.startswith("star_check.rhs,")]
+    assert len(rhs) == 1 and float(rhs[0]) == pytest.approx(0.283335938)
+    target = [row.split(",")[2] for row in
+              (tmp_path / "c1" / "verify.csv").read_text().splitlines()
+              if row.startswith("radius-inequality,")]
+    assert target == [">= %.9g" % float(rhs[0])]
 
 
 @pytest.mark.parametrize("flag", [["--eps", "-1"], ["--t0", "nan"],
@@ -522,9 +537,11 @@ def test_tangent_study_table(tmp_path):
 _SCORING = {"pipeline-n": ["pipeline", "--n", "600"],
             "pipeline": ["pipeline"],
             "tangent": ["tangent", "--n", "200"],
-            "tangent-study": ["tangent-study"]}
+            "tangent-study": ["tangent-study"],
+            "verify-s2": ["verify-s2"]}
+_ALIGNED = ("pipeline-n", "pipeline", "verify-s2")
 _REFUSALS = [(name, d, m) for name in _SCORING
-             for d, m in ((3, 8), (2, 9)) + (((2, 5),) if "pipeline" in name
+             for d, m in ((3, 8), (2, 9)) + (((2, 5),) if name in _ALIGNED
                                              else ())]
 
 
@@ -543,7 +560,7 @@ def test_scoring_commands_refuse_what_the_oracle_cannot_score(
     assert captured.err == ("error: the S^2 oracle scores d = 2 at m = 3 or 8 "
                             "(tangents alone at 2 <= m <= 8), got d = %d, "
                             "m = %d\n" % (d, m))
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["tangent", "tangent-study"])

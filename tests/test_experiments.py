@@ -381,7 +381,7 @@ def test_convergence_study_refuses_unscored_config(monkeypatch, kw):
 
 
 def test_verify_s2_recomputes_budget():
-    rep = verify_s2(t0=0.5, m=8, eps=0.05)
+    rep = verify_s2(ExperimentConfig(t0=0.5, m=8, eps=0.05))
     # the truncation budget follows t0: eps' = 1/(32 pi t0) = 1/(16 pi)
     assert "0.019894" in rep.checks[1].target
     assert rep.checks[3].passed is None       # sweep pinned at t0 = 1/4
@@ -391,12 +391,13 @@ def test_verify_s2_recomputes_budget():
 def test_verify_s2_sweep_radius_pinned_bit_for_bit():
     """The t0 = 1/4 curvature sweep radius, pinned to the last bit; the
     check itself and criterion 4 allow 1%."""
-    values = {c.check: c.value for c in verify_s2(0.25).checks}
+    values = {c.check: c.value
+              for c in verify_s2(ExperimentConfig(t0=0.25)).checks}
     assert values["sweep-radius"] == 0.64692445880068639
 
 
 def test_verify_s2_far_time_fails_isometry():
-    rep = verify_s2(t0=4.0, m=8, eps=0.05)
+    rep = verify_s2(ExperimentConfig(t0=4.0, m=8, eps=0.05))
     assert rep.checks[0].passed is False
     assert not rep.ok
     assert "FAIL" in format_verify(rep)
@@ -405,7 +406,7 @@ def test_verify_s2_far_time_fails_isometry():
 def test_verify_s2_degree_one_truncation_too_coarse():
     # keeping only the l=1 block at t = 1/4 breaks both the isometry and
     # the tail budget; the battery must report this honestly
-    rep = verify_s2(t0=0.25, m=3, eps=0.05)
+    rep = verify_s2(ExperimentConfig(t0=0.25, m=3, eps=0.05))
     names = {c.check: c for c in rep.checks}
     assert names["isometry-defect"].passed is False
     assert names["spectral-tail"].passed is False
@@ -413,26 +414,26 @@ def test_verify_s2_degree_one_truncation_too_coarse():
 
 
 def test_verify_s2_rejects_other_m():
-    with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (2, 5)):
-        verify_s2(m=5)
+    """The config's d and m meet the oracle rule every scoring command
+    applies."""
+    for d, m in ((2, 5), (3, 8)):
+        with pytest.raises(ValueError, match=_OUT_OF_SCOPE % (d, m)):
+            verify_s2(ExperimentConfig(d=d, m=m))
 
 
 @pytest.mark.parametrize("t0", [0.0, -1.0, np.nan, np.inf])
 def test_verify_s2_rejects_bad_time(t0):
     with pytest.raises(ValueError, match="t0 must be positive and finite"):
-        verify_s2(t0=t0)
+        verify_s2(ExperimentConfig(t0=t0))
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, 0.2, np.nan])
 def test_verify_s2_rejects_eps_as_embedding_does(eps):
-    """verify_s2 refuses an eps with the message ExperimentConfig, and so
-    every command reading a config, gives for it."""
-    with pytest.raises(ValueError) as config:
-        ExperimentConfig(eps=eps)
-    with pytest.raises(ValueError) as verify:
-        verify_s2(eps=eps)
-    assert str(verify.value) == str(config.value) \
-        == "eps must lie in (0, 0.166667] for d=2"
+    """An eps outside (0, eps_cap(2)] is refused by the config verify_s2
+    takes, with the message every command reading a config gives."""
+    with pytest.raises(ValueError,
+                       match=r"^eps must lie in \(0, 0\.166667\] for d=2$"):
+        verify_s2(ExperimentConfig(eps=eps))
 
 
 def _sphere_scores(cloud):

@@ -84,6 +84,28 @@ def test_record_row_layout():
     assert record_row(rec2).rsplit(",", 1)[0] == row.rsplit(",", 1)[0]
 
 
+@pytest.mark.parametrize("status", [
+    "embed-errors: rank collapse in cross-product; blocks nearly "
+    "orthogonal, alignment undetermined",
+    "eigen: residual contract violated at indices [0, 3], norms "
+    "[0.1 0.2]"])
+def test_status_with_commas_stays_one_cell(tmp_path, status):
+    """A string cell writes each ',' as ';', so every runs.csv row has as
+    many cells as the header."""
+    from dmaplab.experiments import RunRecord
+    path = tmp_path / "runs.csv"
+    emit_csv([RunRecord(n=10, seed=1, status=status)], path)
+    cells = path.read_text().splitlines()[2].split(",")
+    assert len(cells) == len(RUN_FIELDS)
+    assert cells[-2] == status.replace(",", ";")
+
+
+def test_writers_make_the_artifact_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "t.csv"
+    save_table(path, ("a",), [(1,)])
+    assert path.read_text().splitlines()[2] == "1"
+
+
 def test_save_tangents_nan_for_missing(tmp_path):
     from dmaplab.tangent import TangentConfig, fit_local_polynomial
     rng = np.random.default_rng(0)
