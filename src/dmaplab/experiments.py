@@ -25,7 +25,6 @@ from .tangent import (TangentConfig, estimate_tangents, subsample_size,
 
 REACH_S2 = 0.646924          # curvature-sweep radius of the degree<=2 map
 TAIL_CUTOFF = 50             # truncation index for spectral tail sums
-_WHOLE_DEGREES = {3: 1, 8: 2}  # m filling whole eigenspaces -> top degree
 
 
 @dataclass
@@ -52,8 +51,9 @@ class ExperimentConfig:
     constants: BoundConstants = field(default_factory=BoundConstants)
 
     def __post_init__(self):
-        if self.manifold != "sphere":
-            raise ValueError("manifold must be 'sphere'")
+        if self.manifold not in {name for name, _ in _ORACLES}:
+            raise ValueError("manifold must be " + " or ".join(
+                sorted({repr(name) for name, _ in _ORACLES})))
         if not (self.n_grid and self.seeds and self.ntilde_grid):
             raise ValueError("n_grid, seeds and ntilde_grid must be nonempty")
         # 3 is the floor of both bandwidth rules, graph and tangent
@@ -154,43 +154,59 @@ def truth_clusters(lam):
     return cluster_eigenvalues(lam[1:], _EXACT_REPEAT_TOL)
 
 
-def _require_oracle(d, m, aligned=True):
-    """Refuse (d, m) outside the S^2 oracle's scope: d = 2, and m in
-    _WHOLE_DEGREES where eigenvectors are aligned to it, 2 <= m <= 8 where
-    only tangents are compared."""
-    if d != 2 or m not in (_WHOLE_DEGREES if aligned else range(2, 9)):
-        raise ValueError("the S^2 oracle scores d = 2 at m = 3 or 8 (tangents "
-                         "alone at 2 <= m <= 8), got d = %s, m = %s" % (d, m))
+@dataclass(frozen=True)
+class _Oracle:                 # what one scored manifold is scored against
+    name: str                  # as refusals print it
+    whole: dict                # m filling whole eigenspaces -> top degree
+    tangent_m: range           # m whose tangents alone are compared
+    sample: object             # (n, seed) -> PointCloud
+    truth: object              # (points, m) -> eigenvalues, columns
+    coords: object             # (points, t, m) -> first m coordinates
+    tangents: object           # (points, t, m) -> their (N, m, d) frames
 
 
-def _dense_sample(cfg, n, seed):
-    """A sample for the dense graph pipeline, refused before sampling when
-    n is too large for the n x n matrices that pipeline builds."""
+# (manifold, d) -> oracle; callables reach public functions via module globals
+_ORACLES = {("sphere", 2): _Oracle(
+    "S^2", {3: 1, 8: 2}, range(2, 9),
+    lambda n, seed: sample_sphere(n, 2, seed),
+    lambda points, m: sphere_truth(points, m),
+    lambda p, t, m: s2_oracle_embedding(p, t)[:, :m],
+    lambda p, t, m: s2_oracle_tangent(p, t).basis if m == 8
+    else np.linalg.qr(s2_oracle_tangent(p, t).basis[..., :m, :])[0])}
+
+
+def _oracle(cfg, aligned=True):
+    """The entry scoring cfg, or a refusal giving its manifold's scope."""
+    oracle = _ORACLES.get((cfg.manifold, cfg.d))
+    if cfg.m not in getattr(oracle, "whole" if aligned else "tangent_m", ()):
+        raise ValueError("%s, got d = %s, m = %s" % ("; ".join(
+            "the %s oracle scores d = %d at m = %s (tangents alone at %d <= "
+            "m <= %d)" % (o.name, d, " or ".join(map(str, o.whole)),
+                          o.tangent_m[0], o.tangent_m[-1])
+            for (name, d), o in _ORACLES.items() if name == cfg.manifold),
+            cfg.d, cfg.m))
+    return oracle
+
+
+def _dense_sample(cfg, n, seed, oracle=None):
+    """A sample from the oracle, else from S^d, refused before sampling if
+    n is too large for the n x n matrices of the dense graph pipeline."""
     if n > 2 * 10 ** 4:
         raise ValueError("dense pipeline is capped at n = 20000")
-    return sample_sphere(n, cfg.d, seed)
-
-
-def _oracle_tangent(p, t, m):
-    """Orthonormal tangent basis at p of the first m <= 8 coordinates of
-    the S^2 oracle embedding at time t: (m, 2) for one point, (N, m, 2)
-    for an (N, 3) array of points."""
-    basis = s2_oracle_tangent(p, t).basis
-    return np.linalg.qr(basis[..., :m, :])[0] if m < 8 else basis
+    return oracle.sample(n, seed) if oracle else sample_sphere(n, cfg.d, seed)
 
 
 def _oracle_tangents(cfg, n, seed, tcfg):
-    """Tangent fits at every point of an oracle-embedded S^2 sample, then
-    each fit's angle to the analytic tangent in index order: (batch, angles
-    by base index, h_tilde)."""
-    _require_oracle(cfg.d, cfg.m, aligned=False)
+    """Tangent fits at every point of an oracle-embedded sample and each
+    fit's angle to the oracle tangent: (batch, angles by index, h_tilde)."""
+    oracle = _oracle(cfg, aligned=False)
     t = select_diffusion_time(cfg.t0, cfg.iota)
-    cloud = sample_sphere(n, 2, seed)
-    emb = EmbeddedCloud(s2_oracle_embedding(cloud.points, t)[:, :cfg.m],
-                        EmbeddingParams(t=t, m=cfg.m, d=2))
-    h_tilde = tangent_bandwidth(n, 2, tcfg)
+    cloud = oracle.sample(n, seed)
+    emb = EmbeddedCloud(oracle.coords(cloud.points, t, cfg.m),
+                        EmbeddingParams(t=t, m=cfg.m, d=cfg.d))
+    h_tilde = tangent_bandwidth(n, cfg.d, tcfg)
     batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
-    truth = _oracle_tangent(cloud.points, t, cfg.m)
+    truth = oracle.tangents(cloud.points, t, cfg.m)
     angles = {i: subspace_angle(fit.basis, truth[i])
               for i, fit in batch.fits.items()}
     return batch, angles, h_tilde
@@ -198,19 +214,19 @@ def _oracle_tangents(cfg, n, seed, tcfg):
 
 def run_pipeline(cfg, n, seed):
     """One full pass: sample -> graph Laplacian -> eigenpairs -> spectral
-    embedding, each scored against the S^2 oracle, then tangent fits on a
-    subsample, scored the same way.  A (d, m) outside the oracle's scope is
-    refused before sampling.
+    embedding, each scored against the config's oracle, then tangent fits on
+    a subsample, scored the same way.  A (d, m) outside the oracle's scope
+    is refused before sampling.
 
     Failures are reported through the record's status field as
     'stage: message'; later fields keep their NaN defaults.
     """
-    _require_oracle(cfg.d, cfg.m)
+    oracle = _oracle(cfg)
     rec = RunRecord(n=n, seed=seed, m=cfg.m)
     start = time.perf_counter()
     stage = "sample"
     try:
-        cloud = _dense_sample(cfg, n, seed)
+        cloud = _dense_sample(cfg, n, seed, oracle)
 
         stage = "laplacian"
         system = system_from_cloud(cloud)
@@ -222,7 +238,7 @@ def run_pipeline(cfg, n, seed):
             rec.first_cluster_mean = float(np.mean(spec.mu[spec.clusters[1]]))
 
         stage = "eigen-errors"
-        lam, cols = sphere_truth(cloud.points, cfg.m)
+        lam, cols = oracle.truth(cloud.points, cfg.m)
         report = eigen_errors(spec, lam, cols)
         rec.eigenvalue_errors = report.value_errors
         rec.eigenvector_sup_errors = report.vector_sup_errors
@@ -235,7 +251,7 @@ def run_pipeline(cfg, n, seed):
 
         stage = "embed-errors"
         clusters = truth_clusters(lam)
-        target = s2_oracle_embedding(cloud.points, t)[:, :cfg.m]
+        target = oracle.coords(cloud.points, t, cfg.m)
         rec.embedding_error = embedding_error(est.points, target, clusters)
         # truth clusters are contiguous and ascending: one block map
         R = block_diag(*(subspace_align(est.points[:, g], target[:, g])[0]
@@ -256,7 +272,7 @@ def run_pipeline(cfg, n, seed):
                              % (len(batch.errors), size, batch.errors[k0]))
 
         stage = "tangent-errors"
-        truth = R @ _oracle_tangent(cloud.points[pick], t, cfg.m)
+        truth = R @ oracle.tangents(cloud.points[pick], t, cfg.m)
         angles = [subspace_angle(batch.fits[j].basis, truth[j])
                   for j in range(size)]
         rec.tangent_angle_median = float(np.median(angles))
@@ -290,7 +306,7 @@ def convergence_study(cfg):
     log(error) against log(log n / n) next to the theoretical exponents."""
     if len(cfg.n_grid) < 3:
         raise ValueError("need at least 3 grid sizes to fit a slope")
-    _require_oracle(cfg.d, cfg.m)
+    _oracle(cfg)
     records, rows = [], []
     for n in cfg.n_grid:
         per_seed = [run_pipeline(cfg, n, s) for s in cfg.seeds]
@@ -360,9 +376,8 @@ def verify_s2(cfg):
     sweep constant pinned at t0 = 0.25 and are skipped elsewhere.  A
     (d, m) outside the oracle's scope is refused before any check runs.
     """
-    _require_oracle(cfg.d, cfg.m)
+    l_embed = _oracle(cfg).whole[cfg.m]
     t0, eps = cfg.t0, cfg.eps
-    l_embed = _WHOLE_DEGREES[cfg.m]
     checks = []
 
     norm = float(np.sqrt(s2_embedding_norm_sq(t0, l_embed)))

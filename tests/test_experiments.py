@@ -11,16 +11,19 @@ import dmaplab.spectral as sp
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                embedding_error)
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
-                                 _oracle_tangent, _oracle_tangents,
+                                 _oracle_tangents,
                                  convergence_study, format_verify,
                                  load_config, run_pipeline, sphere_truth,
                                  truth_clusters, verify_s2)
-from dmaplab.geometry import (s2_oracle_embedding, s2_oracle_tangent,
-                              sample_sphere)
+from dmaplab.geometry import (embedding_scale, s2_oracle_embedding,
+                              s2_oracle_tangent, sample_sphere)
 from dmaplab.graph import system_from_cloud
 from dmaplab.io import RUN_FIELDS, record_row
 from dmaplab.spectral import eigen_errors, eigensolve_smallest
 from dmaplab.tangent import estimate_tangents
+
+# the S^2 entry's tangent frames of the first m oracle coordinates
+_s2_tangents = X._ORACLES["sphere", 2].tangents
 
 
 def test_config_defaults_valid():
@@ -271,7 +274,7 @@ def test_oracle_tangent_comparison_below_eight_coordinates():
     eigenspace cannot be aligned to the truth, so the run is refused;
     the tangents alone are compared at every 2 <= m <= 8."""
     p = sample_sphere(1, 2, 4).points[0]
-    assert np.array_equal(_oracle_tangent(p, 0.25, 8),
+    assert np.array_equal(_s2_tangents(p, 0.25, 8),
                           s2_oracle_tangent(p, 0.25).basis)
     cfg = ExperimentConfig(m=3)
     batch, angles, _ = _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
@@ -297,14 +300,14 @@ def test_oracle_tangents_refuse_what_the_oracle_cannot_score(d, m):
 
 
 def test_oracle_tangent_stacked_at_every_m():
-    """_oracle_tangent on an (N, 3) array equals its one-point calls, for
-    the full map and for the first m coordinates."""
+    """The S^2 entry's tangents on an (N, 3) array equal its one-point
+    calls, for the full map and for the first m coordinates."""
     pts = sample_sphere(40, 2, 8).points
     for m in (3, 5, 8):
-        stacked = _oracle_tangent(pts, 0.25, m)
+        stacked = _s2_tangents(pts, 0.25, m)
         assert stacked.shape == (40, m, 2)
         for p, basis in zip(pts, stacked):
-            assert np.max(np.abs(basis - _oracle_tangent(p, 0.25, m))) \
+            assert np.max(np.abs(basis - _s2_tangents(p, 0.25, m))) \
                 <= 1e-14
 
 
@@ -313,7 +316,7 @@ def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
     per-cluster loop: block g of each oracle tangent is mapped by the
     rotation that aligned cluster g of the embedding.  One oracle call
     builds the tangents of every fitted point."""
-    align, tangent, angle = (X.subspace_align, X._oracle_tangent,
+    align, tangent, angle = (X.subspace_align, X.s2_oracle_tangent,
                              X.subspace_angle)
     rotations, truths, mapped = [], [], []
 
@@ -331,16 +334,99 @@ def test_tangent_truth_mapped_by_each_cluster_rotation(monkeypatch):
         return angle(U, V)
 
     monkeypatch.setattr(X, "subspace_align", spy_align)
-    monkeypatch.setattr(X, "_oracle_tangent", spy_tangent)
+    monkeypatch.setattr(X, "s2_oracle_tangent", spy_tangent)
     monkeypatch.setattr(X, "subspace_angle", spy_angle)
     assert run_pipeline(ExperimentConfig(), 400, 1).status == "ok"
     assert len(rotations) == 2 and len(truths) == 1
-    assert len(mapped) == len(truths[0]) == 10
-    for T, M in zip(truths[0], mapped):
+    assert len(mapped) == len(truths[0].basis) == 10
+    for T, M in zip(truths[0].basis, mapped):
         ref = np.empty_like(T)
         for g, Q in zip((slice(0, 3), slice(3, 8)), rotations):
             ref[g] = Q @ T[g]
         assert np.allclose(M, ref, rtol=0, atol=1e-14)
+
+
+def test_scoring_paths_call_public_functions_through_module_globals(
+        monkeypatch):
+    """The oracle table and the S^d sampler call public functions through
+    this module's globals, so a function rebound there (a spy here, a
+    benchmark tracer's wrapper) sees every call: a table field holding the
+    function object itself would bypass it."""
+    calls = []
+
+    def spy(name):
+        fn = getattr(X, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_sphere", "sphere_truth", "s2_oracle_embedding",
+                 "s2_oracle_tangent"):
+        monkeypatch.setattr(X, name, spy(name))
+    cfg = ExperimentConfig()
+    assert run_pipeline(cfg, 400, 1).status == "ok"
+    assert calls == ["sample_sphere", "sphere_truth", "s2_oracle_embedding",
+                     "s2_oracle_tangent"]
+    del calls[:]
+    _oracle_tangents(cfg, 100, 1, cfg.tangent_config())
+    assert calls == ["sample_sphere", "s2_oracle_embedding",
+                     "s2_oracle_tangent"]
+    del calls[:]
+    X._dense_sample(replace(cfg, d=3), 50, 1)       # the CLI's S^d sampler
+    assert calls == ["sample_sphere"]
+
+
+def _circle_truth(points, m):
+    """Eigenvalues 0, 1, 1 of the unit circle and its orthonormal
+    eigenfunctions 1/sqrt(2 pi), x/sqrt(pi), y/sqrt(pi)."""
+    cols = np.column_stack([np.full(len(points), 1.0 / np.sqrt(2 * np.pi)),
+                            points / np.sqrt(np.pi)])
+    return np.array([0.0, 1.0, 1.0])[:m + 1], cols[:, :m + 1]
+
+
+@pytest.fixture
+def circle(monkeypatch):
+    """A unit-circle entry on the oracle table, and nothing else patched:
+    its samples are counted in the list this returns."""
+    sampled = []
+
+    def sample(n, seed):
+        sampled.append(n)
+        return sample_sphere(n, 1, seed)
+
+    monkeypatch.setitem(X._ORACLES, ("circle", 1), X._Oracle(
+        "S^1", {2: 1}, range(2, 3), sample, _circle_truth,
+        lambda p, t, m: embedding_scale(t, 1) * np.exp(-t / 2) * p
+        / np.sqrt(np.pi),
+        lambda p, t, m: np.stack([-p[:, 1], p[:, 0]], axis=1)[:, :, None]))
+    return sampled
+
+
+def test_one_table_entry_scores_another_manifold(circle):
+    """A new scored manifold is one table entry: the config, the scored
+    pipeline and the tangent comparison read it, and refuse outside it
+    before sampling."""
+    cfg = ExperimentConfig(manifold="circle", d=1, m=2)
+    errors = []
+    for n in (500, 1000, 2000):
+        rec = run_pipeline(cfg, n, 1)
+        assert rec.status == "ok" and rec.pattern_matched
+        errors.append(rec.embedding_error)
+    assert errors[0] > errors[1] > errors[2]
+    batch, angles, _ = _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
+    assert not batch.errors and len(angles) == 300
+    assert np.median(list(angles.values())) < 0.01
+    del circle[:]
+    refusal = (r"^the S\^1 oracle scores d = 1 at m = 2 \(tangents alone at "
+               r"2 <= m <= 2\), got d = 1, m = 3$")
+    wide = replace(cfg, m=3)
+    with pytest.raises(ValueError, match=refusal):
+        run_pipeline(wide, 500, 1)
+    with pytest.raises(ValueError, match=refusal):
+        _oracle_tangents(wide, 300, 1, wide.tangent_config())
+    assert circle == []
 
 
 def test_convergence_study_rows_are_medians_of_records():
