@@ -17,24 +17,20 @@ import numpy as np
 from . import bounds as B
 from . import experiments as X
 from . import io as dio
-from .embedding import (EmbeddingParams, embed_points,
-                        select_diffusion_time, select_eps_prime)
+from .embedding import embed_points, select_eps_prime
 from .geometry import PointCloud, sample_sphere
 from .graph import _residuals, system_from_cloud
 from .spectral import eigensolve_smallest
 
 
-def _positive_int(text):
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError("%s is not a positive integer" % text)
-    return int(text)
-
-
-def _non_negative_int(text):
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError("%s is not a non-negative integer"
-                                         % text)
-    return int(text)
+def _whole(least):
+    """argparse type for the whole numbers >= least, 0 or 1."""
+    def parse(text):
+        if not text.isdigit() or int(text) < least:
+            raise argparse.ArgumentTypeError("%s is not a %s integer" % (
+                text, "positive" if least else "non-negative"))
+        return int(text)
+    return parse
 
 
 def _common(sub, name, fn, summary):
@@ -46,8 +42,8 @@ def _common(sub, name, fn, summary):
     p.add_argument("--out", metavar="DIR",
                    help="directory for CSV artifacts (default: config "
                         "output_dir)")
-    p.add_argument("--seed", type=_non_negative_int, default=1)
-    p.add_argument("--n", type=_positive_int, default=500)
+    p.add_argument("--seed", type=_whole(0), default=1)
+    p.add_argument("--n", type=_whole(1), default=500)
     return p
 
 
@@ -115,8 +111,8 @@ def cmd_eigen(args):
 def cmd_embed(args):
     cfg, out, n, system = _dense_system(args)
     spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
-    t = select_diffusion_time(cfg.t0, cfg.iota)
-    emb = embed_points(spec, EmbeddingParams(t=t, m=cfg.m, d=cfg.d))
+    emb = embed_points(spec, cfg.embedding_params())
+    t = emb.params.t
     carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
                          seed=args.seed)
     dio.save_cloud(carrier, _path(out, "embedding.csv"))
@@ -134,7 +130,7 @@ def cmd_tangent(args):
     cfg, out = _load_cfg(args)
     tcfg = cfg.tangent_config()
     batch, angles, h_tilde = X._oracle_tangents(cfg, args.n, args.seed, tcfg)
-    fits = [batch.fits[i] for i in sorted(batch.fits)]
+    fits = list(batch.fits.values())
     dio.save_tangents(fits, _path(out, "tangents.csv"), angles)
     vals = np.array(list(angles.values()))
     print("tangent fits at %d of %d points (h_tilde=%.6f, k=%d)"

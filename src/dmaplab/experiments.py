@@ -81,6 +81,11 @@ class ExperimentConfig:
             max_iter=self.tangent_max_iter if max_iter is None else max_iter,
             tol=self.tangent_tol)
 
+    def embedding_params(self):
+        """The embedding's time t = min(t0, 4, iota^2/4), m and d."""
+        return EmbeddingParams(t=select_diffusion_time(self.t0, self.iota),
+                               m=self.m, d=self.d)
+
 
 def _parse_value(kind, raw, path, lineno):
     try:
@@ -200,13 +205,12 @@ def _oracle_tangents(cfg, n, seed, tcfg):
     """Tangent fits at every point of an oracle-embedded sample and each
     fit's angle to the oracle tangent: (batch, angles by index, h_tilde)."""
     oracle = _oracle(cfg, aligned=False)
-    t = select_diffusion_time(cfg.t0, cfg.iota)
+    params = cfg.embedding_params()
     cloud = oracle.sample(n, seed)
-    emb = EmbeddedCloud(oracle.coords(cloud.points, t, cfg.m),
-                        EmbeddingParams(t=t, m=cfg.m, d=cfg.d))
+    emb = EmbeddedCloud(oracle.coords(cloud.points, params.t, cfg.m), params)
     h_tilde = tangent_bandwidth(n, cfg.d, tcfg)
     batch = estimate_tangents(emb, range(n), tcfg, h_tilde)
-    truth = oracle.tangents(cloud.points, t, cfg.m)
+    truth = oracle.tangents(cloud.points, params.t, cfg.m)
     angles = {i: subspace_angle(fit.basis, truth[i])
               for i, fit in batch.fits.items()}
     return batch, angles, h_tilde
@@ -245,8 +249,8 @@ def run_pipeline(cfg, n, seed):
         rec.pattern_matched = report.pattern_matched
 
         stage = "embed"
-        t = rec.t = select_diffusion_time(cfg.t0, cfg.iota)
-        params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
+        params = cfg.embedding_params()
+        t = rec.t = params.t
         est = embed_points(spec, params)
 
         stage = "embed-errors"
@@ -374,9 +378,14 @@ def verify_s2(cfg):
     inequality protecting the first-order chart, (f) the truncated kernel
     against the flat on-diagonal value.  (d) and (e) depend on a
     sweep constant pinned at t0 = 0.25 and are skipped elsewhere.  A
-    (d, m) outside the oracle's scope is refused before any check runs.
+    (d, m) outside the oracle's scope, or an oracle other than S^2, is
+    refused before any check runs.
     """
-    l_embed = _oracle(cfg).whole[cfg.m]
+    oracle = _oracle(cfg)
+    if oracle is not _ORACLES["sphere", 2]:
+        raise ValueError("verify_s2 checks the S^2 oracle only, got the %s "
+                         "oracle" % oracle.name)
+    l_embed = oracle.whole[cfg.m]
     t0, eps = cfg.t0, cfg.eps
     checks = []
 

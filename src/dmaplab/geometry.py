@@ -15,29 +15,6 @@ from math import gamma
 
 import numpy as np
 
-__all__ = [
-    "PointCloud",
-    "ManifoldDescriptor",
-    "TangentBasis",
-    "sphere_area",
-    "sample_sphere",
-    "sample_torus",
-    "true_tangent_sphere",
-    "legendre_p",
-    "real_sph_harmonic",
-    "s2_harmonics",
-    "s2_harmonic_gradients",
-    "s2_heat_kernel",
-    "s2_tail_sum",
-    "embedding_scale",
-    "s2_embedding_norm_sq",
-    "s2_oracle_embedding",
-    "s2_oracle_tangent",
-    "second_fundamental_form",
-    "local_reach_numeric",
-    "pushforward_density",
-]
-
 # each scalar argument's domain, by its name, for every layer: whole numbers
 # with their least value, open intervals, finite and >= 0; any other name is
 # positive and finite.  None passes: the caller says when it needs the value.
@@ -376,14 +353,14 @@ def s2_embedding_norm_sq(t, l_max=2):
 _L8 = np.array([_lam(1)] * 3 + [_lam(2)] * 5)
 
 
-def s2_oracle_embedding(p, t, d=2):
+def s2_oracle_embedding(p, t):
     """Scaled harmonic-coordinate embedding of S^2 into R^8.
 
-    Coordinate i is embedding_scale(t, d) * e^{-lambda_i t / 2} * Y_i(p) in
+    Coordinate i is embedding_scale(t, 2) * e^{-lambda_i t / 2} * Y_i(p) in
     the fixed harmonic order of s2_harmonics.  Accepts a single point or an
     array of points.
     """
-    return s2_harmonics(_on_sphere(p)) * _damp(t, d)
+    return s2_harmonics(_on_sphere(p)) * _damp(t)
 
 
 def _on_sphere(p):
@@ -393,8 +370,8 @@ def _on_sphere(p):
     return p
 
 
-def _damp(t, d):
-    return embedding_scale(t, d) * np.exp(-_L8 * t / 2.0)
+def _damp(t):
+    return embedding_scale(t, 2) * np.exp(-_L8 * t / 2.0)
 
 
 def _sphere_chart(u):
@@ -428,7 +405,7 @@ def s2_oracle_tangent(p, t, method="analytic"):
     before differencing.
     """
     p = _on_sphere(p)
-    damp = _damp(t, 2)
+    damp = _damp(t)
     base = s2_harmonics(p) * damp
     if method == "analytic":
         t1, t2 = _sphere_frame(p)

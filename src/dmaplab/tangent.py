@@ -6,7 +6,6 @@ take geometry's _opnorms, the lab's one sup over unit directions."""
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement
 from math import floor
 
@@ -84,7 +83,6 @@ def monomial_exponents(d, degrees):
 _FitPlan = namedtuple("FitPlan", "expos E dirs blocks")
 
 
-@lru_cache(maxsize=None)
 def _fit_plan(d, k):
     """Constants shared by every fit at input dimension d and order k.
 
@@ -92,7 +90,8 @@ def _fit_plan(d, k):
     k = 2) and E holds them as a float array; blocks gives, per degree l,
     its row slice of E and the monomials of the fixed unit directions dirs
     of _opnorms (the single direction 1 at d = 1, the 720-angle grid at
-    d = 2, 2000 seeded normals otherwise).  Arrays are read-only.
+    d = 2, 2000 seeded normals otherwise).  Arrays are read-only, as the
+    workers of one estimate_tangents call share its plan.
     """
     expos = tuple(monomial_exponents(d, range(2, k)))
     E = _frozen(np.array([e for _, e in expos], dtype=float).reshape(-1, d))
@@ -188,9 +187,10 @@ def _step(Z, live, B, counts, plan, t_cap):
     return np.sum(rho, axis=(1, 2)) / rows, b_new, Y.transpose(0, 2, 1) @ Y
 
 
-def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg):
-    """Fit the base points centers, with neighbour indices nbrs, together;
-    returns base index -> TangentEstimate, or the error message.
+def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg, plan):
+    """Fit the base points centers, with neighbour indices nbrs, together
+    under plan = _fit_plan(d, cfg.k); returns base index -> TangentEstimate,
+    or the error message.
 
     Zero rows pad each neighbourhood to the largest; they add nothing to
     Z^T Z, to the features or to the residual, so only the objective's
@@ -213,7 +213,6 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg):
         points[np.concatenate([nb for _, nb in members])]
         - np.repeat(points[[c for c, _ in members]], counts, axis=0))
     t_cap = cfg.t_cap if cfg.t_cap is not None else 1.0 / h_tilde
-    plan = _fit_plan(d, cfg.k)
     active = np.ones(a, dtype=bool)
 
     def degenerate(live, gap):
@@ -306,14 +305,14 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     base_indices = list(base_indices)
     points, d = cloud.points, cloud.d
     tree = cKDTree(points)
-    _fit_plan(d, cfg.k)                 # cached here, read by the workers
+    plan = _fit_plan(d, cfg.k)
 
     def fit(stacks):
         done = {}
         for stack in stacks:
             done.update(_fit_chunk(points, d, stack,
                                    _neighbors(tree, points, stack, h_tilde),
-                                   h_tilde, cfg))
+                                   h_tilde, cfg, plan))
         return done
 
     done = {}

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.experiments as X
 import dmaplab.spectral as sp
+from dmaplab.cli import main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
                                embedding_error)
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
@@ -427,6 +428,43 @@ def test_one_table_entry_scores_another_manifold(circle):
     with pytest.raises(ValueError, match=refusal):
         _oracle_tangents(wide, 300, 1, wide.tangent_config())
     assert circle == []
+
+
+def test_verify_s2_refuses_every_oracle_but_s2(circle, tmp_path, capsys):
+    """verify_s2 runs the S^2 closed forms, so it refuses another entry
+    before any check, and verify-s2 exits 2 writing nothing."""
+    with pytest.raises(ValueError, match=r"^verify_s2 checks the S\^2 "
+                       r"oracle only, got the S\^1 oracle$"):
+        verify_s2(ExperimentConfig(manifold="circle", d=1, m=2))
+    cfg, out = tmp_path / "circle.cfg", tmp_path / "out"
+    cfg.write_text("manifold = circle\nd = 1\nm = 2\n")
+    assert main(["verify-s2", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "S^1 oracle" in captured.err
+    assert not out.exists()
+
+
+def test_one_embedding_time_reaches_every_reader(tmp_path, capsys,
+                                                 monkeypatch):
+    """embedding_params() is the one t = min(t0, 4, iota^2/4): the pipeline
+    records it, the oracle tangents embed at it and embed prints it."""
+    cfg = ExperimentConfig(iota=0.5)
+    assert cfg.embedding_params() == EmbeddingParams(t=0.0625, m=8, d=2)
+    assert run_pipeline(cfg, 300, 1).t == 0.0625
+    clouds = []
+
+    def spy(cloud, *args):
+        clouds.append(cloud)
+        return estimate_tangents(cloud, *args)
+
+    monkeypatch.setattr(X, "estimate_tangents", spy)
+    _oracle_tangents(cfg, 100, 1, cfg.tangent_config())
+    assert [c.params for c in clouds] == [cfg.embedding_params()]
+    path = tmp_path / "iota.cfg"
+    path.write_text("iota = 0.5\n")
+    assert main(["embed", "--n", "300", "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    assert " at t=0.0625 (" in capsys.readouterr().out
 
 
 def test_convergence_study_rows_are_medians_of_records():

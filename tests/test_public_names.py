@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import dmaplab
 
 # the public names of dmaplab: a name leaves or joins this set only by a
@@ -33,3 +36,13 @@ def test_public_names_are_pinned_unique_and_resolve():
     assert set(dmaplab.__all__) == _PUBLIC
     for name in dmaplab.__all__:
         assert getattr(dmaplab, name) is not None
+
+
+def test_only_the_package_declares_an_interface():
+    """dmaplab/__init__.py is the one list of public names."""
+    names = [m.name for m in pkgutil.iter_modules(dmaplab.__path__)
+             if m.name != "__main__"]          # importing it runs the CLI
+    assert "geometry" in names
+    for name in names:
+        assert not hasattr(importlib.import_module("dmaplab." + name),
+                           "__all__"), name

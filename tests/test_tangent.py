@@ -149,14 +149,30 @@ def test_subspace_angle_range_random():
         assert a == pytest.approx(subspace_angle(V, U), abs=1e-10)
 
 
-def test_fit_plan_is_cached_and_read_only():
+def test_fit_plan_is_read_only():
     plan = _fit_plan(2, 3)
-    assert _fit_plan(2, 3) is plan
     assert plan.expos == tuple(monomial_exponents(2, [2]))
     for d, k in ((2, 3), (3, 4)):
         plan = _fit_plan(d, k)
         arrays = [plan.E, plan.dirs] + [M for _, _, M in plan.blocks]
         assert not any(a.flags.writeable for a in arrays)
+
+
+def test_one_fit_plan_per_estimate_tangents_call(monkeypatch):
+    """One call builds its plan once and hands it to every stack and
+    worker."""
+    calls = []
+
+    def spy(d, k):
+        calls.append((d, k))
+        return _fit_plan(d, k)
+
+    monkeypatch.setattr("dmaplab.tangent._fit_plan", spy)
+    n = 3 * _CHUNK
+    batch = estimate_tangents(sample_sphere(n, 2, 3), range(n),
+                              TangentConfig())
+    assert len(batch.fits) + len(batch.errors) == n
+    assert calls == [(2, 3)]
 
 
 def _grid_max(b_rows, M):
