@@ -130,9 +130,17 @@ def _lstsq(Phi, rho, rows):
 
 def _cap(b, plan, t_cap):
     """Scale each degree block of the stacked coefficients b whose operator
-    norm (_opnorms) exceeds t_cap radially back onto it, in place."""
+    norm (_opnorms) exceeds t_cap radially back onto it, in place.
+
+    A block's operator norm is at most its Frobenius norm, as the degree-l
+    monomials of a unit u have squares summing to at most |u|^(2l) = 1, so
+    a degree in which no member's Frobenius norm exceeds t_cap (1 - 1e-9),
+    a margin far above rounding, cannot be capped and skips _opnorms;
+    otherwise _opnorms takes the whole stack."""
     for l, rows, M in plan.blocks:
         blk = b[:, rows]
+        if not np.any(np.linalg.norm(blk, axis=(1, 2)) > t_cap * (1 - 1e-9)):
+            continue
         nrm = _opnorms(blk, l, plan.E[rows], plan.dirs, M)
         over = nrm > t_cap
         blk[over] *= (t_cap / nrm[over])[:, None, None]
@@ -244,10 +252,7 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg, plan):
         b[live] = b_new
         B_new, gap = _top_d_basis(G, d)
         ok = degenerate(live, gap)
-        Bl = B[live]
-        delta = np.linalg.svd(B_new @ B_new.transpose(0, 2, 1)
-                              - Bl @ Bl.transpose(0, 2, 1),
-                              compute_uv=False)[:, 0]
+        delta = _sin_angles(B_new, B[live])
         B[live[ok]] = B_new[ok]
         active[live[ok & (delta < cfg.tol)]] = False
 
@@ -286,12 +291,14 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     the tangent coordinates for degrees 2..k-1, with every degree block
     radially rescaled onto the operator-norm cap when it exceeds it, and
     (b) re-extraction of the plane from the corrected points.  Iteration
-    stops when the projector moves less than cfg.tol in operator norm,
-    when the objective would increase (the step is rejected), or at
-    cfg.max_iter.  At k = 2 there are no monomials, the correction is
-    zero, and the fit is local PCA, done after one iteration.  A base point
-    with fewer than d + 1 neighbors or a degenerate covariance lands in
-    errors and does not abort the batch.
+    stops when the plane moves less than cfg.tol, measured as the sine of
+    the largest principal angle between successive planes (_sin_angles),
+    which equals their projectors' distance in operator norm; when the
+    objective would increase (the step is rejected); or at cfg.max_iter.
+    At k = 2 there are no monomials, the correction is zero, and the fit
+    is local PCA, done after one iteration.  A base point with fewer than
+    d + 1 neighbors or a degenerate covariance lands in errors and does
+    not abort the batch.
 
     One k-d tree over the cloud finds every neighbourhood, and the base
     points are fitted in stacks of _CHUNK = 128 with stacked linear
@@ -325,6 +332,14 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     return TangentBatch(fits=fits, errors=errors)
 
 
+def _sin_angles(U, V):
+    """The largest singular value of U - V (V^T U), the sine of the largest
+    principal angle, for each pair in stacks of orthonormal (D, d) bases
+    (singular values sort in descending order)."""
+    return np.linalg.svd(U - V @ (V.transpose(0, 2, 1) @ U),
+                         compute_uv=False)[:, 0]
+
+
 def subspace_angle(U, V):
     """sin of the largest principal angle between two d-dimensional
     subspaces given by orthonormal column bases.
@@ -340,10 +355,8 @@ def subspace_angle(U, V):
     for M in (U, V):
         G = M.T @ M
         G.flat[::G.shape[0] + 1] -= 1.0
-        if np.max(np.abs(G)) > 1e-8:
+        # written so that a NaN deviation fails too
+        if not np.max(np.abs(G)) <= 1e-8:
             raise ValueError("basis columns must be orthonormal")
-    resid = U - V @ (V.T @ U)
-    # the spectral norm, as norm(resid, 2) takes it: singular values sort
-    # in descending order
-    s = np.linalg.svd(resid, compute_uv=False)[0]
+    s = _sin_angles(U[None], V[None])[0]
     return float(min(max(s, 0.0), 1.0))

@@ -9,10 +9,11 @@ from scipy.spatial import cKDTree
 import dmaplab.geometry as geo
 import dmaplab.graph as gr
 from dmaplab.embedding import EmbeddedCloud, EmbeddingParams
+from dmaplab.experiments import ExperimentConfig, tangent_study
 from dmaplab.geometry import (_ALPHA, PointCloud, s2_oracle_embedding,
                               s2_oracle_tangent, sample_sphere)
 from dmaplab.tangent import (_CHUNK, TangentConfig, _cap, _features,
-                             _fit_plan, _neighbors, _opnorms,
+                             _fit_plan, _neighbors, _opnorms, _sin_angles,
                              estimate_tangents, fit_local_polynomial,
                              monomial_exponents, subsample_size,
                              subspace_angle, tangent_bandwidth)
@@ -670,3 +671,107 @@ def test_cap_scales_each_block_onto_the_cap(d, k):
         assert np.allclose(capped[:, rows], b[:, rows] * scale,
                            rtol=1e-13, atol=0)
         assert 0 < np.sum(nrm > 2.0) < len(b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_subspace_angle_refuses_nonfinite_bases(bad, side):
+    """A NaN or inf entry in either basis is refused by the orthonormality
+    check, not left to the SVD."""
+    bases = [np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]])]
+    bases[side] = np.array([[bad], [0.0]])
+    with pytest.raises(ValueError, match="orthonormal"):
+        subspace_angle(*bases)
+
+
+@settings(max_examples=300)
+@given(D=st.integers(1, 13), d=st.integers(1, 13), a=st.integers(1, 4),
+       offset=st.one_of(st.none(), st.floats(1e-9, 1e-3)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sin_angles_equal_the_projector_distance(D, d, a, offset, seed):
+    """_sin_angles gives the operator-norm distance of the two projectors,
+    which the stop test took before, for random and nearly equal planes,
+    and is symmetric in its arguments."""
+    d = min(d, D)
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((a, D, d)))[0]
+    V = np.linalg.qr(rng.standard_normal((a, D, d)) if offset is None
+                     else U + offset * rng.standard_normal((a, D, d)))[0]
+    old = np.linalg.svd(U @ U.transpose(0, 2, 1) - V @ V.transpose(0, 2, 1),
+                        compute_uv=False)[:, 0]
+    got = _sin_angles(U, V)
+    assert got.shape == (a,)
+    assert np.all(np.abs(got - old) <= 1e-14)
+    assert np.all(np.abs(got - _sin_angles(V, U)) <= 1e-14)
+
+
+def test_sin_angles_of_one_pair_is_the_subspace_angle():
+    """On a one-member stack, _sin_angles gives the bits of the unstacked
+    U - V (V^T U) spectral norm, which subspace_angle returns."""
+    rng = np.random.default_rng(38)
+    for _ in range(2000):
+        U = np.linalg.qr(rng.standard_normal((8, 2)))[0]
+        V = np.linalg.qr(rng.standard_normal((8, 2)))[0]
+        s = _sin_angles(U[None], V[None])[0]
+        assert s == np.linalg.svd(U - V @ (V.T @ U), compute_uv=False)[0]
+        assert s == subspace_angle(U, V)
+
+
+def _unscreened_cap(b, plan, t_cap):
+    """_cap without the Frobenius screen: _opnorms on every block."""
+    for l, rows, M in plan.blocks:
+        blk = b[:, rows]
+        nrm = _opnorms(blk, l, plan.E[rows], plan.dirs, M)
+        over = nrm > t_cap
+        blk[over] *= (t_cap / nrm[over])[:, None, None]
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (2, 3), (3, 4)])
+@pytest.mark.parametrize("binding",
+                         ["none", "screened", "edge", "some", "every"])
+def test_screened_cap_gives_the_bits_of_the_unscreened_cap(d, k, binding):
+    """The screened _cap leaves the same bits as _opnorms on every block
+    when no member, some members or every member binds, and when the
+    screen passes a block in which no member binds; "edge" puts two
+    members' blocks at a Frobenius norm of t_cap (1 +- 1e-12), which at
+    d = 1 is their operator norm."""
+    plan = _fit_plan(d, k)
+    rng = np.random.default_rng(7 * d + k)
+    b = (rng.standard_normal((40, plan.E.shape[0], 5))
+         * rng.uniform(0.05, 1.5, size=(40, 1, 1)))
+    nrm = np.concatenate([_opnorms(b[:, rows], l, plan.E[rows], plan.dirs, M)
+                          for l, rows, M in plan.blocks])
+    fro = np.concatenate([np.linalg.norm(b[:, rows], axis=(1, 2))
+                          for _, rows, _ in plan.blocks])
+    t_cap = {"none": 2 * fro.max(), "edge": 2 * fro.max(),
+             "screened": 0.5 * (nrm.max() + fro.max()),
+             "some": np.median(nrm), "every": 0.5 * nrm.min()}[binding]
+    if binding == "edge":
+        for _, rows, _ in plan.blocks:
+            for j, f in enumerate((1 + 1e-12, 1 - 1e-12)):
+                b[j, rows] *= t_cap * f / np.linalg.norm(b[j, rows])
+    want, got = b.copy(), b.copy()
+    _unscreened_cap(want, plan, t_cap)
+    _cap(got, plan, t_cap)
+    assert want.tobytes() == got.tobytes()
+    bound = np.concatenate([np.any(want[:, rows] != b[:, rows], axis=(1, 2))
+                            for _, rows, _ in plan.blocks]).sum()
+    if binding == "some":
+        assert 0 < bound < len(nrm)
+    else:
+        assert bound == {"none": 0, "screened": 0, "every": len(nrm),
+                         "edge": len(plan.blocks) if d == 1 else 0}[binding]
+
+
+def test_default_tangent_study_takes_no_opnorm(monkeypatch):
+    """No member of the default study comes near the cap, so the screen
+    spares every _opnorms call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1])
+        return _opnorms(*args)
+
+    monkeypatch.setattr("dmaplab.tangent._opnorms", spy)
+    tangent_study(ExperimentConfig(ntilde_grid=(1000,), seeds=(1, 2)))
+    assert calls == []
