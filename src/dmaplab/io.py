@@ -1,14 +1,14 @@
 """CSV persistence for clouds, eigenpairs, tangent fits, run records and
 their RunRecord type, and matrix dumps, plus the key=value config reader.
 
-Every file starts with a version comment; readers reject versions they do
-not know.  Floats are written with 17 significant digits (`_F`, "%.17g") so
-that write -> read round-trips are bit exact.  The COO matrix dump, the
-largest artifact, makes the same bytes without a Python call per value: its
-digits come from exact vectorized arithmetic (a double-double power of ten
-and Dekker's product), and a value that arithmetic cannot decide (zero,
-subnormal, non-finite, in %g's fixed-notation range, or near a rounding
-tie) is written by `_F` itself.
+Every file starts with a version comment; readers reject versions they do not
+know.  Files are written as ASCII bytes, floats with 17 significant digits
+(`_F`, "%.17g") so that write -> read round-trips are bit exact.  The COO
+matrix dump makes the same bytes without a Python call per value: exact
+vectorized arithmetic (a double-double power of ten and Dekker's product)
+gives its digits, `_F` writes each value that arithmetic cannot decide (zero,
+subnormal, non-finite, in %g's fixed-notation range, or near a rounding tie),
+and `bytes.translate` deletes the NUL padding of each block's fields.
 """
 
 import os
@@ -70,18 +70,19 @@ def _cell(v):
 
 def _write(path, tag, header, lines):
     """The one artifact layout: version tag, comma-joined header names, then
-    the newline-terminated data lines.  The file's directory is made here,
-    so a command refused before its first artifact leaves nothing behind."""
+    the data lines, newline-terminated ASCII bytes.  The directory is made
+    here, so a command refused before its first artifact leaves nothing."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%s\n%s\n" % (tag, ",".join(header)))
+    with open(path, "wb") as fh:
+        fh.write(("%s\n%s\n" % (tag, ",".join(header))).encode("ascii"))
         fh.writelines(lines)
 
 
 def _table(path, tag, header, rows):
     """`_write` with each row's cells written by `_cell`."""
     _write(path, tag, header,
-           (",".join(map(_cell, row)) + "\n" for row in rows))
+           ((",".join(map(_cell, row)) + "\n").encode("ascii")
+            for row in rows))
 
 
 def save_cloud(cloud, path):
@@ -150,7 +151,7 @@ def save_tangents(estimates, path, angles=None):
 def emit_csv(records, path):
     """Write run records; an empty list produces a header-only file."""
     _write(path, RUNS_TAG, RUN_FIELDS,
-           (record_row(r) + "\n" for r in records))
+           ((record_row(r) + "\n").encode("ascii") for r in records))
 
 
 def record_row(r):
@@ -158,19 +159,19 @@ def record_row(r):
     return ",".join(_cell(getattr(r, f)) for f in RUN_FIELDS)
 
 
-# rows of the matrix per block of the COO dump: a block's temporaries (about
-# 300 bytes a value) stay in cache, and 2-4 rows timed fastest at n = 2000
-_COO_ROWS = 4
+# rows per block of the COO dump, whose temporaries stay in cache: at n = 2000
+# the dump took 0.42 s of CPU at 2 rows, 0.46 s at 1, 0.50 s at 3, 0.59 s at 4
+_COO_ROWS = 2
 
 
 def _pow10_table():
     """10^k for k = 16 - E over every decimal exponent E of a normal double,
-    as an exact power-of-two prescale 2^c and a double-double hi + lo of
-    10^k / 2^c (|lo| <= ulp(hi) / 2).  c is floor(log2 10^k), capped at 1000
-    so that 2^c is a double; x 2^c is then exact and normal for every normal
-    x whose exponent is within one of E."""
+    as rows: an exact power-of-two prescale 2^c, a double-double hi + lo of
+    10^k / 2^c (|lo| <= ulp(hi) / 2) and hi's Veltkamp halves.  c is
+    floor(log2 10^k), capped at 1000 so that 2^c is a double; x 2^c is then
+    exact and normal for every normal x whose exponent is within one of E."""
     ks = range(-292, 325)
-    scale, hi, lo = [], [], []
+    rows = []
     for k in ks:
         num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
         c = num.bit_length() - den.bit_length()
@@ -180,10 +181,10 @@ def _pow10_table():
         num, den = num << max(-c, 0), den << max(c, 0)
         h = num / den
         hn, hd = h.as_integer_ratio()
-        scale.append(2.0 ** c)
-        hi.append(h)
-        lo.append((num * hd - hn * den) / (den * hd))
-    return ks[0], np.array(scale), np.array(hi), np.array(lo)
+        hh = _SPLIT * h - (_SPLIT * h - h)
+        rows.append((2.0 ** c, h, (num * hd - hn * den) / (den * hd),
+                     hh, h - hh))
+    return ks[0], np.array(rows).T.copy()
 
 
 def _ascii(strings, width, dtype):
@@ -191,7 +192,8 @@ def _ascii(strings, width, dtype):
     return np.array(strings, "S%d" % width).view(dtype)
 
 
-_K0, _P10_SCALE, _P10_HI, _P10_LO = _pow10_table()
+_SPLIT = 2.0 ** 27 + 1.0     # Veltkamp splitter for 53-bit doubles
+_K0, _P10 = _pow10_table()
 # the leading digit with its point, then without (no digit after the point
 # survives), then both again negative: index digit + 10 stripped + 20 sign
 _LEAD = _ascii([s + "%d" % d + p for s in ("", "-") for p in (".", "")
@@ -203,24 +205,26 @@ _QUAD = _ascii(["%04d" % q for q in range(10 ** 4)]
 # "e-308\n" .. "e+308\n", index E + 308
 _EXP = _ascii(["e%+03d\n" % e for e in range(-308, 309)], 8, np.uint64)
 _TINY = np.finfo(np.float64).tiny
-_SPLIT = 2.0 ** 27 + 1.0     # Veltkamp splitter for 53-bit doubles
 
 
-def _two_prod(a, b):
-    """Dekker's exact product: a * b == p + e with p = fl(a * b)."""
+def _two_prod(a, b, bh, bl):
+    """Dekker's exact product: a * b == p + e with p = fl(a * b), where
+    bh + bl is b's Veltkamp split."""
     c = _SPLIT * a
     ah = c - (c - a)
     al = a - ah
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
     p = a * b
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e = ah * bh - p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p, e
 
 
-def _g17_lines(x):
+def _g17_lines(x, out=None):
     """`_F % v + "\\n"` of each float64 v in x, as an (m, 32) uint8 array
-    NUL-padded in each row.
+    NUL-padded in each row, whose first word is NUL; with out, an (m, 8)
+    uint32 array or view, into out, leaving each row's first word as it is.
 
     A normal v with decimal exponent E outside %g's fixed range [-4, 17) is
     written from the 17 correctly rounded significant digits
@@ -231,44 +235,52 @@ def _g17_lines(x):
     Every other value is written by `_F` itself: zeros, subnormal and
     non-finite values, the fixed range, a D within 2^-30 of a half (exact
     ties among them), and an E from log10 that is off by one.  E is checked
-    on the unrounded product, so a D that rounds up to 10^16 falls back."""
+    by 10^16 < D < 10^17: a product that rounds up to 10^16 falls back."""
     x = np.asarray(x, dtype=np.float64)
     xs = np.abs(x)
     fast = (xs >= _TINY) & (xs < np.inf)
     xs[~fast] = 1.0        # log10 and the tables see normal values only
     E = np.floor(np.log10(xs)).astype(np.int64)
     fast &= (E < -4) | (E >= 17)
-    k = 16 - E - _K0
-    xs *= _P10_SCALE[k]
-    P, T = _two_prod(xs, _P10_HI[k])
-    T += xs * _P10_LO[k]
-    Tf = np.floor(T)
-    T -= Tf
-    D = P.astype(np.int64) + Tf.astype(np.int64)
-    fast &= (D >= 10 ** 16) & (np.abs(T - 0.5) > 2.0 ** -30)
-    D += T > 0.5
-    fast &= D < 10 ** 17
-    D[~fast] = 10 ** 16    # keeps every table index in range
-    lead, D = np.divmod(D, 10 ** 16)
-    a, b = np.divmod(D, 10 ** 8)
-    q1, q2 = np.divmod(a, 10 ** 4)
-    q3, q4 = np.divmod(b, 10 ** 4)
-    # a group is stripped when every group after it is zero
-    z4 = q4 == 0
-    z3 = z4 & (q3 == 0)
-    z2 = z3 & (q2 == 0)
-    out = np.zeros((len(x), 4), np.uint64)
-    w = out.view(np.uint32)
-    w[:, 0] = _LEAD[lead + 10 * (z2 & (q1 == 0)) + 20 * (x < 0)]
-    w[:, 1] = _QUAD[q1 + 10 ** 4 * z2]
-    w[:, 2] = _QUAD[q2 + 10 ** 4 * z3]
-    w[:, 3] = _QUAD[q3 + 10 ** 4 * z4]
-    w[:, 4] = _QUAD[q4 + 10 ** 4]
-    out[:, 3] = _EXP[E + 308]
-    out = out.view(np.uint8)
+    scale, hi, lo, hh, hl = _P10.take((16 - _K0) - E, axis=1)
+    xs *= scale
+    P, T = _two_prod(xs, hi, hh, hl)
+    T += xs * lo
+    R = np.rint(T)
+    T -= R
+    D = P.astype(np.int64) + R.astype(np.int64)
+    fast &= (np.abs(T) < 0.5 - 2.0 ** -30) & (D > 10 ** 16) & (D < 10 ** 17)
     slow = np.flatnonzero(~fast)
-    out[slow] = _ascii([_F % v + "\n" for v in x[slow].tolist()],
-                       32, np.uint8).reshape(-1, 32)
+    D[slow] = 10 ** 16     # keeps every table index in range
+    # the lead digit and four 4-digit groups by int64 floor division, two
+    # numbers at a time: (lead q1 q2, q3 q4), then (lead q1, q3) and (q2, q4)
+    G = np.stack([D // 10 ** 8, D])
+    G[1] -= G[0] * 10 ** 8
+    H = G // 10 ** 4
+    G -= H * 10 ** 4
+    lead = H[0] // 10 ** 4
+    H[0] -= lead * 10 ** 4
+    q1, q2, q3, q4 = H[0], G[0], H[1], G[1]
+    lead[x < 0] += 20
+    # a group is stripped when every group after it is zero, which needs
+    # the last group to be zero: seldom, so the rest is skipped otherwise
+    z = q4 == 0
+    if z.any():
+        for q in (q3, q2, q1):
+            z, q[:] = z & (q == 0), q + 10 ** 4 * z
+        lead += 10 * z
+    if out is None:
+        out = np.zeros((len(x), 8), np.uint32)
+    out[:, 1] = _LEAD[lead]
+    out[:, 2] = _QUAD[q1]
+    out[:, 3] = _QUAD[q2]
+    out[:, 4] = _QUAD[q3]
+    out[:, 5] = _QUAD[q4 + 10 ** 4]
+    out[:, 6:].view(np.uint64)[:, 0] = _EXP[E + 308]
+    out = out.view(np.uint8)
+    if len(slow):
+        out[slow, 4:] = _ascii([_F % v + "\n" for v in x[slow].tolist()],
+                               28, np.uint8).reshape(-1, 28)
     return out
 
 
@@ -278,13 +290,14 @@ def save_matrix_coo(M, path, drop_tol=0.0):
     written as `_F` writes them, byte for byte.
 
     The dump is streamed in blocks of `_COO_ROWS` rows.  A block's lines are
-    laid out in one NUL-padded byte matrix: the precomputed "i," and "j,"
-    prefixes, then each value's digits from `_g17_lines`, which makes them
-    with vectorized exact arithmetic and falls back to `_F` for the few
-    values it cannot decide.  Dropping the NULs leaves the block's text."""
+    laid out in one NUL-padded matrix of 4-byte words: the precomputed "i,"
+    and "j," prefixes, then each value's digits from `_g17_lines`, which
+    makes them with vectorized exact arithmetic and falls back to `_F` for
+    the few values it cannot decide.  Deleting the NULs from the matrix's
+    bytes leaves the block's text, which is written as it is."""
     M = np.asarray(M)
     rows, cols = M.shape
-    # each "i," prefix takes w 8-byte words, so every field stays aligned
+    # each "i," prefix takes w 8-byte words
     w = -(-len("%d," % max(rows - 1, cols - 1, 0)) // 8)
     prefix = _ascii(["%d," % i for i in range(max(rows, cols))],
                     8 * w, np.uint64).reshape(-1, w)
@@ -295,13 +308,15 @@ def save_matrix_coo(M, path, drop_tol=0.0):
             keep = np.abs(B) > drop_tol
             diag = np.arange(min(len(B), cols - r0))
             keep[diag, r0 + diag] = True
-            i, j = np.nonzero(keep)
-            lines = np.empty((len(i), 2 * w + 4), np.uint64)
-            lines[:, :w] = prefix[r0 + i]
-            lines[:, w:2 * w] = prefix[j]
-            lines[:, 2 * w:] = _g17_lines(B[i, j]).view(np.uint64)
-            text = lines.view(np.uint8)
-            yield text[text != 0].tobytes().decode("ascii")
+            f = np.flatnonzero(keep)
+            i = f // cols
+            lines = np.empty((len(f), 4 * w + 7), np.uint32)
+            ij = lines[:, :4 * w].view(np.uint64)
+            ij[:, :w] = prefix.take(r0 + i, axis=0)
+            ij[:, w:] = prefix.take(f - i * cols, axis=0)
+            # a value's first word, left as it is, is the "j," prefix's last
+            _g17_lines(B.take(f), lines[:, 4 * w - 1:])
+            yield lines.tobytes().translate(None, b"\0")
 
     _write(path, COO_TAG, ("row", "col", "value"), blocks())
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_laplacian_and_eigen(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eigenvalues" in out
     assert (tmp_path / "eigen.csv").exists()
+
+
+@pytest.mark.parametrize("n, digest", [
+    (300, "2f3cfae58fc1b8b569616d4f23ad16ca8db9a37cc20dab29601c5f836dc4c4fe"),
+    (301, "8e6ace82f52ac87b0de5d6b022c3fbb391d0de693ba7b4ee8e370e0788b67f3b")])
+def test_laplacian_affinity_bytes_are_pinned(tmp_path, n, digest):
+    """sha256 of affinity.csv, pinned apart from every writer in the tree;
+    n = 301 ends on a partial row block at any even block size."""
+    assert main(["laplacian", "--n", str(n), "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "affinity.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_embed_writes_coordinates(tmp_path):

@@ -144,21 +144,20 @@ def test_save_matrix_coo(tmp_path):
 
 
 def _reference_coo(M, path, drop_tol=0.0):
-    """The per-row template writer that the vectorized dump replaced, kept
-    as it was: each row joins its kept columns' line templates and fills
-    them with one % call."""
+    """The per-row template writer that the vectorized dump replaced: each
+    row joins its kept columns' line templates and fills them with one %
+    call.  It opens and writes its own file, so no change to the writers
+    under test can move its bytes."""
     M = np.asarray(M)
     cols = np.arange(M.shape[1])
     line = ["%%d,%d,%s\n" % (j, "%.17g") for j in cols]
-
-    def rows():
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("%s\nrow,col,value\n" % COO_TAG)
         for i, row in enumerate(M):
             keep = np.flatnonzero((np.abs(row) > drop_tol) | (cols == i))
             args = [i] * (2 * len(keep))
             args[1::2] = row[keep].tolist()
-            yield "".join([line[j] for j in keep]) % tuple(args)
-
-    dio._write(path, COO_TAG, ("row", "col", "value"), rows())
+            fh.write("".join([line[j] for j in keep]) % tuple(args))
 
 
 def _g17_text(x):
@@ -244,6 +243,32 @@ def test_save_matrix_coo_special_values(tmp_path):
         assert {"0,0,0", "1,1,-0", "2,2,nan", "3,3,inf"} <= set(lines)
     assert lines[2:6] == ["0,0,0", "0,2,4.9406564584124654e-324", "1,0,inf",
                           "1,1,-0"]
+
+
+@pytest.mark.parametrize("special", [0.0, 5e-324, np.nan, -np.inf, 0.5])
+def test_save_matrix_coo_fallback_values_at_block_edges(tmp_path, special):
+    """A value that only `_F` itself writes, as the first and the last line
+    of a row block, between row blocks whose every value the arithmetic
+    decides: M is block-diagonal in `_COO_ROWS`-square blocks, and the
+    middle block's first and last diagonal entries hold the value."""
+    R = dio._COO_ROWS
+    rng = np.random.default_rng(7)
+    M = np.zeros((3 * R, 3 * R))
+    for b in range(3):
+        M[b * R:(b + 1) * R, b * R:(b + 1) * R] = rng.uniform(1e-7, 1e-6,
+                                                              (R, R))
+    M[R, R] = M[2 * R - 1, 2 * R - 1] = special
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        save_matrix_coo(M, tmp_path / "m.csv")
+    lines = (tmp_path / "m.csv").read_text().splitlines()[2:]
+    expect = ["%d,%d,%s" % (i, j, "%.17g" % v)
+              for i, row in enumerate(M.tolist())
+              for j, v in enumerate(row) if v != 0.0 or i == j]
+    assert lines == expect
+    value = "%.17g" % special
+    assert lines[R * R] == "%d,%d,%s" % (R, R, value)
+    assert lines[2 * R * R - 1] == "%d,%d,%s" % (2 * R - 1, 2 * R - 1, value)
 
 
 def test_save_matrix_coo_streams_row_blocks(peak_bytes):
