@@ -3,7 +3,9 @@
 Subcommands: sample, laplacian, eigen, embed, tangent, bounds, pipeline,
 rates, verify-s2, tangent-study.  Every command prints a human-readable
 summary and writes versioned CSV artifacts into --out; the exit code is 0
-exactly when all checks requested by the command pass.
+exactly when all checks requested by the command pass.  main applies the
+flags every command takes and ends it with one "wrote" line naming each
+artifact written; a refused command (exit 2) prints none.
 """
 
 import argparse
@@ -47,91 +49,71 @@ def _common(sub, name, fn, summary):
     return p
 
 
-def _load_cfg(args):
-    cfg = X.load_config(args.config) if args.config \
-        else X.ExperimentConfig()
-    return cfg, args.out if args.out else cfg.output_dir
-
-
 def _setting(args, cfg, name):
     """The command-line flag when given, else the config field."""
     value = getattr(args, name)
     return getattr(cfg, name) if value is None else value
 
 
-def _dense_system(args):
-    """Config, artifact directory, n and graph system of a fresh sample of
-    at most 20000 points."""
-    cfg, out = _load_cfg(args)
-    return cfg, out, args.n, system_from_cloud(
-        X._dense_sample(cfg, args.n, args.seed))
+def _dense_system(args, cfg):
+    """Graph system of a fresh sample of at most 20000 points."""
+    return system_from_cloud(X._dense_sample(cfg, args.n, args.seed))
 
 
-def _path(out, name):
-    return os.path.join(out, name)
-
-
-def cmd_sample(args):
-    cfg, out = _load_cfg(args)
+def cmd_sample(args, cfg, artifact):
     cloud = sample_sphere(args.n, cfg.d, args.seed)
-    dio.save_cloud(cloud, _path(out, "cloud.csv"))
+    dio.save_cloud(cloud, artifact("cloud.csv"))
     radii = np.linalg.norm(cloud.points, axis=1)
     print("sampled %d %s points in R^%d (seed %d)"
           % (cloud.n, cfg.manifold, cloud.ambient_dim, args.seed))
     print("point radii in [%.6f, %.6f]" % (radii.min(), radii.max()))
-    print("wrote %s" % _path(out, "cloud.csv"))
     return 0
 
 
-def cmd_laplacian(args):
-    cfg, out, n, system = _dense_system(args)
-    dio.save_matrix_coo(system.W, _path(out, "affinity.csv"),
-                        drop_tol=1e-12)
+def cmd_laplacian(args, cfg, artifact):
+    n, system = args.n, _dense_system(args, cfg)
+    dio.save_matrix_coo(system.W, artifact("affinity.csv"), drop_tol=1e-12)
     # |L 1| from products with W, without building L
     null = float(np.max(np.abs(_residuals(system, np.ones((n, 1)), 0.0))))
     print("n=%d  bandwidth h=%.9g" % (n, system.h))
     print("degrees in [%.6g, %.6g]"
           % (system.degree.min(), system.degree.max()))
     print("max |L 1| = %.3e (constants must be annihilated)" % null)
-    print("wrote %s" % _path(out, "affinity.csv"))
     return 0 if null <= 1e-9 else 1
 
 
-def cmd_eigen(args):
-    cfg, out, n, system = _dense_system(args)
-    spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
-    dio.save_eigen(spec, _path(out, "eigen.csv"))
-    print("smallest %d eigenvalues of -L at n=%d:" % (cfg.m + 1, n))
+def cmd_eigen(args, cfg, artifact):
+    spec = eigensolve_smallest(_dense_system(args, cfg), cfg.m,
+                               gap_tol=cfg.gap_tol)
+    dio.save_eigen(spec, artifact("eigen.csv"))
+    print("smallest %d eigenvalues of -L at n=%d:" % (cfg.m + 1, args.n))
     print("  " + "  ".join("%.6f" % v for v in spec.mu))
     print("clusters: %s" % (spec.clusters,))
-    print("wrote %s" % _path(out, "eigen.csv"))
     return 0 if spec.mu[0] <= 1e-8 else 1
 
 
-def cmd_embed(args):
-    cfg, out, n, system = _dense_system(args)
-    spec = eigensolve_smallest(system, cfg.m, gap_tol=cfg.gap_tol)
+def cmd_embed(args, cfg, artifact):
+    spec = eigensolve_smallest(_dense_system(args, cfg), cfg.m,
+                               gap_tol=cfg.gap_tol)
     emb = embed_points(spec, cfg.embedding_params())
     t = emb.params.t
     carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
                          seed=args.seed)
-    dio.save_cloud(carrier, _path(out, "embedding.csv"))
+    dio.save_cloud(carrier, artifact("embedding.csv"))
     norms = np.linalg.norm(emb.points, axis=1)
     print("embedded %d points into R^%d at t=%.6g (eps'=%.6g)"
-          % (n, cfg.m, t, select_eps_prime(t, cfg.d, cfg.kappa)))
+          % (args.n, cfg.m, t, select_eps_prime(t, cfg.d, cfg.kappa)))
     print("coordinate-vector norms in [%.6f, %.6f]"
           % (norms.min(), norms.max()))
-    print("wrote %s" % _path(out, "embedding.csv"))
     return 0
 
 
-def cmd_tangent(args):
+def cmd_tangent(args, cfg, artifact):
     """Tangent fits on a clean oracle-embedded sphere sample."""
-    cfg, out = _load_cfg(args)
     tcfg = cfg.tangent_config()
     batch, angles, h_tilde = X._oracle_tangents(cfg, args.n, args.seed, tcfg)
     fits = list(batch.fits.values())
-    dio.save_tangents(fits, _path(out, "tangents.csv"), angles)
+    dio.save_tangents(fits, artifact("tangents.csv"), angles)
     vals = np.array(list(angles.values()))
     print("tangent fits at %d of %d points (h_tilde=%.6f, k=%d)"
           % (len(fits), args.n, h_tilde, tcfg.k))
@@ -142,7 +124,6 @@ def cmd_tangent(args):
     if vals.size:
         print("angle to analytic tangent: median %.6f  max %.6f"
               % (np.median(vals), vals.max()))
-    print("wrote %s" % _path(out, "tangents.csv"))
     return 0 if not batch.errors else 1
 
 
@@ -233,75 +214,63 @@ _DEFAULT_BOUND_EXPRS = (
 )
 
 
-def cmd_bounds(args):
-    cfg, out = _load_cfg(args)
+def cmd_bounds(args, cfg, artifact):
     exprs = args.expr or list(_DEFAULT_BOUND_EXPRS)
     rows = []
     for expr in exprs:
         rows.extend(_eval_bound(expr, cfg.constants))
-    dio.save_bounds_table(rows, _path(out, "bounds.csv"))
+    dio.save_bounds_table(rows, artifact("bounds.csv"))
     width = max(len(r[0]) for r in rows)
     for name, inputs, value in rows:
         ins = " ".join("%s=%g" % (k, v) for k, v in inputs.items())
         print("%-*s  %-40s  %.9g" % (width, name, ins, value))
-    print("wrote %s" % _path(out, "bounds.csv"))
     return 0
 
 
-def cmd_pipeline(args):
-    cfg, out = _load_cfg(args)
+def cmd_pipeline(args, cfg, artifact):
     if args.n:
         rec = X.run_pipeline(cfg, args.n, args.seed)
-        dio.emit_csv([rec], _path(out, "runs.csv"))
+        dio.emit_csv([rec], artifact("runs.csv"))
         print(",".join(dio.RUN_FIELDS))
         print(dio.record_row(rec))
-        print("wrote %s" % _path(out, "runs.csv"))
         return 0 if rec.status == "ok" else 1
     result = X.convergence_study(cfg)
-    dio.emit_csv(result.records, _path(out, "runs.csv"))
-    dio.save_table(_path(out, "study.csv"), list(result.rows[0]),
+    dio.emit_csv(result.records, artifact("runs.csv"))
+    dio.save_table(artifact("study.csv"), list(result.rows[0]),
                    [list(r.values()) for r in result.rows])
     print(X.format_convergence(result))
-    print("wrote %s and %s"
-          % (_path(out, "runs.csv"), _path(out, "study.csv")))
     return 0 if all(r.status == "ok" for r in result.records) else 1
 
 
-def cmd_rates(args):
-    cfg, out = _load_cfg(args)
+def cmd_rates(args, cfg, artifact):
     d, k = _setting(args, cfg, "d"), _setting(args, cfg, "k")
     ex = B.rate_exponents(d, k)
     rows = list(asdict(ex).items())
-    dio.save_table(_path(out, "rates.csv"), ("name", "value"), rows)
+    dio.save_table(artifact("rates.csv"), ("name", "value"), rows)
     print("rate exponents for d=%d, k=%d (errors scale as "
           "(log n / n)^rate):" % (d, k))
     for name, value in rows:
         print("  %-17s %.9g" % (name, value))
-    print("wrote %s" % _path(out, "rates.csv"))
     return 0
 
 
-def cmd_verify_s2(args):
-    cfg, out = _load_cfg(args)
+def cmd_verify_s2(args, cfg, artifact):
     report = X.verify_s2(replace(cfg, **{k: _setting(args, cfg, k)
                                          for k in ("t0", "m", "eps")}))
-    dio.save_table(_path(out, "verify.csv"),
+    dio.save_table(artifact("verify.csv"),
                    [f.name for f in fields(X.CheckResult)],
                    [(c.check, c.value, c.target,
                      "skip" if c.passed is None else int(c.passed))
                     for c in report.checks])
     print(X.format_verify(report))
-    print("wrote %s" % _path(out, "verify.csv"))
     return 0 if report.ok else 1
 
 
-def cmd_tangent_study(args):
-    cfg, out = _load_cfg(args)
+def cmd_tangent_study(args, cfg, artifact):
     result = X.tangent_study(cfg)
-    dio.save_table(_path(out, "tangent_study.csv"), list(result.rows[0]),
+    dio.save_table(artifact("tangent_study.csv"), list(result.rows[0]),
                    [list(r.values()) for r in result.rows])
     print(X.format_tangent_study(result))
-    print("wrote %s" % _path(out, "tangent_study.csv"))
     return 0
 
 
@@ -342,12 +311,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command on its config, recording each artifact it names."""
     args = build_parser().parse_args(argv)
+    written = []
+
+    def artifact(name):
+        written.append(os.path.join(out, name))
+        return written[-1]
+
     try:
-        return args.fn(args)
+        cfg = X.load_config(args.config) if args.config \
+            else X.ExperimentConfig()
+        out = args.out or cfg.output_dir
+        code = args.fn(args, cfg, artifact)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    print("wrote %s" % " and ".join(written))
+    return code
 
 
 if __name__ == "__main__":

@@ -27,8 +27,8 @@ _NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
 
 def _check_domain(**args):
     """Refuse any argument outside the domain its name rules; return the
-    arguments in order, whole numbers as given and the rest as the floats
-    ruled, so no huge int reaches numpy."""
+    arguments in order, whole numbers (ints, never floats) as given and the
+    rest as the floats ruled, so no huge int reaches numpy."""
     out = []
     for name, v in args.items():
         if v is None:
@@ -38,7 +38,7 @@ def _check_domain(**args):
         if name in _WHOLE:
             rule, ok = ">= %d" % _WHOLE[name], x >= _WHOLE[name]
             if ok:
-                rule, ok = "a whole number", x.is_integer()
+                rule, ok = "a whole number", isinstance(v, (int, np.integer))
         elif name in _OPEN:
             lo, hi = _OPEN[name]
             rule, ok = "in (%d, %d)" % (lo, hi), lo < x < hi

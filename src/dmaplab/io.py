@@ -73,6 +73,9 @@ def _write(path, tag, header, lines):
     the data lines, newline-terminated ASCII bytes.  The directory is made
     here, so a command refused before its first artifact leaves nothing."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    # replaced, not truncated: ext4 writes a file cut to 0 to disk on close
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
     with open(path, "wb") as fh:
         fh.write(("%s\n%s\n" % (tag, ",".join(header))).encode("ascii"))
         fh.writelines(lines)

@@ -449,6 +449,15 @@ _ONCE_RAN = [
     (lambda: bandwidth(100, -4), "d must be >= 1"),
     (lambda: TangentConfig(k=2.5), "k must be a whole number"),
     (lambda: tangent_bandwidth(100, 0, TangentConfig()), "d must be >= 1"),
+    # integral floats for whole-number names, which once ran on into ARPACK
+    # or a TypeError; the lookahead pins the value and keeps the ids apart
+    (lambda: ExperimentConfig(m=8.0), "m must be a whole number(?=, got 8.0)"),
+    (lambda: ExperimentConfig(d=2.0), "d must be a whole number(?=, got 2.0)"),
+    (lambda: ExperimentConfig(k=3.0), "k must be a whole number(?=, got 3.0)"),
+    (lambda: ExperimentConfig(tangent_max_iter=20.0),
+     "max_iter must be a whole number(?=, got 20.0)"),
+    (lambda: sample_sphere(300.0, 2, 1),
+     "n must be a whole number(?=, got 300.0)"),
 ]
 
 

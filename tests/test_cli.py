@@ -609,3 +609,36 @@ def test_eigen_and_embed_match_library_chain(tmp_path):
     params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
     emb = load_cloud(tmp_path / "embedding.csv")
     assert np.array_equal(emb.points, embed_points(spec, params).points)
+
+
+# each command once at toy sizes, with the artifacts it writes in order
+_ANNOUNCED = [
+    (["sample", "--n", "60"], ["cloud.csv"]),
+    (["laplacian", "--n", "60"], ["affinity.csv"]),
+    (["eigen", "--n", "100"], ["eigen.csv"]),
+    (["embed", "--n", "100"], ["embedding.csv"]),
+    (["tangent", "--n", "100"], ["tangents.csv"]),
+    (["bounds"], ["bounds.csv"]),
+    (["pipeline"], ["runs.csv", "study.csv"]),
+    (["rates"], ["rates.csv"]),
+    (["verify-s2", "--t0", "0.3"], ["verify.csv"]),
+    (["tangent-study"], ["tangent_study.csv"]),
+]
+
+
+def test_every_command_announces_exactly_what_it_wrote(tmp_path, capsys):
+    """A command's last stdout line names each file it left in --out, in
+    the order written; a refused command names none and leaves no --out."""
+    assert sorted(argv[0] for argv, _ in _ANNOUNCED) == sorted(_COMMANDS)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_grid = 150,250,400\nseeds = 1\nntilde_grid = 60,80\n")
+    for argv, names in _ANNOUNCED:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "wrote " + " and ".join(str(out / n) for n in names)
+    out = tmp_path / "refused"
+    assert main(["laplacian", "--n", "30000", "--out", str(out)]) == 2
+    assert "wrote" not in capsys.readouterr().out
+    assert not out.exists()

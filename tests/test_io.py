@@ -106,6 +106,27 @@ def test_writers_make_the_artifact_directory(tmp_path):
     assert path.read_text().splitlines()[2] == "1"
 
 
+def test_rewrite_replaces_a_regular_file_and_writes_through_others(
+        tmp_path):
+    """An artifact rewritten at its path is a new file with the new bytes;
+    a symlink and os.devnull are written through, never removed."""
+    path = tmp_path / "t.csv"
+    save_table(path, ("a",), [(1,), (2,)])
+    old = path.stat().st_ino
+    keep = tmp_path / "old.csv"
+    os.link(path, keep)
+    save_table(path, ("a",), [(3,)])
+    assert path.read_text().splitlines()[2:] == ["3"]
+    assert keep.read_text().splitlines()[2:] == ["1", "2"]
+    assert path.stat().st_ino != old
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    save_table(link, ("a",), [(4,)])
+    assert link.is_symlink() and path.read_text().splitlines()[2:] == ["4"]
+    save_table(os.devnull, ("a",), [(5,)])
+    assert not os.path.isfile(os.devnull) and os.path.exists(os.devnull)
+
+
 def test_save_tangents_nan_for_missing(tmp_path):
     from dmaplab.tangent import TangentConfig, fit_local_polynomial
     rng = np.random.default_rng(0)

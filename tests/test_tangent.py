@@ -366,8 +366,9 @@ def _reference_top_d_basis(M, d):
 
 def _reference_fit(cloud, base_index, h_tilde, cfg):
     """The per-point fit loop that the chunked engine replaced: numpy
-    lstsq and _ref_opnorm on one base point at a time.  Returns (basis,
-    tensors, neighbor count, iterations)."""
+    lstsq and _ref_opnorm on one base point at a time, past the screen
+    that _cap also applies.  Returns (basis, tensors, neighbor count,
+    iterations)."""
     d = cloud.d
     base = cloud.points[base_index]
     diff = cloud.points - base
@@ -391,6 +392,9 @@ def _reference_fit(cloud, base_index, h_tilde, cfg):
         Phi = _features(xi, plan.E)
         b_new, *_ = np.linalg.lstsq(Phi, rho, rcond=None)
         for l, rows, M in plan.blocks:
+            # the operator norm is at most the Frobenius norm: _cap's screen
+            if np.linalg.norm(b_new[rows]) <= t_cap * (1 - 1e-9):
+                continue
             nrm = _ref_opnorm(b_new[rows], l, plan.E[rows], plan.dirs, M)
             if nrm > t_cap:
                 b_new[rows] *= t_cap / nrm
