@@ -102,7 +102,8 @@ def cmd_embed(args, cfg, artifact):
     dio.save_cloud(carrier, artifact("embedding.csv"))
     norms = np.linalg.norm(emb.points, axis=1)
     print("embedded %d points into R^%d at t=%.6g (eps'=%.6g)"
-          % (args.n, cfg.m, t, select_eps_prime(t, cfg.d, cfg.kappa)))
+          % (args.n, cfg.m, t, select_eps_prime(
+              t, cfg.d, cfg.manifold_constants().kappa)))
     print("coordinate-vector norms in [%.6f, %.6f]"
           % (norms.min(), norms.max()))
     return 0

@@ -12,10 +12,10 @@ from .bounds import (BoundConstants, eps_cap, heat_lower_diag,
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .geometry import (_L8, _check_domain, _sphere_chart, local_reach_numeric,
-                       s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
-                       s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
-                       sample_sphere)
+from .geometry import (_L8, _check_domain, _sphere_chart, _sphere_manifold,
+                       local_reach_numeric, s2_embedding_norm_sq,
+                       s2_harmonics, s2_heat_kernel, s2_oracle_embedding,
+                       s2_oracle_tangent, s2_tail_sum, sample_sphere)
 from .graph import system_from_cloud
 from .io import RunRecord, read_kv
 from .spectral import (_EXACT_REPEAT_TOL, cluster_eigenvalues, eigen_errors,
@@ -36,8 +36,6 @@ class ExperimentConfig:
     m: int = 8
     eps: float = 0.05
     gap_tol: float = 0.25
-    kappa: float = 0.0
-    iota: float = np.pi
     n_grid: tuple = (500, 1000, 2000, 4000)
     seeds: tuple = (1, 2, 3, 4, 5)
     ntilde_grid: tuple = (250, 500, 1000, 2000)
@@ -66,7 +64,7 @@ class ExperimentConfig:
                 raise ValueError("%s: need whole numbers >= %d, got %s"
                                  % (name, low, getattr(self, name)))
         _check_domain(d=self.d, k=self.k, t0=self.t0, m=self.m,
-                      gap_tol=self.gap_tol, kappa=self.kappa, iota=self.iota)
+                      gap_tol=self.gap_tol)
         cap = eps_cap(self.d)
         if not 0 < self.eps <= cap + 1e-12:
             raise ValueError("eps must lie in (0, %.6f] for d=%d"
@@ -74,17 +72,23 @@ class ExperimentConfig:
         self.tangent_config()
         self.tangent_config(max_iter=self.study_max_iter)
 
+    def manifold_constants(self):
+        """The (manifold, d) entry's ManifoldDescriptor, else the S^d's."""
+        oracle = _ORACLES.get((self.manifold, self.d))
+        return oracle.constants if oracle else _sphere_manifold(self.d)
+
     def tangent_config(self, max_iter=None):
+        desc = self.manifold_constants()
         return TangentConfig(
             k=self.k, bandwidth_const=self.tangent_bandwidth_const,
             t_cap=self.tangent_t_cap,
             max_iter=self.tangent_max_iter if max_iter is None else max_iter,
-            tol=self.tangent_tol)
+            tol=self.tangent_tol, f_min=desc.f_min, f_max=desc.f_max)
 
     def embedding_params(self):
         """The embedding's time t = min(t0, 4, iota^2/4), m and d."""
-        return EmbeddingParams(t=select_diffusion_time(self.t0, self.iota),
-                               m=self.m, d=self.d)
+        return EmbeddingParams(t=select_diffusion_time(
+            self.t0, self.manifold_constants().iota), m=self.m, d=self.d)
 
 
 def _parse_value(kind, raw, path, lineno):
@@ -162,6 +166,7 @@ def truth_clusters(lam):
 @dataclass(frozen=True)
 class _Oracle:                 # what one scored manifold is scored against
     name: str                  # as refusals print it
+    constants: object          # its ManifoldDescriptor
     whole: dict                # m filling whole eigenspaces -> top degree
     tangent_m: range           # m whose tangents alone are compared
     sample: object             # (n, seed) -> PointCloud
@@ -172,7 +177,7 @@ class _Oracle:                 # what one scored manifold is scored against
 
 # (manifold, d) -> oracle; callables reach public functions via module globals
 _ORACLES = {("sphere", 2): _Oracle(
-    "S^2", {3: 1, 8: 2}, range(2, 9),
+    "S^2", _sphere_manifold(2), {3: 1, 8: 2}, range(2, 9),
     lambda n, seed: sample_sphere(n, 2, seed),
     lambda points, m: sphere_truth(points, m),
     lambda p, t, m: s2_oracle_embedding(p, t)[:, :m],
@@ -370,7 +375,7 @@ class VerifyReport:
 
 def verify_s2(cfg):
     """Closed-form battery for the truncated S^2 spectral map at the
-    config's t0, m and eps, with its bound constants and kappa = 0.
+    config's t0, m, eps and bound constants, and the S^2 entry's d, kappa.
 
     Checks: (a) near-isometric directional norm, (b) spectral tail below
     the truncation budget, (c) the flat-case budget identity 1/(32 pi t0),
@@ -386,7 +391,7 @@ def verify_s2(cfg):
         raise ValueError("verify_s2 checks the S^2 oracle only, got the %s "
                          "oracle" % oracle.name)
     l_embed = oracle.whole[cfg.m]
-    t0, eps = cfg.t0, cfg.eps
+    t0, eps, s2 = cfg.t0, cfg.eps, oracle.constants
     checks = []
 
     norm = float(np.sqrt(s2_embedding_norm_sq(t0, l_embed)))
@@ -394,7 +399,7 @@ def verify_s2(cfg):
         "isometry-defect", norm, "in (0.95, 1.05)",
         bool(0.95 < norm < 1.05)))
 
-    eps_prime = select_eps_prime(t0, 2, 0.0)
+    eps_prime = select_eps_prime(t0, s2.d, s2.kappa)
     tail = s2_tail_sum(t0, l_embed + 1, TAIL_CUTOFF)
     checks.append(CheckResult(
         "spectral-tail", tail, "<= eps' = %.9g" % eps_prime,
@@ -413,7 +418,7 @@ def verify_s2(cfg):
         checks.append(CheckResult(
             "sweep-radius", reach, "%.6f within 1%%" % REACH_S2,
             bool(abs(reach - REACH_S2) <= 0.01 * REACH_S2)))
-        star = star_check(REACH_S2, t0, eps, 2, 0.0, cfg.constants)
+        star = star_check(REACH_S2, t0, eps, s2.d, s2.kappa, cfg.constants)
         checks.append(CheckResult(
             "radius-inequality", star.lhs, ">= %.9g" % star.rhs,
             bool(star.holds)))
@@ -424,7 +429,7 @@ def verify_s2(cfg):
                                   "skipped (t0 != 0.25)", None))
 
     diag = s2_heat_kernel(t0, 1.0, l_embed)
-    flat = heat_lower_diag(t0, 2, 0.0)
+    flat = heat_lower_diag(t0, s2.d, s2.kappa)
     checks.append(CheckResult(
         "kernel-diagonal", abs(diag - flat),
         "|trunc - %.9g| <= eps'" % flat,

@@ -85,15 +85,15 @@ class PointCloud:
 @dataclass
 class ManifoldDescriptor:
     """Geometric constants of a manifold class: dimension, curvature bound
-    kappa (Ricci >= -kappa(d-1)), reach and volume bounds, smoothness order,
-    injectivity radius, diameter, and density bounds."""
+    kappa (Ricci >= -kappa(d-1)), reach and volume bounds, injectivity
+    radius, diameter, and density bounds.  Each oracle entry of experiments
+    holds its manifold's, which the embedding, tangents and bounds read."""
 
     d: int
     kappa: float
     tau_min: float
     vol_lo: float
     vol_hi: float
-    k: int
     iota: float
     diam: float
     f_min: float
@@ -101,9 +101,8 @@ class ManifoldDescriptor:
 
     def __post_init__(self):
         _check_domain(d=self.d, kappa=self.kappa, tau_min=self.tau_min,
-                      vol_lo=self.vol_lo, vol_hi=self.vol_hi, k=self.k,
-                      iota=self.iota, diam=self.diam, f_min=self.f_min,
-                      f_max=self.f_max)
+                      vol_lo=self.vol_lo, vol_hi=self.vol_hi, iota=self.iota,
+                      diam=self.diam, f_min=self.f_min, f_max=self.f_max)
         if self.vol_lo > self.vol_hi:
             raise ValueError("need vol_lo <= vol_hi")
         if self.iota < np.pi * self.tau_min - 1e-12:
@@ -139,6 +138,15 @@ def sphere_area(k):
     sphere_area(d-1) * h^d / d is the volume of a radius-h ball in R^d.
     """
     return 2.0 * np.pi ** ((k + 1) / 2.0) / gamma((k + 1) / 2.0)
+
+
+def _sphere_manifold(d):
+    """The uniform unit S^d's constants: kappa = 0 (Ricci = d - 1), reach 1,
+    volume sphere_area(d), iota = diam = pi and density 1/volume."""
+    vol = sphere_area(d)
+    return ManifoldDescriptor(d=d, kappa=0.0, tau_min=1.0, vol_lo=vol,
+                              vol_hi=vol, iota=np.pi, diam=np.pi,
+                              f_min=1.0 / vol, f_max=1.0 / vol)
 
 
 def sample_sphere(n, d, seed):

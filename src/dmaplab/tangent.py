@@ -12,7 +12,8 @@ from math import floor
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import _UGRID, _check_domain, _features, _frozen, _opnorms
+from .geometry import (_UGRID, _check_domain, _features, _frozen, _opnorms,
+                       _sphere_manifold)
 from .graph import _spread
 
 
@@ -23,8 +24,8 @@ class TangentConfig:
     t_cap: float = None          # None: use 1/h_tilde at fit time
     max_iter: int = 20
     tol: float = 1e-8
-    f_min: float = 1.0 / (4.0 * np.pi)
-    f_max: float = 1.0 / (4.0 * np.pi)
+    f_min: float = _sphere_manifold(2).f_min    # density bounds: the S^2's,
+    f_max: float = _sphere_manifold(2).f_max    # or tangent_config()'s
 
     def __post_init__(self):
         _check_domain(k=self.k, bandwidth_const=self.bandwidth_const,

@@ -384,6 +384,29 @@ def test_unread_bound_constants_are_unknown_config_keys(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["embed", "--n", "60"],
+                                     ["pipeline", "--n", "300"],
+                                     ["verify-s2"]])
+@pytest.mark.parametrize("setting", ["kappa = 0.1", "kappa = -1",
+                                     "kappa = nan", "iota = 4", "iota = 0",
+                                     "iota = inf"])
+def test_manifold_constants_are_not_config_keys(tmp_path, capsys,
+                                                no_sampling, command,
+                                                setting):
+    """kappa and iota are the oracle entry's, so every command that reads
+    them refuses a config line setting either, whatever its value, as an
+    unknown key before anything is sampled or written."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s line 1: unknown config key %r\n" \
+        % (cfg, setting.split()[0])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "laplacian"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_nonpositive_n_exits_2(tmp_path, capsys, command, n):
@@ -452,8 +475,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, no_sampling, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["kappa = -1", "kappa = nan",
-                                     "tangent_t_cap = -1",
+@pytest.mark.parametrize("setting", ["tangent_t_cap = -1",
                                      "tangent_t_cap = nan",
                                      "tangent_bandwidth_const = -1",
                                      "gap_tol = -1", "gap_tol = nan",
@@ -462,7 +484,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, no_sampling, command):
                                      "tangent_tol = nan",
                                      "tangent_tol = inf",
                                      "study_max_iter = 0", "t0 = -1",
-                                     "t0 = nan", "iota = 0", "m = -1",
+                                     "t0 = nan", "m = -1",
                                      "min_subsample = 0",
                                      "min_subsample = 2",
                                      "min_subsample = -5"])
@@ -479,20 +501,17 @@ def test_pipeline_refuses_bad_config_values(tmp_path, capsys, no_sampling,
 
 @pytest.mark.parametrize("command", [["embed"], ["pipeline", "--n", "300"],
                                      ["verify-s2"]])
-@pytest.mark.parametrize("name", ["t0", "iota"])
-def test_infinite_time_or_radius_in_config_exits_2(tmp_path, capsys,
-                                                   no_sampling, command,
-                                                   name):
-    """t0 = inf or iota = inf in a config is refused by every command with
-    the table's message, before anything is sampled or written."""
+def test_infinite_time_in_config_exits_2(tmp_path, capsys, no_sampling,
+                                         command):
+    """t0 = inf in a config is refused by every command with the table's
+    message, before anything is sampled or written."""
     cfg = tmp_path / "inf.cfg"
-    cfg.write_text("%s = inf\n" % name)
+    cfg.write_text("t0 = inf\n")
     out = tmp_path / "out"
     assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: %s must be positive and finite, got " \
-                           "inf\n" % name
+    assert captured.err == "error: t0 must be positive and finite, got inf\n"
     assert not out.exists()
 
 
@@ -605,7 +624,7 @@ def test_eigen_and_embed_match_library_chain(tmp_path):
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.array_equal(table[:, 1], spec.mu)
     assert np.array_equal(table[:, 3:].T, spec.vec_norm)
-    t = select_diffusion_time(cfg.t0, cfg.iota)
+    t = select_diffusion_time(cfg.t0, cfg.manifold_constants().iota)
     params = EmbeddingParams(t=t, m=cfg.m, d=cfg.d)
     emb = load_cloud(tmp_path / "embedding.csv")
     assert np.array_equal(emb.points, embed_points(spec, params).points)

@@ -8,20 +8,22 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import dmaplab.experiments as X
 import dmaplab.spectral as sp
+from dmaplab.bounds import BoundConstants
 from dmaplab.cli import main
 from dmaplab.embedding import (EmbeddingParams, embed_points,
-                               embedding_error)
+                               embedding_error, select_eps_prime)
 from dmaplab.experiments import (ExperimentConfig, RunRecord,
                                  _oracle_tangents,
                                  convergence_study, format_verify,
                                  load_config, run_pipeline, sphere_truth,
                                  truth_clusters, verify_s2)
-from dmaplab.geometry import (embedding_scale, s2_oracle_embedding,
-                              s2_oracle_tangent, sample_sphere)
+from dmaplab.geometry import (_sphere_manifold, embedding_scale,
+                              s2_oracle_embedding, s2_oracle_tangent,
+                              sample_sphere)
 from dmaplab.graph import system_from_cloud
 from dmaplab.io import RUN_FIELDS, record_row
 from dmaplab.spectral import eigen_errors, eigensolve_smallest
-from dmaplab.tangent import estimate_tangents
+from dmaplab.tangent import TangentConfig, estimate_tangents
 
 # the S^2 entry's tangent frames of the first m oracle coordinates
 _s2_tangents = X._ORACLES["sphere", 2].tangents
@@ -45,9 +47,10 @@ def test_config_validation():
         ExperimentConfig(ntilde_grid=())
     with pytest.raises(ValueError, match="^manifold must be 'sphere'$"):
         ExperimentConfig(manifold="torus")
-    for kappa in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="kappa must be finite"):
-            ExperimentConfig(kappa=kappa)
+    # the manifold's constants are its oracle entry's, not the config's
+    for name in ("kappa", "iota"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ExperimentConfig(**{name: 0.5})
     for gap_tol in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="gap_tol must be positive"):
             ExperimentConfig(gap_tol=gap_tol)
@@ -58,7 +61,7 @@ def test_config_validation():
                dict(tangent_max_iter=0), dict(tangent_tol=0.0),
                dict(tangent_tol=np.nan), dict(tangent_tol=np.inf),
                dict(study_max_iter=0), dict(t0=-1.0), dict(t0=np.nan),
-               dict(iota=0.0), dict(m=-1)):
+               dict(m=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
     for kw in (dict(n_grid=(200, 300, 0)), dict(n_grid=(200, 2)),
@@ -78,7 +81,7 @@ def test_load_config_full(tmp_path):
         "# experiment\n"
         "manifold = sphere\n"
         "d = 2\nk = 4\nt0 = 0.5\nm = 3\neps = 0.04\n"
-        "gap_tol = 0.3\nkappa = 0.1\niota = 2.0\n"
+        "gap_tol = 0.3\n"
         "n_grid = 100,200,400\nseeds = 7,8\nntilde_grid = 50,100\n"
         "min_subsample = 12\n"
         "tangent_bandwidth_const = 2.0\ntangent_t_cap = auto\n"
@@ -398,7 +401,7 @@ def circle(monkeypatch):
         return sample_sphere(n, 1, seed)
 
     monkeypatch.setitem(X._ORACLES, ("circle", 1), X._Oracle(
-        "S^1", {2: 1}, range(2, 3), sample, _circle_truth,
+        "S^1", _sphere_manifold(1), {2: 1}, range(2, 3), sample, _circle_truth,
         lambda p, t, m: embedding_scale(t, 1) * np.exp(-t / 2) * p
         / np.sqrt(np.pi),
         lambda p, t, m: np.stack([-p[:, 1], p[:, 0]], axis=1)[:, :, None]))
@@ -416,7 +419,9 @@ def test_one_table_entry_scores_another_manifold(circle):
         assert rec.status == "ok" and rec.pattern_matched
         errors.append(rec.embedding_error)
     assert errors[0] > errors[1] > errors[2]
-    batch, angles, _ = _oracle_tangents(cfg, 300, 1, cfg.tangent_config())
+    tcfg = cfg.tangent_config()
+    assert tcfg.f_min == tcfg.f_max == 1.0 / (2.0 * np.pi)
+    batch, angles, _ = _oracle_tangents(cfg, 300, 1, tcfg)
     assert not batch.errors and len(angles) == 300
     assert np.median(list(angles.values())) < 0.01
     del circle[:]
@@ -444,11 +449,20 @@ def test_verify_s2_refuses_every_oracle_but_s2(circle, tmp_path, capsys):
     assert not out.exists()
 
 
+def _patch_s2(monkeypatch, **constants):
+    """Give the S^2 entry these ManifoldDescriptor values."""
+    entry = X._ORACLES["sphere", 2]
+    monkeypatch.setitem(X._ORACLES, ("sphere", 2), replace(
+        entry, constants=replace(entry.constants, **constants)))
+
+
 def test_one_embedding_time_reaches_every_reader(tmp_path, capsys,
                                                  monkeypatch):
-    """embedding_params() is the one t = min(t0, 4, iota^2/4): the pipeline
-    records it, the oracle tangents embed at it and embed prints it."""
-    cfg = ExperimentConfig(iota=0.5)
+    """embedding_params() is the one t = min(t0, 4, iota^2/4), with iota
+    from the oracle entry: the pipeline records it, the oracle tangents
+    embed at it and embed prints it."""
+    _patch_s2(monkeypatch, iota=0.5, tau_min=0.1)
+    cfg = ExperimentConfig()
     assert cfg.embedding_params() == EmbeddingParams(t=0.0625, m=8, d=2)
     assert run_pipeline(cfg, 300, 1).t == 0.0625
     clouds = []
@@ -460,11 +474,46 @@ def test_one_embedding_time_reaches_every_reader(tmp_path, capsys,
     monkeypatch.setattr(X, "estimate_tangents", spy)
     _oracle_tangents(cfg, 100, 1, cfg.tangent_config())
     assert [c.params for c in clouds] == [cfg.embedding_params()]
-    path = tmp_path / "iota.cfg"
-    path.write_text("iota = 0.5\n")
-    assert main(["embed", "--n", "300", "--config", str(path),
-                 "--out", str(tmp_path)]) == 0
+    assert main(["embed", "--n", "300", "--out", str(tmp_path)]) == 0
     assert " at t=0.0625 (" in capsys.readouterr().out
+
+
+def test_curvature_bound_comes_from_the_oracle_entry(tmp_path, capsys,
+                                                     monkeypatch):
+    """verify_s2's eps' and embed's printed eps' read the entry's kappa."""
+    flat = select_eps_prime(0.25, 2, 0.0)
+    curved = select_eps_prime(0.25, 2, 0.5)
+    assert curved != flat
+    for kappa, eps_prime in ((0.0, flat), (0.5, curved)):
+        _patch_s2(monkeypatch, kappa=kappa)
+        cfg = ExperimentConfig(constants=BoundConstants(C2=1.0))
+        check = {c.check: c for c in verify_s2(cfg).checks}
+        assert check["budget-identity"].value == eps_prime
+        assert check["spectral-tail"].target == "<= eps' = %.9g" % eps_prime
+        assert main(["embed", "--n", "150", "--out", str(tmp_path)]) == 0
+        assert "(eps'=%.6g)" % eps_prime in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", sorted(X._ORACLES))
+def test_oracle_entry_constants_agree_with_its_config(key):
+    """Each entry's descriptor is of its own dimension, and of a uniform
+    sampler, and the config's tangent fits read its density."""
+    oracle = X._ORACLES[key]
+    const = oracle.constants
+    assert const.d == key[1]
+    assert const.vol_lo == const.vol_hi
+    assert const.f_min == const.f_max == 1.0 / const.vol_lo
+    cfg = ExperimentConfig(manifold=key[0], d=key[1], m=min(oracle.whole))
+    assert cfg.manifold_constants() is const
+    assert cfg.tangent_config() == TangentConfig(f_min=const.f_min,
+                                                 f_max=const.f_max)
+    assert cfg.embedding_params().t == min(cfg.t0, 4.0, const.iota ** 2 / 4)
+
+
+def test_default_config_gives_the_default_tangent_config():
+    assert ExperimentConfig().tangent_config() == TangentConfig()
+    # outside the table the config reads the sampled S^d's constants
+    assert ExperimentConfig(d=3).manifold_constants() == _sphere_manifold(3)
 
 
 def test_convergence_study_rows_are_medians_of_records():
