@@ -93,9 +93,10 @@ def cmd_eigen(args, cfg, artifact):
 
 
 def cmd_embed(args, cfg, artifact):
+    params = cfg.embedding_params()
     spec = eigensolve_smallest(_dense_system(args, cfg), cfg.m,
                                gap_tol=cfg.gap_tol)
-    emb = embed_points(spec, cfg.embedding_params())
+    emb = embed_points(spec, params)
     t = emb.params.t
     carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
                          seed=args.seed)

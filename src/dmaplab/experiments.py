@@ -39,12 +39,8 @@ class ExperimentConfig:
     n_grid: tuple = (500, 1000, 2000, 4000)
     seeds: tuple = (1, 2, 3, 4, 5)
     ntilde_grid: tuple = (250, 500, 1000, 2000)
-    min_subsample: int = 10
-    tangent_bandwidth_const: float = 1.0
-    tangent_t_cap: float = None
     tangent_max_iter: int = 20
     study_max_iter: int = 100
-    tangent_tol: float = 1e-8
     output_dir: str = "."
     constants: BoundConstants = field(default_factory=BoundConstants)
 
@@ -57,20 +53,19 @@ class ExperimentConfig:
         # 3 is the floor of both bandwidth rules, graph and tangent
         for name, vals, low in (("n_grid", self.n_grid, 3),
                                 ("ntilde_grid", self.ntilde_grid, 3),
-                                ("seeds", self.seeds, 0),
-                                ("min_subsample", (self.min_subsample,), 3)):
+                                ("seeds", self.seeds, 0)):
             if not all(isinstance(v, (int, np.integer)) and v >= low
                        for v in vals):
                 raise ValueError("%s: need whole numbers >= %d, got %s"
                                  % (name, low, getattr(self, name)))
         _check_domain(d=self.d, k=self.k, t0=self.t0, m=self.m,
                       gap_tol=self.gap_tol)
+        for max_iter in (self.tangent_max_iter, self.study_max_iter):
+            _check_domain(max_iter=max_iter)
         cap = eps_cap(self.d)
         if not 0 < self.eps <= cap + 1e-12:
             raise ValueError("eps must lie in (0, %.6f] for d=%d"
                              % (cap, self.d))
-        self.tangent_config()
-        self.tangent_config(max_iter=self.study_max_iter)
 
     def manifold_constants(self):
         """The (manifold, d) entry's ManifoldDescriptor, else the S^d's."""
@@ -78,12 +73,12 @@ class ExperimentConfig:
         return oracle.constants if oracle else _sphere_manifold(self.d)
 
     def tangent_config(self, max_iter=None):
+        """The estimator's config at the entry's density bounds; the rest
+        of its settings are TangentConfig's defaults."""
         desc = self.manifold_constants()
         return TangentConfig(
-            k=self.k, bandwidth_const=self.tangent_bandwidth_const,
-            t_cap=self.tangent_t_cap,
-            max_iter=self.tangent_max_iter if max_iter is None else max_iter,
-            tol=self.tangent_tol, f_min=desc.f_min, f_max=desc.f_max)
+            k=self.k, f_min=desc.f_min, f_max=desc.f_max,
+            max_iter=self.tangent_max_iter if max_iter is None else max_iter)
 
     def embedding_params(self):
         """The embedding's time t = min(t0, 4, iota^2/4), m and d."""
@@ -98,8 +93,7 @@ def _parse_value(kind, raw, path, lineno):
         if kind == "float":
             return float(raw)
         if kind == "opt_float":
-            return None if raw in ("", "none", "auto", "unknown") \
-                else float(raw)
+            return None if raw in ("", "none", "unknown") else float(raw)
         if kind == "int_list":
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         return raw
@@ -117,8 +111,6 @@ def load_config(path):
     for f in fields(ExperimentConfig):
         if f.type is tuple:
             kinds[f.name] = "int_list"
-        elif f.type is float and f.default is None:
-            kinds[f.name] = "opt_float"
         elif f.type in (int, float, str):
             kinds[f.name] = f.type.__name__
     kwargs = {}
@@ -267,7 +259,7 @@ def run_pipeline(cfg, n, seed):
                          for g in clusters))
 
         stage = "tangent"
-        size = subsample_size(n, cfg.d, cfg.k, cfg.min_subsample).size
+        size = subsample_size(n, cfg.d, cfg.k).size
         if size > n:
             raise ValueError("n=%d is below the tangent subsample size %d"
                              % (n, size))
@@ -479,8 +471,7 @@ def tangent_study(cfg):
                      "median_angle": float(np.median(med)),
                      "max_angle": float(np.median(mx))})
     ex = rate_exponents(cfg.d, cfg.k)
-    theo = subsample_size(max(cfg.n_grid), cfg.d, cfg.k,
-                          cfg.min_subsample).theoretical
+    theo = subsample_size(max(cfg.n_grid), cfg.d, cfg.k).theoretical
     return TangentStudyResult(rows=rows, tangent_rate=ex.tangent_rate,
                               theoretical_size=theo)
 

@@ -143,7 +143,11 @@ def sphere_area(k):
 def _sphere_manifold(d):
     """The uniform unit S^d's constants: kappa = 0 (Ricci = d - 1), reach 1,
     volume sphere_area(d), iota = diam = pi and density 1/volume."""
-    vol = sphere_area(d)
+    try:
+        vol = sphere_area(d)
+    except OverflowError:       # math.gamma overflows from d = 343 on
+        raise ValueError("the unit S^d's volume is not a finite double at "
+                         "d = %d" % d) from None
     return ManifoldDescriptor(d=d, kappa=0.0, tau_min=1.0, vol_lo=vol,
                               vol_hi=vol, iota=np.pi, diam=np.pi,
                               f_min=1.0 / vol, f_max=1.0 / vol)

@@ -405,15 +405,11 @@ _LAYER_IN_DOMAIN = {
     estimate_tangents: dict(cloud=_CLOUD, base_indices=[0],
                             cfg=TangentConfig(), h_tilde=1.0),
     ExperimentConfig: dict(d=2, k=3, t0=0.25, m=8, gap_tol=0.25,
-                           tangent_bandwidth_const=1.0,
-                           tangent_t_cap=2.0, tangent_max_iter=20,
-                           study_max_iter=100, tangent_tol=1e-8),
+                           tangent_max_iter=20, study_max_iter=100),
     sphere_truth: dict(points=_CLOUD.points, m=8),
 }
 # config fields that reach the table under another name
-_RULED_AS = {"tangent_bandwidth_const": "bandwidth_const",
-             "tangent_t_cap": "t_cap", "tangent_max_iter": "max_iter",
-             "study_max_iter": "max_iter", "tangent_tol": "tol"}
+_RULED_AS = {"tangent_max_iter": "max_iter", "study_max_iter": "max_iter"}
 _LAYER_CASES = [(fn, key, bad) for fn, kw in _LAYER_IN_DOMAIN.items()
                 for key in kw if _RULED_AS.get(key, key) in _OUTSIDE
                 for bad in _OUTSIDE[_RULED_AS.get(key, key)]]

@@ -384,6 +384,18 @@ def test_unread_bound_constants_are_unknown_config_keys(tmp_path,
     assert not out.exists()
 
 
+def _refused_as_unknown_key(tmp_path, capsys, command, setting):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s line 1: unknown config key %r\n" \
+        % (cfg, setting.split()[0])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["embed", "--n", "60"],
                                      ["pipeline", "--n", "300"],
                                      ["verify-s2"]])
@@ -396,14 +408,51 @@ def test_manifold_constants_are_not_config_keys(tmp_path, capsys,
     """kappa and iota are the oracle entry's, so every command that reads
     them refuses a config line setting either, whatever its value, as an
     unknown key before anything is sampled or written."""
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(setting + "\n")
+    _refused_as_unknown_key(tmp_path, capsys, command, setting)
+
+
+@pytest.mark.parametrize("command", [["pipeline", "--n", "300"],
+                                     ["tangent"], ["tangent-study"]])
+@pytest.mark.parametrize("setting", ["tangent_t_cap = -1",
+                                     "tangent_t_cap = nan",
+                                     "tangent_bandwidth_const = -1",
+                                     "tangent_tol = nan",
+                                     "tangent_tol = inf",
+                                     "min_subsample = 0",
+                                     "min_subsample = 2",
+                                     "min_subsample = -5"])
+def test_tangent_settings_are_not_config_keys(tmp_path, capsys, no_sampling,
+                                              command, setting):
+    """The estimator's bandwidth constant, cap, tolerance and subsample
+    floor are TangentConfig's and subsample_size's defaults, so every
+    command that fits tangents refuses a config line setting one as an
+    unknown key before anything is sampled or written."""
+    _refused_as_unknown_key(tmp_path, capsys, command, setting)
+
+
+# the unit S^343's volume is beyond math.gamma, so the sphere has no density
+_D343 = "d = 343\nm = 343\neps = 0.0001\n"
+
+
+def test_sample_needs_no_sphere_volume(tmp_path, capsys):
+    cfg = tmp_path / "d343.cfg"
+    cfg.write_text(_D343)
+    assert main(["sample", "--n", "20", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    assert "sampled 20 sphere points in R^344" in capsys.readouterr().out
+
+
+def test_embed_refuses_a_sphere_without_volume_before_sampling(
+        tmp_path, capsys, no_sampling):
+    cfg = tmp_path / "d343.cfg"
+    cfg.write_text(_D343)
     out = tmp_path / "out"
-    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["embed", "--n", "20", "--config", str(cfg),
+                 "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: %s line 1: unknown config key %r\n" \
-        % (cfg, setting.split()[0])
+    assert captured.err == ("error: the unit S^d's volume is not a finite "
+                            "double at d = 343\n")
     assert not out.exists()
 
 
@@ -475,19 +524,11 @@ def test_negative_seed_exits_2(tmp_path, capsys, no_sampling, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("setting", ["tangent_t_cap = -1",
-                                     "tangent_t_cap = nan",
-                                     "tangent_bandwidth_const = -1",
-                                     "gap_tol = -1", "gap_tol = nan",
+@pytest.mark.parametrize("setting", ["gap_tol = -1", "gap_tol = nan",
                                      "gap_tol = inf", "eps = -1",
                                      "eps = nan", "eps = 0.2",
-                                     "tangent_tol = nan",
-                                     "tangent_tol = inf",
                                      "study_max_iter = 0", "t0 = -1",
-                                     "t0 = nan", "m = -1",
-                                     "min_subsample = 0",
-                                     "min_subsample = 2",
-                                     "min_subsample = -5"])
+                                     "t0 = nan", "m = -1"])
 def test_pipeline_refuses_bad_config_values(tmp_path, capsys, no_sampling,
                                             setting):
     cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,8 @@ def test_config_defaults_valid():
     assert cfg.seeds == (1, 2, 3, 4, 5)
     assert cfg.tangent_config().k == 3
     assert cfg.tangent_config(max_iter=50).max_iter == 50
+    # the estimator's own settings are TangentConfig's defaults
+    assert cfg.tangent_config() == TangentConfig()
 
 
 def test_config_validation():
@@ -47,8 +49,10 @@ def test_config_validation():
         ExperimentConfig(ntilde_grid=())
     with pytest.raises(ValueError, match="^manifold must be 'sphere'$"):
         ExperimentConfig(manifold="torus")
-    # the manifold's constants are its oracle entry's, not the config's
-    for name in ("kappa", "iota"):
+    # the manifold's constants are its oracle entry's, and the estimator's
+    # settings TangentConfig's, not the config's
+    for name in ("kappa", "iota", "min_subsample", "tangent_bandwidth_const",
+                 "tangent_t_cap", "tangent_tol"):
         with pytest.raises(TypeError, match="unexpected keyword"):
             ExperimentConfig(**{name: 0.5})
     for gap_tol in (-1.0, 0.0, np.nan, np.inf):
@@ -56,23 +60,18 @@ def test_config_validation():
             ExperimentConfig(gap_tol=gap_tol)
     with pytest.raises(ValueError, match="d must be >= 1"):
         ExperimentConfig(d=0)
-    for kw in (dict(tangent_t_cap=-1.0), dict(tangent_t_cap=np.nan),
-               dict(tangent_bandwidth_const=-1.0), dict(k=1),
-               dict(tangent_max_iter=0), dict(tangent_tol=0.0),
-               dict(tangent_tol=np.nan), dict(tangent_tol=np.inf),
-               dict(study_max_iter=0), dict(t0=-1.0), dict(t0=np.nan),
-               dict(m=-1)):
+    for kw in (dict(k=1), dict(t0=-1.0), dict(t0=np.nan), dict(m=-1)):
         with pytest.raises(ValueError):
             ExperimentConfig(**kw)
+    for name in ("tangent_max_iter", "study_max_iter"):
+        with pytest.raises(ValueError, match="^max_iter must be >= 1, got 0$"):
+            ExperimentConfig(**{name: 0})
     for kw in (dict(n_grid=(200, 300, 0)), dict(n_grid=(200, 2)),
                dict(n_grid=(200.0, 300)), dict(ntilde_grid=(100, 2)),
-               dict(seeds=(1, -1)), dict(seeds=(1.5,)),
-               dict(min_subsample=0), dict(min_subsample=2),
-               dict(min_subsample=10.0)):
+               dict(seeds=(1, -1)), dict(seeds=(1.5,))):
         with pytest.raises(ValueError, match="need whole numbers >= "):
             ExperimentConfig(**kw)
-    ExperimentConfig(n_grid=(3, np.int64(4)), ntilde_grid=(3,), seeds=(0,),
-                     min_subsample=3)
+    ExperimentConfig(n_grid=(3, np.int64(4)), ntilde_grid=(3,), seeds=(0,))
 
 
 def test_load_config_full(tmp_path):
@@ -83,10 +82,8 @@ def test_load_config_full(tmp_path):
         "d = 2\nk = 4\nt0 = 0.5\nm = 3\neps = 0.04\n"
         "gap_tol = 0.3\n"
         "n_grid = 100,200,400\nseeds = 7,8\nntilde_grid = 50,100\n"
-        "min_subsample = 12\n"
-        "tangent_bandwidth_const = 2.0\ntangent_t_cap = auto\n"
         "tangent_max_iter = 30\nstudy_max_iter = 60\n"
-        "tangent_tol = 1e-6\noutput_dir = /tmp/somewhere\n"
+        "output_dir = /tmp/somewhere\n"
         "C1 = 0.5\nC2 = 1.25\n")
     cfg = load_config(path)
     assert cfg.manifold == "sphere"
@@ -94,8 +91,7 @@ def test_load_config_full(tmp_path):
     assert cfg.n_grid == (100, 200, 400)
     assert cfg.seeds == (7, 8)
     assert cfg.ntilde_grid == (50, 100)
-    assert cfg.tangent_t_cap is None
-    assert cfg.tangent_tol == 1e-6
+    assert cfg.tangent_max_iter == 30 and cfg.study_max_iter == 60
     assert cfg.constants.C1 == 0.5
     assert cfg.constants.C2 == 1.25
 
@@ -110,7 +106,7 @@ def test_load_config_keeps_unset_constants(tmp_path):
 
 @pytest.mark.parametrize("line, tag", [
     ("t0 = fast", "float"), ("m = 2.5", "int"), ("seeds = 1,x", "int_list"),
-    ("tangent_t_cap = wide", "opt_float"), ("C2 = big", "opt_float"),
+    ("C2 = auto", "opt_float"), ("C2 = big", "opt_float"),
 ])
 def test_load_config_parse_error_names_type(tmp_path, line, tag):
     path = tmp_path / "exp.cfg"
@@ -118,6 +114,36 @@ def test_load_config_parse_error_names_type(tmp_path, line, tag):
     with pytest.raises(ValueError, match="line 2: cannot parse .* as %s$"
                        % tag):
         load_config(path)
+
+
+# the keys a config file sets: a key joins or leaves this set only by a
+# deliberate change to the config
+_CONFIG_KEYS = {
+    "manifold", "d", "k", "t0", "m", "eps", "gap_tol", "n_grid", "seeds",
+    "ntilde_grid", "tangent_max_iter", "study_max_iter", "output_dir", "C1",
+    "C2"}
+
+
+def test_config_keys_are_pinned(tmp_path):
+    """Of the field names load_config reads keys from, it takes exactly the
+    pinned ones, each line read back as the field's default."""
+    default = ExperimentConfig()
+    accepted = set()
+    for owner, obj in ((ExperimentConfig, default),
+                       (BoundConstants, default.constants)):
+        for f in fields(owner):
+            value = getattr(obj, f.name)
+            text = ("none" if value is None else ",".join(map(str, value))
+                    if isinstance(value, tuple) else value)
+            path = tmp_path / "one.cfg"
+            path.write_text("%s = %s\n" % (f.name, text))
+            try:
+                assert load_config(path) == default
+            except ValueError as err:
+                assert "unknown config key %r" % f.name in str(err)
+            else:
+                accepted.add(f.name)
+    assert accepted == _CONFIG_KEYS
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
