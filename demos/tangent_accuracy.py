@@ -19,14 +19,14 @@ cfg = TangentConfig(k=3)
 # flat plane in R^5
 U = np.linalg.qr(rng.normal(size=(5, 2)))[0]
 coords = rng.uniform(-1, 1, size=(200, 2))
-plane = PointCloud(points=coords @ U.T, d=2, ambient_dim=5, seed=7)
+plane = PointCloud(points=coords @ U.T, d=2, seed=7)
 fit = fit_local_polynomial(plane, 0, 0.8, cfg)
 print("plane:  angle to truth = %.2e" % subspace_angle(fit.basis, U))
 
 # unit circle
 s = np.linspace(0, 2 * np.pi, 200, endpoint=False)
 circle = PointCloud(points=np.stack([np.cos(s), np.sin(s)], axis=1),
-                    d=1, ambient_dim=2, seed=7)
+                    d=1, seed=7)
 cfit = fit_local_polynomial(circle, 0, 0.3, cfg)
 print("circle: angle to truth = %.2e, curvature coefficient = %.4f "
       "(exact 0.5)" % (subspace_angle(cfit.basis,

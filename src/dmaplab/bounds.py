@@ -11,9 +11,9 @@ the unit-sphere heat-kernel constant C1 = 0.408912.
 
 from collections import namedtuple
 from dataclasses import dataclass
+from math import exp, gamma, lgamma, log
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .geometry import _WHOLE, _check_domain, sphere_area  # cli reads _WHOLE
 
@@ -124,10 +124,13 @@ def eigen_lower_power(k_idx, d, kappa, diam, C1_eigen):
 
 def croke_constant(d):
     """Geodesic-ball volume constant C'(d) = 2^d Gamma(d/2)^(d-1) /
-    (d^d Gamma((d-1)/2)^d); vol(B_r) >= C'(d) r^d for r <= iota/2."""
+    (d^d Gamma((d-1)/2)^d); vol(B_r) >= C'(d) r^d for r <= iota/2.  Taken
+    in log space; a normal double only for 2 <= d <= 177 (0 at d = 1)."""
     _check_domain(d=d)
-    return _number(2.0 ** d * _gamma(d / 2.0) ** (d - 1)
-                   / (d ** d * _gamma((d - 1) / 2.0) ** d))
+    if not 2 <= d <= 177:
+        raise ValueError("C'(d) is not a normal double at d = %d" % d)
+    return exp(d * log(2.0 / d) + (d - 1) * lgamma(d / 2.0)
+               - d * lgamma((d - 1) / 2.0))
 
 
 def heat_upper(t, dist, d, kappa, consts):
@@ -270,5 +273,8 @@ def weyl_estimate(lam, d, V):
     """Asymptotic eigenvalue count nu_d V lambda^(d/2) / (2 pi)^d with nu_d
     the unit-ball volume.  Asymptotic only: no finite-lambda guarantee."""
     lam, d, V = _check_domain(lam=lam, d=d, V=V)
-    nu = np.pi ** (d / 2.0) / _gamma(d / 2.0 + 1.0)
-    return _number(nu * V * lam ** (d / 2.0) / (2.0 * np.pi) ** d)
+    try:
+        return _number(np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0) * V
+                       * lam ** (d / 2.0) / (2.0 * np.pi) ** d)
+    except OverflowError:
+        raise ValueError("a factor overflows a double at d = %d" % d) from None

@@ -98,8 +98,7 @@ def cmd_embed(args, cfg, artifact):
                                gap_tol=cfg.gap_tol)
     emb = embed_points(spec, params)
     t = emb.params.t
-    carrier = PointCloud(points=emb.points, d=cfg.d, ambient_dim=cfg.m,
-                         seed=args.seed)
+    carrier = PointCloud(points=emb.points, d=cfg.d, seed=args.seed)
     dio.save_cloud(carrier, artifact("embedding.csv"))
     norms = np.linalg.norm(emb.points, axis=1)
     print("embedded %d points into R^%d at t=%.6g (eps'=%.6g)"

@@ -12,10 +12,11 @@ from .bounds import (BoundConstants, eps_cap, heat_lower_diag,
 from .embedding import (EmbeddedCloud, EmbeddingParams, embed_points,
                         embedding_error, select_diffusion_time,
                         select_eps_prime)
-from .geometry import (_L8, _check_domain, _sphere_chart, _sphere_manifold,
-                       local_reach_numeric, s2_embedding_norm_sq,
-                       s2_harmonics, s2_heat_kernel, s2_oracle_embedding,
-                       s2_oracle_tangent, s2_tail_sum, sample_sphere)
+from .geometry import (_L8, _check_domain, _on_sphere, _sphere_chart,
+                       _sphere_manifold, local_reach_numeric,
+                       s2_embedding_norm_sq, s2_harmonics, s2_heat_kernel,
+                       s2_oracle_embedding, s2_oracle_tangent, s2_tail_sum,
+                       sample_sphere)
 from .graph import system_from_cloud
 from .io import RunRecord, read_kv
 from .spectral import (_EXACT_REPEAT_TOL, cluster_eigenvalues, eigen_errors,
@@ -73,8 +74,8 @@ class ExperimentConfig:
         return oracle.constants if oracle else _sphere_manifold(self.d)
 
     def tangent_config(self, max_iter=None):
-        """The estimator's config at the entry's density bounds; the rest
-        of its settings are TangentConfig's defaults."""
+        """The estimator's config: k, max_iter (tangent_max_iter unless
+        given) and the entry's density bounds."""
         desc = self.manifold_constants()
         return TangentConfig(
             k=self.k, f_min=desc.f_min, f_max=desc.f_max,
@@ -141,8 +142,8 @@ def sphere_truth(points, m=8):
     if m > 8:
         raise ValueError("sphere truth is tabulated for m <= 8")
     lam = np.concatenate([[0.0], _L8])[:m + 1]
-    n = points.shape[0]
-    cols = np.empty((n, m + 1))
+    points = _on_sphere(points)
+    cols = np.empty((points.shape[0], m + 1))
     cols[:, 0] = 1.0 / np.sqrt(4.0 * np.pi)
     if m >= 1:
         cols[:, 1:] = s2_harmonics(points)[:, :m]

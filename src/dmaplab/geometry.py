@@ -19,8 +19,7 @@ import numpy as np
 # with their least value, open intervals, finite and >= 0; any other name is
 # positive and finite.  None passes: the caller says when it needs the value.
 _WHOLE = {"d": 1, "m": 0, "k": 2, "k_idx": 0, "n": 1, "l": 0, "l_max": 0,
-          "l_start": 0, "l_stop": 0, "max_iter": 1, "grid": 32,
-          "min_size": 1}
+          "l_start": 0, "l_stop": 0, "max_iter": 1, "grid": 32}
 _OPEN = {"alpha1": (1, 2), "alpha2": (0, 1)}
 _NONNEG = ("kappa", "kappa_neg", "dist", "s", "lam", "sigma", "tau_l")
 
@@ -63,14 +62,10 @@ class PointCloud:
 
     points: np.ndarray
     d: int
-    ambient_dim: int
     seed: int
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.points.shape[1] != self.ambient_dim:
-            raise ValueError("point width %d != ambient_dim %d"
-                             % (self.points.shape[1], self.ambient_dim))
         _check_domain(d=self.d)
         if self.d > self.ambient_dim:
             raise ValueError("need d <= ambient_dim")
@@ -80,6 +75,10 @@ class PointCloud:
     @property
     def n(self):
         return self.points.shape[0]
+
+    @property
+    def ambient_dim(self):
+        return self.points.shape[1]
 
 
 @dataclass
@@ -159,7 +158,7 @@ def sample_sphere(n, d, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d + 1))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return PointCloud(points=x, d=d, ambient_dim=d + 1, seed=seed)
+    return PointCloud(points=x, d=d, seed=seed)
 
 
 def sample_torus(n, R, r, seed):
@@ -187,7 +186,7 @@ def sample_torus(n, R, r, seed):
         out[got:got + take, 1] = (R + r * cv) * su
         out[got:got + take, 2] = r * sv
         got += take
-    return PointCloud(points=out, d=2, ambient_dim=3, seed=seed)
+    return PointCloud(points=out, d=2, seed=seed)
 
 
 def true_tangent_sphere(p):
@@ -532,6 +531,8 @@ _E2 = _frozen(np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
 _M2 = _frozen(_features(_UGRID, _E2))
 # chart points per evaluation of the curvature sweep
 _SWEEP_CHUNK = 4096
+# the sweep's second-difference step; its first differences take a tenth
+_STEP = 1e-4
 
 
 def _shape_operators(embed, U, step):
@@ -602,18 +603,17 @@ def _shape_operator_norms(embed, U, step):
     return _opnorms(blk, 2, _E2, _UGRID, _M2)
 
 
-def second_fundamental_form(embed, u, step=1e-4):
+def second_fundamental_form(embed, u):
     """Operator norm of the second fundamental form of a chart at one point.
 
     embed maps R^2 chart coordinates to R^m; derivatives are taken by
-    central differences (step/10 for first order, step for second).
+    central differences (step 1e-5 for first order, 1e-4 for second).
     """
-    _check_domain(step=step)
     u = np.asarray(u, dtype=float).reshape(1, 2)
-    return float(_shape_operator_norms(embed, u, step)[0])
+    return float(_shape_operator_norms(embed, u, _STEP)[0])
 
 
-def local_reach_numeric(embed, grid, step=1e-4,
+def local_reach_numeric(embed, grid,
                         domain=((0.0, np.pi), (0.0, 2.0 * np.pi))):
     """Smallest curvature radius min 1/||II|| of a chart over a sweep grid.
 
@@ -621,14 +621,14 @@ def local_reach_numeric(embed, grid, step=1e-4,
     spherical (theta, phi) rectangle) and returns the minimum of the
     reciprocal shape-operator norms.
     """
-    _check_domain(grid=grid, step=step)
+    _check_domain(grid=grid)
     (a0, a1), (b0, b1) = domain
     th = a0 + (np.arange(grid) + 0.5) * (a1 - a0) / grid
     ph = b0 + (np.arange(2 * grid) + 0.5) * (b1 - b0) / (2 * grid)
     T, P = np.meshgrid(th, ph, indexing="ij")
     U = np.stack([T.ravel(), P.ravel()], axis=1)
     top = max(np.max(_shape_operator_norms(embed, U[i:i + _SWEEP_CHUNK],
-                                           step))
+                                           _STEP))
               for i in range(0, len(U), _SWEEP_CHUNK))
     return float(1.0 / top)
 

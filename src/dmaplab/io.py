@@ -121,8 +121,7 @@ def load_cloud(path):
     if len(rows) != n:
         raise ValueError("%s: metadata promises n=%d points, file has %d"
                          % (path, n, len(rows)))
-    return PointCloud(points=np.asarray(rows), d=d, ambient_dim=amb,
-                      seed=seed)
+    return PointCloud(points=np.asarray(rows), d=d, seed=seed)
 
 
 def save_eigen(spec, path):

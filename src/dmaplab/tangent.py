@@ -13,24 +13,23 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (_UGRID, _check_domain, _features, _frozen, _opnorms,
-                       _sphere_manifold)
+                       _sphere_manifold, sample_sphere)
 from .graph import _spread
+
+
+_TOL = 1e-8                 # the stop test's bound on the plane's move
 
 
 @dataclass
 class TangentConfig:
     k: int = 3
-    bandwidth_const: float = 1.0
-    t_cap: float = None          # None: use 1/h_tilde at fit time
     max_iter: int = 20
-    tol: float = 1e-8
     f_min: float = _sphere_manifold(2).f_min    # density bounds: the S^2's,
     f_max: float = _sphere_manifold(2).f_max    # or tangent_config()'s
 
     def __post_init__(self):
-        _check_domain(k=self.k, bandwidth_const=self.bandwidth_const,
-                      t_cap=self.t_cap, max_iter=self.max_iter, tol=self.tol,
-                      f_min=self.f_min, f_max=self.f_max)
+        _check_domain(k=self.k, max_iter=self.max_iter, f_min=self.f_min,
+                      f_max=self.f_max)
         if self.f_min > self.f_max:
             raise ValueError("need f_min <= f_max")
 
@@ -51,25 +50,22 @@ class TangentEstimate:
 SubsampleSize = namedtuple("SubsampleSize", "size theoretical")
 
 
-def subsample_size(n, d, k, min_size=10):
+def subsample_size(n, d, k):
     """Estimator subsample size n^(d/((8d+16)k)), floored and clamped below
-    by min_size; the exact theoretical value is returned alongside."""
-    _check_domain(n=n, d=d, k=k, min_size=min_size)
+    by 10; the exact theoretical value is returned alongside."""
+    _check_domain(n=n, d=d, k=k)
     if n < 2:
         raise ValueError("need n >= 2")
     theo = float(n) ** (d / ((8.0 * d + 16.0) * k))
-    return SubsampleSize(size=max(int(floor(theo)), min_size),
-                         theoretical=theo)
+    return SubsampleSize(size=max(int(floor(theo)), 10), theoretical=theo)
 
 
 def tangent_bandwidth(n_eff, d, cfg):
-    """Fit radius (C f_max^2 log(n)/(f_min^3 (n-1)))^(1/d) with C the
-    configured bandwidth constant."""
+    """Fit radius (f_max^2 log(n)/(f_min^3 (n-1)))^(1/d)."""
     _check_domain(n_eff=n_eff, d=d)
     if n_eff < 3:
         raise ValueError("need n_eff >= 3")
-    C = cfg.bandwidth_const
-    val = C * cfg.f_max ** 2 * np.log(n_eff) / (cfg.f_min ** 3 * (n_eff - 1))
+    val = cfg.f_max ** 2 * np.log(n_eff) / (cfg.f_min ** 3 * (n_eff - 1))
     return float(val ** (1.0 / d))
 
 
@@ -91,14 +87,13 @@ def _fit_plan(d, k):
     k = 2) and E holds them as a float array; blocks gives, per degree l,
     its row slice of E and the monomials of the fixed unit directions dirs
     of _opnorms (the single direction 1 at d = 1, the 720-angle grid at
-    d = 2, 2000 seeded normals otherwise).  Arrays are read-only, as the
-    workers of one estimate_tangents call share its plan.
+    d = 2, a seed-0 sample_sphere of 2000 otherwise).  Arrays are
+    read-only, as the workers of one estimate_tangents call share its plan.
     """
     expos = tuple(monomial_exponents(d, range(2, k)))
     E = _frozen(np.array([e for _, e in expos], dtype=float).reshape(-1, d))
-    u = np.random.default_rng(0).standard_normal((2000, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    dirs = {1: _frozen(np.ones((1, 1))), 2: _UGRID}.get(d, _frozen(u))
+    dirs = (_UGRID if d == 2 else _frozen(np.ones((1, 1))) if d == 1
+            else _frozen(sample_sphere(2000, d - 1, 0).points))
     blocks, start = [], 0
     for l in range(2, k):
         rows = slice(start, start + sum(ll == l for ll, _ in expos))
@@ -221,7 +216,6 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg, plan):
     Z[np.repeat(np.arange(a), counts), np.arange(counts.sum()) - starts] = (
         points[np.concatenate([nb for _, nb in members])]
         - np.repeat(points[[c for c, _ in members]], counts, axis=0))
-    t_cap = cfg.t_cap if cfg.t_cap is not None else 1.0 / h_tilde
     active = np.ones(a, dtype=bool)
 
     def degenerate(live, gap):
@@ -242,7 +236,7 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg, plan):
         live = np.flatnonzero(active)
         if not live.size:
             break
-        obj, b_new, G = _step(Z, live, B, counts, plan, t_cap)
+        obj, b_new, G = _step(Z, live, B, counts, plan, 1.0 / h_tilde)
         # a rejected step ends the fit with the previous plane and tensors
         ok = ~(obj > prev_obj[live] + 1e-12)
         if not ok.all():
@@ -255,7 +249,7 @@ def _fit_chunk(points, d, centers, nbrs, h_tilde, cfg, plan):
         ok = degenerate(live, gap)
         delta = _sin_angles(B_new, B[live])
         B[live[ok]] = B_new[ok]
-        active[live[ok & (delta < cfg.tol)]] = False
+        active[live[ok & (delta < _TOL)]] = False
 
     for j, (c, _) in enumerate(members):
         if c not in out:
@@ -290,9 +284,9 @@ def estimate_tangents(cloud, base_indices, cfg, h_tilde=None):
     cloud size.  Starting from the local PCA plane, alternate between
     (a) least-squares fits of the normal residuals against monomials of
     the tangent coordinates for degrees 2..k-1, with every degree block
-    radially rescaled onto the operator-norm cap when it exceeds it, and
+    radially rescaled onto the operator-norm cap 1/h_tilde above it, and
     (b) re-extraction of the plane from the corrected points.  Iteration
-    stops when the plane moves less than cfg.tol, measured as the sine of
+    stops when the plane moves less than _TOL, measured as the sine of
     the largest principal angle between successive planes (_sin_angles),
     which equals their projectors' distance in operator norm; when the
     objective would increase (the step is rejected); or at cfg.max_iter.

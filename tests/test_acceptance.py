@@ -147,13 +147,13 @@ def test_criterion_08_tangent_oracles():
     # (a) exact plane
     U = np.linalg.qr(rng.normal(size=(5, 2)))[0]
     coords = rng.uniform(-1, 1, size=(150, 2))
-    plane = PointCloud(points=coords @ U.T, d=2, ambient_dim=5, seed=0)
+    plane = PointCloud(points=coords @ U.T, d=2, seed=0)
     fit = fit_local_polynomial(plane, 0, 0.8, TangentConfig(k=3))
     a_plane = subspace_angle(fit.basis, U)
     # (b) unit circle: angle and half-curvature coefficient
     s = np.linspace(0, 2 * np.pi, 200, endpoint=False)
     circle = PointCloud(points=np.stack([np.cos(s), np.sin(s)], axis=1),
-                        d=1, ambient_dim=2, seed=0)
+                        d=1, seed=0)
     cfit = fit_local_polynomial(circle, 0, 0.3, TangentConfig(k=3))
     a_circle = subspace_angle(cfit.basis, np.array([[0.0], [1.0]]))
     coeff = float(np.linalg.norm(cfit.tensors[2][0]))

@@ -120,10 +120,37 @@ def test_eigen_lower_power_value():
         eigen_lower_power(6, 2, 0.0, np.pi, None)
 
 
+# C'(d) by a 50-digit mpmath product of the closed form, to 17 digits
+_CROKE = {2: 0.31830988618379067, 3: 0.23271056693257728,
+          30: 1.2164061254277252e-29, 100: 8.6993376175099514e-149,
+          177: 1.1833755653485270e-306}
+
+
 def test_croke_constant_values():
     assert croke_constant(2) == pytest.approx(1.0 / np.pi, abs=1e-12)
     assert croke_constant(3) == pytest.approx(2.0 * np.pi / 27.0, abs=1e-12)
     assert croke_constant(3) == pytest.approx(0.2327105669325773, abs=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [croke_constant(d) for d in range(2, 178)]
+    assert all(np.finfo(float).tiny <= c < 1 for c in values)
+
+
+@pytest.mark.parametrize("d", sorted(_CROKE))
+def test_croke_constant_matches_the_closed_form(d):
+    assert croke_constant(d) == pytest.approx(_CROKE[d], rel=1e-10)
+
+
+# C'(d) is 0 at d = 1 (Gamma(0) is infinite) and below the normal range
+# from d = 178; Gamma(d/2 + 1) overflows from d = 342, (2 pi)^d from 387
+@pytest.mark.parametrize("call", [
+    lambda: croke_constant(1), lambda: croke_constant(178),
+    lambda: croke_constant(10 ** 300), lambda: weyl_estimate(10.0, 342, 1.0),
+    lambda: weyl_estimate(10.0, 387, 1.0)],
+    ids=["croke-1", "croke-178", "croke-1e300", "weyl-342", "weyl-387"])
+def test_bounds_beyond_the_double_range_are_refused(call):
+    with pytest.raises(ValueError, match=r"d = \d+$"):
+        call()
 
 
 def test_heat_upper_s2_diagonal():
@@ -290,18 +317,17 @@ _OUTSIDE = {"d": (0, np.nan, 2.5), "m": (-1, np.nan, 2.5),
             "n": (0, np.nan, 2.5), "l": (-1, np.nan, 2.5),
             "l_max": (-1, np.nan, 2.5), "l_start": (-1, np.nan, 2.5),
             "l_stop": (-1, np.nan, 2.5), "max_iter": (0, np.nan, 2.5),
-            "grid": (31, np.nan, 40.5), "min_size": (0, np.nan, 2.5),
+            "grid": (31, np.nan, 40.5),
             "alpha1": (1.0, 2.0, np.nan), "alpha2": (0.0, 1.0, np.nan),
             **dict.fromkeys(("kappa", "kappa_neg", "dist", "s", "lam",
                              "sigma", "tau_l"), (-1.0, np.nan, np.inf)),
             **dict.fromkeys(("t", "t0", "V", "diam", "vol_p", "vol_q",
                              "tau", "f_min", "eps", "r0", "C1_eigen",
-                             "C_alpha2", "c_d", "C_d", "h", "tol",
-                             "gap_tol", "iota", "bandwidth_const", "t_cap",
-                             "f_max", "f", "R", "r", "tau_min", "vol_lo",
-                             "vol_hi", "n_eff", "h_tilde", "C1", "C2"),
-                            (0.0, -1.0, np.nan, np.inf)),
-            "step": (0.0, -1e-4, np.nan, np.inf)}
+                             "C_alpha2", "c_d", "C_d", "h", "gap_tol",
+                             "iota", "f_max", "f", "R", "r", "tau_min",
+                             "vol_lo", "vol_hi", "n_eff", "h_tilde", "C1",
+                             "C2"),
+                            (0.0, -1.0, np.nan, np.inf))}
 _DOMAIN_CASES = [(fn, key, bad) for fn, kw in _IN_DOMAIN.items()
                  for key, bads in _OUTSIDE.items() if key in kw
                  for bad in bads]
@@ -369,7 +395,7 @@ def _chart(u):
 # every public callable and config outside bounds that rules scalar
 # arguments by geometry's table, with all of its arguments in their domains
 _LAYER_IN_DOMAIN = {
-    PointCloud: dict(points=np.eye(3), d=2, ambient_dim=3, seed=0),
+    PointCloud: dict(points=np.eye(3), d=2, seed=0),
     ManifoldDescriptor: dict(d=2, kappa=0.0, tau_min=1.0, vol_lo=12.0,
                              vol_hi=13.0, iota=np.pi, diam=np.pi,
                              f_min=0.05, f_max=0.1),
@@ -382,8 +408,8 @@ _LAYER_IN_DOMAIN = {
     s2_oracle_tangent: dict(p=_POLE, t=0.25),
     s2_embedding_norm_sq: dict(t=0.25, l_max=2),
     s2_tail_sum: dict(t=0.25, l_start=3, l_stop=50),
-    second_fundamental_form: dict(embed=_chart, u=(1.0, 1.0), step=1e-4),
-    local_reach_numeric: dict(embed=_chart, grid=32, step=1e-4),
+    second_fundamental_form: dict(embed=_chart, u=(1.0, 1.0)),
+    local_reach_numeric: dict(embed=_chart, grid=32),
     pushforward_density: dict(J=np.eye(2), f=0.5),
     KernelConfig: dict(h=0.5, n=10, d=2),
     bandwidth: dict(n=100, d=2),
@@ -398,9 +424,8 @@ _LAYER_IN_DOMAIN = {
                               gap_tol=0.25),
     EmbeddingParams: dict(t=0.25, m=3, d=2),
     select_diffusion_time: dict(t0=0.25, iota=np.pi),
-    TangentConfig: dict(k=3, bandwidth_const=1.0, t_cap=2.0, max_iter=20,
-                        tol=1e-8, f_min=0.05, f_max=0.1),
-    subsample_size: dict(n=100, d=2, k=3, min_size=10),
+    TangentConfig: dict(k=3, max_iter=20, f_min=0.05, f_max=0.1),
+    subsample_size: dict(n=100, d=2, k=3),
     tangent_bandwidth: dict(n_eff=100, d=2, cfg=TangentConfig()),
     estimate_tangents: dict(cloud=_CLOUD, base_indices=[0],
                             cfg=TangentConfig(), h_tilde=1.0),
@@ -408,6 +433,20 @@ _LAYER_IN_DOMAIN = {
                            tangent_max_iter=20, study_max_iter=100),
     sphere_truth: dict(points=_CLOUD.points, m=8),
 }
+# settings that are constants of their layer, each refused as a keyword
+_FIXED = [(TangentConfig, "bandwidth_const"), (TangentConfig, "t_cap"),
+          (TangentConfig, "tol"), (subsample_size, "min_size"),
+          (second_fundamental_form, "step"), (local_reach_numeric, "step"),
+          (PointCloud, "ambient_dim")]
+
+
+@pytest.mark.parametrize("fn, key", _FIXED,
+                         ids=["%s-%s" % (fn.__name__, k) for fn, k in _FIXED])
+def test_fixed_settings_are_not_keywords(fn, key):
+    with pytest.raises(TypeError, match=key):
+        fn(**dict(_LAYER_IN_DOMAIN[fn], **{key: 1.0}))
+
+
 # config fields that reach the table under another name
 _RULED_AS = {"tangent_max_iter": "max_iter", "study_max_iter": "max_iter"}
 _LAYER_CASES = [(fn, key, bad) for fn, kw in _LAYER_IN_DOMAIN.items()
@@ -441,9 +480,6 @@ _ONCE_RAN = [pytest.param(call, message, id=name) for name, call, message in [
     ("local_reach_numeric(_chart, grid=40.5)",
      lambda: local_reach_numeric(_chart, grid=40.5),
      "grid must be a whole number, got 40.5"),
-    ("local_reach_numeric(_chart, grid=32, step=nan)",
-     lambda: local_reach_numeric(_chart, grid=32, step=np.nan),
-     "step must be positive and finite, got nan"),
     ("s2_tail_sum(0.25, -3, 50)", lambda: s2_tail_sum(0.25, -3, 50),
      "l_start must be >= 0, got -3"),
     ("s2_oracle_embedding(_POLE, -1.0)",

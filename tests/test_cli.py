@@ -110,7 +110,15 @@ _BAD_EXPRS = [
     ("geodesic_euclid_bounds:s=1,r0=1,bogus=3",
      "geodesic_euclid_bounds: unknown argument(s) bogus"),
     ("croke_constant:d=2.7", "croke_constant: argument d=2.7 is not a whole"),
-    ("croke_constant:d=2000", "croke_constant:d=2000: "),
+    ("croke_constant:d=2000",
+     "croke_constant:d=2000: C'(d) is not a normal double at d = 2000\n"),
+    ("croke_constant:d=1",
+     "croke_constant:d=1: C'(d) is not a normal double at d = 1\n"),
+    ("croke_constant:d=178",
+     "croke_constant:d=178: C'(d) is not a normal double at d = 178\n"),
+    ("weyl_estimate:lam=10,d=387,V=1",
+     "weyl_estimate:lam=10,d=387,V=1: a factor overflows a double at "
+     "d = 387\n"),
     ("croke_constant:d=inf", "croke_constant: argument d=inf is not a whole"),
     ("croke_constant:d=abc", "croke_constant: argument d=abc is not a number"),
     ("star_check:tau_l=1,t0=1,eps=0,d=2.5,kappa=0",

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import eval_legendre
 
 import dmaplab.geometry as G
+from dmaplab.experiments import sphere_truth
 from dmaplab.geometry import (_L8, embedding_scale, legendre_p,
                               local_reach_numeric, pushforward_density,
                               real_sph_harmonic, s2_embedding_norm_sq,
@@ -40,6 +41,13 @@ def test_sample_sphere_rejects_bad_args():
         sample_sphere(0, 2, 1)
     with pytest.raises(ValueError):
         sample_sphere(10, 0, 1)
+
+
+def test_point_cloud_ambient_dim_is_the_point_width():
+    cloud = G.PointCloud(points=np.zeros((4, 5)), d=2, seed=0)
+    assert cloud.ambient_dim == 5
+    with pytest.raises(ValueError, match="need d <= ambient_dim"):
+        G.PointCloud(points=np.zeros((4, 2)), d=3, seed=0)
 
 
 def test_sample_torus_on_surface():
@@ -226,6 +234,8 @@ def test_oracle_embedding_block_radii():
 def test_oracle_embedding_rejects_off_sphere():
     with pytest.raises(ValueError):
         s2_oracle_embedding(np.array([1.0, 1.0, 0.0]), 0.25)
+    with pytest.raises(ValueError, match="unit sphere"):
+        sphere_truth(2 * sample_sphere(20, 2, 1).points, 8)
 
 
 def test_oracle_tangent_orthonormal_and_tangent():

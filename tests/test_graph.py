@@ -125,7 +125,7 @@ def test_laplacian_rejects_bad_affinity():
 def test_ball_counts_strict_inequality():
     h = 0.5
     pts = np.array([[0.0, 0.0], [h, 0.0], [0.0, 0.2]])
-    cloud = PointCloud(points=pts, d=1, ambient_dim=2, seed=0)
+    cloud = PointCloud(points=pts, d=1, seed=0)
     counts = ball_counts(cloud, h)
     # the pair at distance exactly h must not see each other
     assert counts.tolist() == [2, 1, 2]
@@ -272,7 +272,7 @@ def test_sphere_system_invariances(n, seed, rot_seed):
     in-place build and the derived L against regressions."""
     cloud = sample_sphere(n, 2, seed)
     turned = PointCloud(points=cloud.points @ _rotation(rot_seed).T, d=2,
-                        ambient_dim=3, seed=seed)
+                        seed=seed)
     a, b = system_from_cloud(cloud), system_from_cloud(turned)
     assert np.max(np.abs(a.W - b.W)) <= 1e-10 * np.max(a.W)
     mu_a = eigensolve_smallest(a, 8).mu

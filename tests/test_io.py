@@ -132,7 +132,7 @@ def test_save_tangents_nan_for_missing(tmp_path):
     rng = np.random.default_rng(0)
     U = np.linalg.qr(rng.normal(size=(3, 2)))[0]
     pts = rng.uniform(-1, 1, size=(50, 2)) @ U.T
-    cloud = PointCloud(points=pts, d=2, ambient_dim=3, seed=0)
+    cloud = PointCloud(points=pts, d=2, seed=0)
     fit = fit_local_polynomial(cloud, 0, 0.9, TangentConfig(k=3))
     path = tmp_path / "tan.csv"
     save_tangents([fit], path, angles={})
@@ -345,7 +345,7 @@ _ROUND_TRIP = settings(max_examples=60, suppress_health_check=[
                   elements=_FINITE),
        seed=st.integers(0, 2 ** 63 - 1))
 def test_cloud_round_trip_bit_exact(tmp_path, pts, seed):
-    cloud = PointCloud(points=pts, d=1, ambient_dim=pts.shape[1], seed=seed)
+    cloud = PointCloud(points=pts, d=1, seed=seed)
     save_cloud(cloud, tmp_path / "cloud.csv")
     back = load_cloud(tmp_path / "cloud.csv")
     assert (back.d, back.ambient_dim, back.seed) == (1, pts.shape[1], seed)

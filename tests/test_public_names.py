@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import dmaplab
@@ -46,3 +47,64 @@ def test_only_the_package_declares_an_interface():
     for name in names:
         assert not hasattr(importlib.import_module("dmaplab." + name),
                            "__all__"), name
+
+
+# every parameter and dataclass field of a public name that has a default,
+# with the repr of that default: a value joins or leaves the settable ones
+# only by a deliberate change, as a name does in _PUBLIC
+_SETTABLE = {
+    "BoundConstants.C1": "0.408912",
+    "BoundConstants.C2": "None",
+    "ExperimentConfig.manifold": "'sphere'",
+    "ExperimentConfig.d": "2",
+    "ExperimentConfig.k": "3",
+    "ExperimentConfig.t0": "0.25",
+    "ExperimentConfig.m": "8",
+    "ExperimentConfig.eps": "0.05",
+    "ExperimentConfig.gap_tol": "0.25",
+    "ExperimentConfig.n_grid": "(500, 1000, 2000, 4000)",
+    "ExperimentConfig.seeds": "(1, 2, 3, 4, 5)",
+    "ExperimentConfig.ntilde_grid": "(250, 500, 1000, 2000)",
+    "ExperimentConfig.tangent_max_iter": "20",
+    "ExperimentConfig.study_max_iter": "100",
+    "ExperimentConfig.output_dir": "'.'",
+    "ExperimentConfig.constants": "<factory>",
+    "LaplacianSystem.ball_counts": "None",
+    "LaplacianSystem.d": "None",
+    "RunRecord.h": "nan",
+    "RunRecord.t": "nan",
+    "RunRecord.m": "0",
+    "RunRecord.eigenvalue_errors": "<factory>",
+    "RunRecord.eigenvector_sup_errors": "<factory>",
+    "RunRecord.embedding_error": "nan",
+    "RunRecord.tangent_angle_median": "nan",
+    "RunRecord.tangent_angle_max": "nan",
+    "RunRecord.first_cluster_mean": "nan",
+    "RunRecord.pattern_matched": "False",
+    "RunRecord.status": "'ok'",
+    "RunRecord.wall_time": "0.0",
+    "TangentConfig.k": "3",
+    "TangentConfig.max_iter": "20",
+    "TangentConfig.f_min": "0.07957747154594767",
+    "TangentConfig.f_max": "0.07957747154594767",
+    "eigensolve_smallest.gap_tol": "0.25",
+    "estimate_tangents.h_tilde": "None",
+    "heat_upper_liyau.c_d": "None",
+    "laplacian.ball_counts": "None",
+    "laplacian.d": "None",
+    "li_yau_upper.diam": "None",
+    "local_reach_numeric.domain":
+        "((0.0, 3.141592653589793), (0.0, 6.283185307179586))",
+    "s2_oracle_tangent.method": "'analytic'",
+    "sphere_truth.m": "8",
+    "system_from_cloud.h": "None",
+}
+
+
+def test_public_settable_values_are_pinned():
+    settable = {}
+    for name in dmaplab.__all__:
+        for p in inspect.signature(getattr(dmaplab, name)).parameters.values():
+            if p.default is not p.empty:
+                settable["%s.%s" % (name, p.name)] = repr(p.default)
+    assert settable == _SETTABLE
