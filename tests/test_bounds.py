@@ -480,6 +480,9 @@ _ONCE_RAN = [pytest.param(call, message, id=name) for name, call, message in [
     ("local_reach_numeric(_chart, grid=40.5)",
      lambda: local_reach_numeric(_chart, grid=40.5),
      "grid must be a whole number, got 40.5"),
+    ("sphere_truth(2 * _CLOUD.points, 8)",
+     lambda: sphere_truth(2 * _CLOUD.points, 8),
+     "points must lie on the unit sphere"),
     ("s2_tail_sum(0.25, -3, 50)", lambda: s2_tail_sum(0.25, -3, 50),
      "l_start must be >= 0, got -3"),
     ("s2_oracle_embedding(_POLE, -1.0)",

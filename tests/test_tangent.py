@@ -149,6 +149,23 @@ def test_fit_plan_is_read_only():
         assert not any(a.flags.writeable for a in arrays)
 
 
+def test_fit_plan_samples_directions_only_above_d_2(monkeypatch):
+    """d = 1 and d = 2 read fixed directions; only d > 2 draws the seed-0
+    sample of 2000."""
+    calls = []
+
+    def spy(n, d, seed):
+        calls.append((n, d, seed))
+        return sample_sphere(n, d, seed)
+
+    monkeypatch.setattr("dmaplab.tangent.sample_sphere", spy)
+    for d in (1, 2):
+        _fit_plan(d, 4)
+    assert calls == []
+    assert _fit_plan(3, 4).dirs.shape == (2000, 3)
+    assert calls == [(2000, 2, 0)]
+
+
 def test_one_fit_plan_per_estimate_tangents_call(monkeypatch):
     """One call builds its plan once and hands it to every stack and
     worker."""
